@@ -96,7 +96,7 @@ int powered_hosts(const plan::Fleet& fleet) {
 }
 
 /// Rolling committed waves of one strategy on its own fleet copy.
-std::vector<WaveRecord> run_waves(const models::EnergyModel& model, plan::Fleet fleet,
+std::vector<WaveRecord> run_waves(const core::Wavm3Model& model, plan::Fleet fleet,
                                   const plan::PlacementStrategy& strategy, double t0) {
   plan::MigrationPlanner planner(model, make_config(/*cycle_aware=*/true));
   std::vector<WaveRecord> records;

@@ -15,7 +15,6 @@
 #include "net/bandwidth_model.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "plan/scoring.hpp"
 #include "sim/simulator.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
@@ -127,19 +126,6 @@ struct BusyIntervals {
   }
 };
 
-/// Link payload rate between two hosts — the planner's pricing formula
-/// (group rate capped by both NIC payload rates).
-double payload_rate(const plan::PlannerConfig& cfg, const cloud::HostSpec& src,
-                    const cloud::HostSpec& dst) {
-  const double inf = std::numeric_limits<double>::infinity();
-  const auto nic_payload = [&](double nic_rate) {
-    return nic_rate > 0.0 ? nic_rate * cfg.nic_protocol_efficiency : inf;
-  };
-  const double group_rate = src.group == dst.group ? cfg.intra_group_payload_rate
-                                                   : cfg.inter_group_payload_rate;
-  return std::min({group_rate, nic_payload(src.nic_rate), nic_payload(dst.nic_rate)});
-}
-
 /// Outcome of one executed attempt.
 struct ExecResult {
   bool started = false;  ///< engine accepted the migration
@@ -170,7 +156,7 @@ ExecResult execute_attempt(const plan::Fleet& fleet, const plan::PlannerConfig& 
   net::LinkSpec link;
   link.name = src.spec.name + "<->" + dst.spec.name;
   link.protocol_efficiency = pcfg.nic_protocol_efficiency;
-  link.wire_rate = payload_rate(pcfg, src.spec, dst.spec) / link.protocol_efficiency;
+  link.wire_rate = plan::link_payload_rate(pcfg, src.spec, dst.spec) / link.protocol_efficiency;
   dc.network().set_default_link(link);
 
   const auto add_background = [](cloud::Host& host, double load, const char* id) {
@@ -286,8 +272,8 @@ faults::FaultPlan make_storm(const StormOptions& options, std::uint64_t seed, in
   return storm;
 }
 
-WaveExecutor::WaveExecutor(const models::EnergyModel& model, ChaosConfig config)
-    : model_(&model), config_(std::move(config)), planner_(model, config_.planner),
+WaveExecutor::WaveExecutor(const core::Wavm3Model& model, ChaosConfig config)
+    : forecaster_(model), config_(std::move(config)), planner_(model, config_.planner),
       policy_(config_.replan) {
   WAVM3_REQUIRE(config_.wave_gap_s > 0.0, "wave gap must be positive");
   WAVM3_REQUIRE(config_.max_waves >= 1, "need at least one wave");
@@ -343,7 +329,8 @@ WaveOutcome WaveExecutor::run_wave(plan::Fleet& fleet, const plan::PlacementStra
     owned.insert(ledger_[static_cast<std::size_t>(id)].move.vm);
   }
 
-  // --- 1. Emergency overload relief, priced in one bulk pass.
+  // --- 1. Emergency overload relief, each move priced by the planner's
+  // closed-form forecast.
   if (config_.relief_enabled) {
     WAVM3_OBS_SPAN(relief_span, "chaos", "relief");
     std::vector<int> overloaded;
@@ -363,12 +350,6 @@ WaveOutcome WaveExecutor::run_wave(plan::Fleet& fleet, const plan::PlacementStra
     });
     out.overloaded_hosts = static_cast<int>(overloaded.size());
 
-    struct ReliefPick {
-      int vm = -1;
-      int source = -1;
-      int target = -1;
-    };
-    std::vector<ReliefPick> picks;
     std::unordered_map<int, double> extra_cpu;
     std::unordered_map<int, double> extra_ram;
     const std::unordered_set<int> overloaded_set(overloaded.begin(), overloaded.end());
@@ -386,7 +367,7 @@ WaveOutcome WaveExecutor::run_wave(plan::Fleet& fleet, const plan::PlacementStra
       });
       for (const int v : vms) {
         if (load <= overload_fraction * cap) break;
-        if (static_cast<int>(picks.size()) >= config_.max_relief_moves_per_wave) break;
+        if (out.relief_moves >= config_.max_relief_moves_per_wave) break;
         if (owned.count(v) != 0) continue;
         const plan::FleetVm& vm = fleet.vm(v);
         if (vm.cpu_now <= 0.0) break;  // sorted ascending: nothing left to shed
@@ -410,51 +391,22 @@ WaveOutcome WaveExecutor::run_wave(plan::Fleet& fleet, const plan::PlacementStra
           metrics.relief_unplaced.inc();
           continue;
         }
-        picks.push_back({v, h, best});
+        const core::MigrationForecast fc =
+            forecaster_.forecast(plan::move_scenario(fleet, v, h, best, config_.planner));
+        plan::ScheduledMove move;
+        move.vm = v;
+        move.source = h;
+        move.target = best;
+        move.start_s = now;
+        move.end_s = now + fc.times.me;
+        move.energy_j = fc.total_energy();
+        move.downtime_s = fc.downtime;
+        accept(move, /*relief=*/true);
+        ++out.relief_moves;
         extra_cpu[best] += vm.cpu_now;
         extra_ram[best] += vm.ram_bytes;
         owned.insert(v);
         load -= vm.cpu_now;
-      }
-    }
-
-    if (!picks.empty()) {
-      // Price every relief candidate through the same FeatureBatch
-      // bulk path the planner uses.
-      std::vector<core::MigrationScenario> scenarios;
-      scenarios.reserve(picks.size());
-      for (const ReliefPick& pick : picks) {
-        const plan::FleetVm& vm = fleet.vm(pick.vm);
-        core::MigrationScenario sc;
-        sc.type = config_.planner.policy.migration_type;
-        sc.vm_mem_bytes = vm.ram_bytes;
-        sc.vm_cpu_vcpus = vm.cpu_now;
-        sc.vm_dirty_pages_per_s = vm.dirty_now;
-        sc.vm_working_set_pages = static_cast<double>(vm.working_set_pages);
-        sc.source_cpu_load = std::max(0.0, fleet.host(pick.source).cpu_load - vm.cpu_now);
-        sc.source_cpu_capacity = static_cast<double>(fleet.host(pick.source).spec.vcpus);
-        sc.target_cpu_load = fleet.host(pick.target).cpu_load;
-        sc.target_cpu_capacity = static_cast<double>(fleet.host(pick.target).spec.vcpus);
-        sc.link_payload_rate =
-            payload_rate(config_.planner, fleet.host(pick.source).spec,
-                         fleet.host(pick.target).spec);
-        sc.migration = config_.planner.migration;
-        sc.bandwidth = config_.planner.bandwidth;
-        scenarios.push_back(sc);
-      }
-      std::vector<core::MigrationForecast> forecasts;
-      plan::score_batch(*model_, scenarios, forecasts);
-      for (std::size_t i = 0; i < picks.size(); ++i) {
-        plan::ScheduledMove move;
-        move.vm = picks[i].vm;
-        move.source = picks[i].source;
-        move.target = picks[i].target;
-        move.start_s = now;
-        move.end_s = now + forecasts[i].times.me;
-        move.energy_j = forecasts[i].total_energy();
-        move.downtime_s = forecasts[i].downtime;
-        accept(move, /*relief=*/true);
-        ++out.relief_moves;
       }
     }
     relief_span.arg("overloaded", static_cast<double>(overloaded.size()));

@@ -9,7 +9,7 @@
 // flow through the ReplanPolicy (deadlines, bounded retries with
 // backoff across waves, degraded mode), hosts pushed over capacity by
 // load drift or failed moves get emergency overload-relief waves priced
-// through the same FeatureBatch bulk path, and every wave ends with a
+// by the planner's closed-form forecast, and every wave ends with a
 // FleetInvariantChecker audit plus chaos_* metrics and spans.
 //
 // Execution model: moves are serialised per host under the fleet's
@@ -33,7 +33,7 @@
 #include "chaos/invariants.hpp"
 #include "chaos/replan.hpp"
 #include "faults/fault_plan.hpp"
-#include "models/energy_model.hpp"
+#include "core/planner.hpp"
 #include "plan/planner.hpp"
 #include "plan/strategy.hpp"
 #include "stream/session.hpp"
@@ -121,7 +121,7 @@ class WaveExecutor {
  public:
   /// `model` must outlive the executor and be fitted for the policy's
   /// migration type.
-  WaveExecutor(const models::EnergyModel& model, ChaosConfig config = {});
+  WaveExecutor(const core::Wavm3Model& model, ChaosConfig config = {});
 
   const ChaosConfig& config() const { return config_; }
   const ReplanPolicy& policy() const { return policy_; }
@@ -152,7 +152,7 @@ class WaveExecutor {
   std::uint64_t live_abort_requests() const;
 
  private:
-  const models::EnergyModel* model_;
+  core::MigrationPlanner forecaster_;  ///< prices relief moves
   ChaosConfig config_;
   plan::MigrationPlanner planner_;
   ReplanPolicy policy_;

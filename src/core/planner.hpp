@@ -82,9 +82,10 @@ MigrationForecast forecast_timings(const MigrationScenario& scenario);
 /// phase, chosen to mirror how the engine drives the hosts, plus the
 /// coefficient table the scenario's type maps to (post-copy prices
 /// with the live tables). attach_energy evaluates these through
-/// predict_power; the batched scoring path (src/plan/) integrates the
-/// very same samples through models::FeatureBatch, so both roads give
-/// the same energies (up to floating-point reassociation).
+/// predict_power and multiplies by each phase's duration — paper Eq. 4
+/// with constant per-phase features. The closed-form planner, the
+/// datacenter planner's candidates, chaos relief moves and engine-timed
+/// serve forecasts all price through it.
 struct PhaseRepresentatives {
   models::MigrationSample source[3];  ///< initiation, transfer, activation
   models::MigrationSample target[3];

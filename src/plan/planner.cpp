@@ -10,7 +10,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "plan/scoring.hpp"
 #include "util/error.hpp"
 
 namespace wavm3::plan {
@@ -22,7 +21,6 @@ namespace {
 struct PlanMetrics {
   obs::Counter& waves;
   obs::Counter& candidates;
-  obs::Counter& batch_rows;
   obs::Counter& moves;
   obs::Counter& donors_vacated;
   obs::Counter& cycle_aligned;
@@ -37,16 +35,14 @@ PlanMetrics plan_metrics(const char* strategy) {
   return PlanMetrics{
       r.counter("plan_waves_total", "Consolidation waves planned", labels),
       r.counter("plan_candidates_scored_total", "Candidate (VM, target) moves priced", labels),
-      r.counter("plan_batch_rows_total", "FeatureBatch rows evaluated by wave scoring", labels),
       r.counter("plan_moves_committed_total", "Migrations emitted by wave plans", labels),
       r.counter("plan_donors_vacated_total", "Donor hosts fully vacated by wave plans", labels),
       r.counter("plan_cycle_aligned_moves_total",
                 "Moves scheduled into a workload-cycle low-dirtying window", labels),
       r.exponential_histogram("plan_wave_seconds", "Wall time of one planning wave", 1e-4, 2.0,
                               22, labels),
-      r.exponential_histogram("plan_score_seconds",
-                              "Wall time inside batched candidate scoring", 1e-5, 2.0, 22,
-                              labels),
+      r.exponential_histogram("plan_score_seconds", "Wall time pricing wave candidates",
+                              1e-5, 2.0, 22, labels),
       r.gauge("plan_last_wave_energy_joules",
               "Predicted migration energy of the last planned wave", labels),
   };
@@ -103,8 +99,40 @@ double earliest_feasible_start(const Fleet& fleet, const BusyIntervals& busy, in
 
 }  // namespace
 
-MigrationPlanner::MigrationPlanner(const models::EnergyModel& model, PlannerConfig config)
-    : model_(&model), config_(std::move(config)) {
+double link_payload_rate(const PlannerConfig& config, const cloud::HostSpec& source,
+                         const cloud::HostSpec& target) {
+  const auto nic_payload = [&](double nic_rate) {
+    return nic_rate > 0.0 ? nic_rate * config.nic_protocol_efficiency
+                          : std::numeric_limits<double>::infinity();
+  };
+  const double group_rate = source.group == target.group ? config.intra_group_payload_rate
+                                                         : config.inter_group_payload_rate;
+  return std::min({group_rate, nic_payload(source.nic_rate), nic_payload(target.nic_rate)});
+}
+
+core::MigrationScenario move_scenario(const Fleet& fleet, int vm, int source, int target,
+                                      const PlannerConfig& config) {
+  const FleetVm& v = fleet.vm(vm);
+  const FleetHost& src = fleet.host(source);
+  const FleetHost& dst = fleet.host(target);
+  core::MigrationScenario sc;
+  sc.type = config.policy.migration_type;
+  sc.vm_mem_bytes = v.ram_bytes;
+  sc.vm_cpu_vcpus = v.cpu_now;
+  sc.vm_dirty_pages_per_s = v.dirty_now;
+  sc.vm_working_set_pages = static_cast<double>(v.working_set_pages);
+  sc.source_cpu_load = std::max(0.0, src.cpu_load - v.cpu_now);
+  sc.source_cpu_capacity = static_cast<double>(src.spec.vcpus);
+  sc.target_cpu_load = dst.cpu_load;
+  sc.target_cpu_capacity = static_cast<double>(dst.spec.vcpus);
+  sc.link_payload_rate = link_payload_rate(config, src.spec, dst.spec);
+  sc.migration = config.migration;
+  sc.bandwidth = config.bandwidth;
+  return sc;
+}
+
+MigrationPlanner::MigrationPlanner(const core::Wavm3Model& model, PlannerConfig config)
+    : forecaster_(model), config_(std::move(config)) {
   WAVM3_REQUIRE(config_.candidate_targets > 0, "planner needs at least one candidate target");
   WAVM3_REQUIRE(config_.load_window_s > 0.0 && config_.wave_horizon_s > 0.0,
                 "planner windows must be positive");
@@ -201,22 +229,6 @@ WavePlan MigrationPlanner::plan_wave(Fleet& fleet, const PlacementStrategy& stra
   // destinations drawn from the three orderings (deduplicated), each
   // expanded into a blind — and for periodic VMs an aligned — scenario.
   CandidateSet candidates;
-  std::vector<core::MigrationScenario> scenarios;
-  struct PendingVariant {
-    int move = -1;
-    bool aligned = false;
-  };
-  std::vector<PendingVariant> pending;
-
-  const double inf = std::numeric_limits<double>::infinity();
-  const auto nic_payload = [&](double nic_rate) {
-    return nic_rate > 0.0 ? nic_rate * config_.nic_protocol_efficiency : inf;
-  };
-  const auto payload_rate = [&](const cloud::HostSpec& src, const cloud::HostSpec& dst) {
-    const double group_rate = src.group == dst.group ? config_.intra_group_payload_rate
-                                                     : config_.inter_group_payload_rate;
-    return std::min({group_rate, nic_payload(src.nic_rate), nic_payload(dst.nic_rate)});
-  };
   const auto receiver_ok = [&](int h, const FleetVm& vm) {
     if (!fleet.fits(h, vm)) return false;
     const FleetHost& host = fleet.host(h);
@@ -267,22 +279,7 @@ WavePlan MigrationPlanner::plan_wave(Fleet& fleet, const PlacementStrategy& stra
         move.vm = v;
         move.source = donor_host;
         move.target = target;
-
-        core::MigrationScenario sc;
-        sc.type = config_.policy.migration_type;
-        sc.vm_mem_bytes = vm.ram_bytes;
-        sc.vm_cpu_vcpus = vm.cpu_now;
-        sc.vm_dirty_pages_per_s = vm.dirty_now;
-        sc.vm_working_set_pages = static_cast<double>(vm.working_set_pages);
-        sc.source_cpu_load = std::max(0.0, fleet.host(donor_host).cpu_load - vm.cpu_now);
-        sc.source_cpu_capacity = static_cast<double>(fleet.host(donor_host).spec.vcpus);
-        sc.target_cpu_load = fleet.host(target).cpu_load;
-        sc.target_cpu_capacity = static_cast<double>(fleet.host(target).spec.vcpus);
-        sc.link_payload_rate =
-            payload_rate(fleet.host(donor_host).spec, fleet.host(target).spec);
-        sc.migration = config_.migration;
-        sc.bandwidth = config_.bandwidth;
-        move.blind.scenario = sc;
+        move.blind.scenario = move_scenario(fleet, v, donor_host, target, config_);
 
         if (cycle_it != cycles.end()) {
           move.has_aligned = true;
@@ -290,17 +287,8 @@ WavePlan MigrationPlanner::plan_wave(Fleet& fleet, const PlacementStrategy& stra
           // Same move priced at the low-window dirtying rate; the CPU
           // signature is kept (conservative — only the dirtying
           // benefit of the window is claimed).
-          core::MigrationScenario aligned = sc;
-          aligned.vm_dirty_pages_per_s = move.cycle.low_mean;
-          move.aligned.scenario = aligned;
-        }
-
-        const int index = static_cast<int>(candidates.moves.size());
-        scenarios.push_back(move.blind.scenario);
-        pending.push_back({index, false});
-        if (move.has_aligned) {
-          scenarios.push_back(move.aligned.scenario);
-          pending.push_back({index, true});
+          move.aligned.scenario = move.blind.scenario;
+          move.aligned.scenario.vm_dirty_pages_per_s = move.cycle.low_mean;
         }
         candidates.moves.push_back(std::move(move));
       }
@@ -315,24 +303,26 @@ WavePlan MigrationPlanner::plan_wave(Fleet& fleet, const PlacementStrategy& stra
   }
   plan.candidates_scored = candidates.moves.size();
 
-  // Price every variant in one batched pass.
+  // Price every variant: closed-form timings, then paper Eq. 4 over the
+  // forecast phases (core::attach_energy). The span keeps its historical
+  // name: traces and perfbench's plan.score_batch_s key on it.
   {
     WAVM3_OBS_SPAN(score_span, "plan", "score_batch");
     const auto score_start = std::chrono::steady_clock::now();
-    std::vector<core::MigrationForecast> forecasts;
-    plan.batch_rows = score_batch(*model_, scenarios, forecasts);
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      ScoredMove& move = candidates.moves[static_cast<std::size_t>(pending[i].move)];
-      MoveVariant& variant = pending[i].aligned ? move.aligned : move.blind;
-      variant.forecast = forecasts[i];
-      variant.energy_j = forecasts[i].total_energy();
+    std::size_t priced = 0;
+    const auto price = [&](MoveVariant& variant) {
+      variant.forecast = forecaster_.forecast(variant.scenario);
+      variant.energy_j = variant.forecast.total_energy();
+      ++priced;
+    };
+    for (ScoredMove& move : candidates.moves) {
+      price(move.blind);
+      if (move.has_aligned) price(move.aligned);
     }
     plan.scoring_seconds = seconds_since(score_start);
-    score_span.arg("scenarios", static_cast<double>(scenarios.size()));
-    score_span.arg("rows", static_cast<double>(plan.batch_rows));
+    score_span.arg("scenarios", static_cast<double>(priced));
   }
   metrics.candidates.inc(plan.candidates_scored);
-  metrics.batch_rows.inc(plan.batch_rows);
   metrics.score_seconds.observe(plan.scoring_seconds);
 
   // Target selection.

@@ -1,6 +1,6 @@
 // Datacenter-scale migration planner: rolling consolidation waves over
-// a Fleet, with candidate moves priced in bulk through the batched
-// scoring path (plan/scoring.hpp) and scheduled into workload-cycle
+// a Fleet, with candidate moves priced by the closed-form forecast
+// (core::MigrationPlanner) and scheduled into workload-cycle
 // low-dirtying windows (plan/cycle_detector.hpp).
 //
 // One wave:
@@ -9,8 +9,7 @@
 //   2. detect workload cycles on every donor VM's dirtying history;
 //   3. generate (VM, source, target) candidates and price them — each
 //      in a cycle-blind variant (trailing-window dirtying) and, for
-//      periodic VMs, a cycle-aligned variant (low-window dirtying) —
-//      in one FeatureBatch + predict_batch pass;
+//      periodic VMs, a cycle-aligned variant (low-window dirtying);
 //   4. a PlacementStrategy picks targets (naive first-fit, or
 //      energy-aware beam search) donor by donor, all-or-nothing per
 //      donor (partial vacates save no host energy);
@@ -29,7 +28,7 @@
 
 #include "consolidation/manager.hpp"
 #include "core/planner.hpp"
-#include "models/energy_model.hpp"
+#include "core/wavm3_model.hpp"
 #include "plan/cycle_detector.hpp"
 #include "plan/fleet.hpp"
 
@@ -68,10 +67,21 @@ struct PlannerConfig {
   int beam_width = 8;
 };
 
+/// Link payload rate (bytes/s) between two hosts: the topology-group
+/// rate capped by both NICs' payload rates.
+double link_payload_rate(const PlannerConfig& config, const cloud::HostSpec& source,
+                         const cloud::HostSpec& target);
+
+/// The scenario of moving `vm` from `source` to `target` on the fleet
+/// as it stands: the VM's current signature, the source's load without
+/// the VM, the target's load, and the link between them.
+core::MigrationScenario move_scenario(const Fleet& fleet, int vm, int source, int target,
+                                      const PlannerConfig& config);
+
 /// One priced placement variant of a candidate move.
 struct MoveVariant {
   core::MigrationScenario scenario;
-  core::MigrationForecast forecast;  ///< timings + batch-scored energies
+  core::MigrationForecast forecast;  ///< closed-form timings + energies
   double energy_j = 0.0;             ///< source + target
 };
 
@@ -152,8 +162,7 @@ struct WavePlan {
   int overloaded_hosts_before = 0;        ///< hosts above the overload fraction
   int overloaded_hosts_after = 0;
   std::size_t candidates_scored = 0;      ///< (VM, target) pairs priced
-  std::size_t batch_rows = 0;             ///< FeatureBatch rows evaluated
-  double scoring_seconds = 0.0;           ///< wall time inside score_batch
+  double scoring_seconds = 0.0;           ///< wall time pricing candidates
   double wave_seconds = 0.0;              ///< wall time of the whole wave
 };
 
@@ -162,7 +171,7 @@ class MigrationPlanner {
  public:
   /// `model` must outlive the planner and be fitted for the policy's
   /// migration type.
-  MigrationPlanner(const models::EnergyModel& model, PlannerConfig config = {});
+  MigrationPlanner(const core::Wavm3Model& model, PlannerConfig config = {});
 
   const PlannerConfig& config() const { return config_; }
 
@@ -173,7 +182,7 @@ class MigrationPlanner {
                      bool commit = true);
 
  private:
-  const models::EnergyModel* model_;
+  core::MigrationPlanner forecaster_;
   PlannerConfig config_;
 };
 

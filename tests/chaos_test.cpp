@@ -12,6 +12,7 @@
 #include "chaos/executor.hpp"
 #include "chaos/invariants.hpp"
 #include "chaos/replan.hpp"
+#include "core/planner.hpp"
 #include "core/wavm3_model.hpp"
 #include "plan/fleet.hpp"
 #include "plan/strategy.hpp"
@@ -444,8 +445,12 @@ TEST(WaveExecutor, ReliefShedsOverloadedHostsThroughBulkScoring) {
   cfg.faults_enabled = false;
   cfg.relief_enabled = true;
   cfg.max_waves = 4;
+  const double now = 1000.0;
+  // The fleet as relief sees it at the wave boundary.
+  plan::Fleet before = fleet;
+  before.refresh_loads(now, cfg.planner.load_window_s);
   WaveExecutor executor(model, cfg);
-  const WaveOutcome wave = executor.run_wave(fleet, beam, 0, 1000.0);
+  const WaveOutcome wave = executor.run_wave(fleet, beam, 0, now);
 
   EXPECT_EQ(wave.overloaded_hosts, 1);
   ASSERT_GT(wave.relief_moves, 0);
@@ -455,10 +460,17 @@ TEST(WaveExecutor, ReliefShedsOverloadedHostsThroughBulkScoring) {
   const plan::FleetHost& relieved = fleet.host(0);
   EXPECT_LE(relieved.cpu_load / relieved.spec.vcpus,
             cfg.planner.policy.overload_fraction + 1e-9);
-  // Relief moves are real ledger entries with committed energy.
+  // Relief moves are real ledger entries with committed energy, priced
+  // bit-exactly like planner candidates.
   EXPECT_GT(wave.ledger.committed_j, 0.0);
+  const core::MigrationPlanner forecaster(model);
   for (const TrackedMove& mv : executor.ledger()) {
     EXPECT_TRUE(mv.relief);
+    const core::MigrationForecast expect = forecaster.forecast(
+        plan::move_scenario(before, mv.move.vm, mv.move.source, mv.move.target, cfg.planner));
+    EXPECT_EQ(mv.move.energy_j, expect.total_energy()) << "vm " << mv.move.vm;
+    EXPECT_EQ(mv.move.downtime_s, expect.downtime) << "vm " << mv.move.vm;
+    EXPECT_EQ(mv.move.end_s, now + expect.times.me) << "vm " << mv.move.vm;
   }
 }
 

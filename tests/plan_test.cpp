@@ -1,5 +1,5 @@
-// src/plan/: fleet model, workload-cycle detection, batched candidate
-// scoring, and wave planning with the bundled placement strategies.
+// src/plan/: fleet model, workload-cycle detection, candidate pricing,
+// and wave planning with the bundled placement strategies.
 #include <cmath>
 #include <map>
 #include <sstream>
@@ -10,7 +10,6 @@
 #include "plan/cycle_detector.hpp"
 #include "plan/fleet.hpp"
 #include "plan/planner.hpp"
-#include "plan/scoring.hpp"
 #include "plan/strategy.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
@@ -283,7 +282,7 @@ TEST(Fleet, RefreshLoadsTracksTrailingWindow) {
   EXPECT_NEAR(fleet.host_utilisation(0), 3.0 / 8.0, 1e-9);
 }
 
-// --------------------------------------------------------------- scoring
+// --------------------------------------------------------------- planner
 
 core::Wavm3Model make_model() {
   core::Wavm3Model m;
@@ -300,53 +299,6 @@ core::Wavm3Model make_model() {
   }
   return m;
 }
-
-TEST(ScoreBatch, MatchesScalarPlannerForecasts) {
-  const core::Wavm3Model model = make_model();
-  const core::MigrationPlanner scalar(model);
-
-  std::vector<core::MigrationScenario> scenarios;
-  for (const MigrationType type : {MigrationType::kLive, MigrationType::kNonLive}) {
-    for (const double mem_gib : {1.0, 4.0, 16.0}) {
-      for (const double dirty : {0.0, 5000.0, 40000.0}) {
-        for (const double target_load : {2.0, 20.0, 30.0}) {
-          core::MigrationScenario sc;
-          sc.type = type;
-          sc.vm_mem_bytes = util::gib(mem_gib);
-          sc.vm_cpu_vcpus = 2.0;
-          sc.vm_dirty_pages_per_s = dirty;
-          sc.vm_working_set_pages = 0.3 * sc.vm_mem_bytes / util::kPageSize;
-          sc.source_cpu_load = 6.0;
-          sc.target_cpu_load = target_load;
-          scenarios.push_back(sc);
-        }
-      }
-    }
-  }
-
-  std::vector<core::MigrationForecast> batched;
-  const std::size_t rows = score_batch(model, scenarios, batched);
-  ASSERT_EQ(batched.size(), scenarios.size());
-  EXPECT_EQ(rows, 2 * scenarios.size());
-
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    const core::MigrationForecast expect = scalar.forecast(scenarios[i]);
-    // Identical timings (same closed form)...
-    EXPECT_DOUBLE_EQ(batched[i].times.me, expect.times.me);
-    EXPECT_DOUBLE_EQ(batched[i].bandwidth, expect.bandwidth);
-    EXPECT_DOUBLE_EQ(batched[i].downtime, expect.downtime);
-    // ...and energies equal to relative machine precision (the batched
-    // path reassociates the power x duration products).
-    EXPECT_NEAR(batched[i].source_energy, expect.source_energy,
-                1e-9 * std::abs(expect.source_energy))
-        << "scenario " << i;
-    EXPECT_NEAR(batched[i].target_energy, expect.target_energy,
-                1e-9 * std::abs(expect.target_energy))
-        << "scenario " << i;
-  }
-}
-
-// --------------------------------------------------------------- planner
 
 PlannerConfig test_config() {
   PlannerConfig config;
@@ -367,7 +319,6 @@ TEST(MigrationPlanner, WaveRespectsCapacityAndConcurrency) {
   ASSERT_GT(plan.donors_considered, 0);
   ASSERT_FALSE(plan.moves.empty());
   EXPECT_GT(plan.candidates_scored, 0u);
-  EXPECT_EQ(plan.batch_rows % 2, 0u);
 
   // Committed fleet: every host within RAM capacity and under the
   // overload fraction; vacated donors are empty and powered off.
@@ -411,6 +362,64 @@ TEST(MigrationPlanner, WaveRespectsCapacityAndConcurrency) {
       }
       EXPECT_LE(overlapping, cap) << "host " << h;
     }
+  }
+}
+
+/// Passes choices through to `inner` and keeps the candidate set it was
+/// handed, so tests can inspect every priced variant.
+class RecordingStrategy final : public PlacementStrategy {
+ public:
+  explicit RecordingStrategy(const PlacementStrategy& inner) : inner_(inner) {}
+  const char* name() const override { return inner_.name(); }
+  std::vector<int> choose(const Fleet& fleet, const CandidateSet& candidates,
+                          const PlannerConfig& config) const override {
+    seen = candidates;
+    return inner_.choose(fleet, candidates, config);
+  }
+  mutable CandidateSet seen;
+
+ private:
+  const PlacementStrategy& inner_;
+};
+
+TEST(MigrationPlanner, PricesEveryMoveWithTheClosedFormForecast) {
+  const core::Wavm3Model model = make_model();
+  const core::MigrationPlanner forecaster(model);
+  PlannerConfig config = test_config();
+  config.cycle_aware = false;
+  const double now = SyntheticFleetOptions{}.history_s;
+  Fleet fleet = Fleet::synthetic(24, 120, 23);
+  // The fleet as the wave sees it before committing anything.
+  Fleet before = fleet;
+  before.refresh_loads(now, config.load_window_s);
+
+  const BeamSearchStrategy beam;
+  const RecordingStrategy recording(beam);
+  MigrationPlanner planner(model, config);
+  const WavePlan plan = planner.plan_wave(fleet, recording, now);
+  ASSERT_FALSE(plan.moves.empty());
+
+  // Bit-equal, not merely close: the planner prices through the very
+  // same forecast call.
+  for (const ScheduledMove& m : plan.moves) {
+    const core::MigrationForecast expect =
+        forecaster.forecast(move_scenario(before, m.vm, m.source, m.target, config));
+    EXPECT_EQ(m.energy_j, expect.total_energy()) << "vm " << m.vm;
+    EXPECT_EQ(m.downtime_s, expect.downtime) << "vm " << m.vm;
+  }
+
+  // Every candidate carries the per-phase split, summing to its totals.
+  ASSERT_EQ(recording.seen.moves.size(), plan.candidates_scored);
+  for (const ScoredMove& c : recording.seen.moves) {
+    EXPECT_FALSE(c.has_aligned);
+    const core::MigrationForecast& fc = c.blind.forecast;
+    EXPECT_EQ(c.blind.energy_j, forecaster.forecast(c.blind.scenario).total_energy());
+    EXPECT_GT(fc.source_phase_energy[1], 0.0);
+    EXPECT_GT(fc.target_phase_energy[1], 0.0);
+    EXPECT_EQ(fc.source_phase_energy[0] + fc.source_phase_energy[1] + fc.source_phase_energy[2],
+              fc.source_energy);
+    EXPECT_EQ(fc.target_phase_energy[0] + fc.target_phase_energy[1] + fc.target_phase_energy[2],
+              fc.target_energy);
   }
 }
 
