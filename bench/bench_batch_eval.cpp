@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "core/wavm3_model.hpp"
-#include "kernels/kernels.hpp"
 #include "models/dataset.hpp"
 #include "models/energy_model.hpp"
 #include "models/feature_batch.hpp"
@@ -202,8 +201,7 @@ void print_report() {
   std::filesystem::create_directories("bench_out");
   std::ofstream json("bench_out/bench_batch_eval.json");
   if (json) {
-    json << "{\n  \"backend\": \"" << kernels::to_string(kernels::active_backend())
-         << "\",\n  \"cpu\": \"" << kernels::cpu_features() << "\",\n  \"rows\": [";
+    json << "{\n  \"rows\": [";
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const AbRow& r = rows[i];
       json << (i == 0 ? "\n" : ",\n") << "    {\"model\": \"" << r.model

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "kernels/kernels.hpp"
 #include "stream/incremental.hpp"
 #include "stream/live_predictor.hpp"
 #include "stream/replay.hpp"
@@ -72,8 +71,6 @@ void print_report() {
   std::ofstream json("bench_out/bench_stream_accuracy.json");
   if (json) {
     json << "{\n"
-         << "  \"backend\": \"" << kernels::to_string(kernels::active_backend()) << "\",\n"
-         << "  \"cpu\": \"" << kernels::cpu_features() << "\",\n"
          << "  \"observations\": " << curve.observations << ",\n"
          << "  \"parity_max_rel_err\": " << curve.parity_max_rel_err << ",\n"
          << "  \"worst_bump_rel\": " << worst_bump_rel << ",\n"

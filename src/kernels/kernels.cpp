@@ -1,123 +1,41 @@
-// Backend resolution and the span-validated public API. Dispatch is a
-// pair of relaxed atomics (backend tag + ops vtable pointer) resolved
-// once from CPUID and WAVM3_FORCE_SCALAR; set_backend() re-pins them
-// for tests, the CLI --force-scalar flag, and bench A/B runs. Reads
-// are wait-free, so the serve worker pool can hammer kernels from many
-// threads with no synchronization cost.
+// The numeric kernels: blocked-4 scalar loops behind span-validated
+// wrappers. The library compiles with -ffp-contract=off (see
+// CMakeLists.txt), so no a*b+c below may become a differently-rounded
+// FMA and trapezoid_panel() rounds exactly like the array panels.
 #include "kernels/kernels.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 
-#include "kernels/backend.hpp"
 #include "util/error.hpp"
 
 namespace wavm3::kernels {
 
 namespace {
 
-using detail::KernelOps;
-
-bool env_forces_scalar() {
-  const char* v = std::getenv("WAVM3_FORCE_SCALAR");
-  // Any value but unset / empty / literal "0" forces the scalar
-  // backend — mirrors how boolean env toggles read elsewhere in the
-  // repo (truthy unless explicitly off).
-  return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
-}
-
-const KernelOps* ops_for(Backend b) {
-  switch (b) {
-    case Backend::kScalar: return &detail::scalar_ops();
-    case Backend::kAvx2: return detail::avx2_ops();
-    case Backend::kNeon: return detail::neon_ops();
+/// Blocked-4 panel sum over n samples (n - 1 panels); timestamps are
+/// validated non-decreasing by the callers.
+double trapezoid_panels(const double* t, const double* y, std::size_t n) {
+  if (n < 2) return 0.0;
+  double acc[4] = {0.0, 0.0, 0.0, 0.0};
+  const std::size_t panels = n - 1;
+  for (std::size_t p = 0; p < panels; ++p) {
+    acc[p & 3] += 0.5 * (y[p] + y[p + 1]) * (t[p + 1] - t[p]);
   }
-  return nullptr;
-}
-
-Backend resolve_startup() {
-  if (env_forces_scalar()) return Backend::kScalar;
-  if (detail::avx2_ops() != nullptr) return Backend::kAvx2;
-  if (detail::neon_ops() != nullptr) return Backend::kNeon;
-  return Backend::kScalar;
-}
-
-struct Dispatch {
-  std::atomic<Backend> backend;
-  std::atomic<const KernelOps*> ops;
-  Dispatch() {
-    const Backend b = resolve_startup();
-    backend.store(b, std::memory_order_relaxed);
-    ops.store(ops_for(b), std::memory_order_relaxed);
-  }
-};
-
-Dispatch& dispatch() {
-  static Dispatch d;
-  return d;
-}
-
-const KernelOps& ops() {
-  return *dispatch().ops.load(std::memory_order_relaxed);
+  return (acc[0] + acc[1]) + (acc[2] + acc[3]);
 }
 
 }  // namespace
 
-const char* to_string(Backend b) {
-  switch (b) {
-    case Backend::kScalar: return "scalar";
-    case Backend::kAvx2: return "avx2";
-    case Backend::kNeon: return "neon";
-  }
-  return "unknown";
-}
-
-Backend active_backend() {
-  return dispatch().backend.load(std::memory_order_relaxed);
-}
-
-bool backend_supported(Backend b) { return ops_for(b) != nullptr; }
-
-bool set_backend(Backend b) {
-  const KernelOps* o = ops_for(b);
-  if (o == nullptr) return false;
-  dispatch().ops.store(o, std::memory_order_relaxed);
-  dispatch().backend.store(b, std::memory_order_relaxed);
-  return true;
-}
-
-void reset_backend() { set_backend(resolve_startup()); }
-
-std::string cpu_features() {
-  std::string out;
-  const auto flag = [&out](const char* name, bool on) {
-    if (!out.empty()) out += ' ';
-    out += name;
-    out += on ? "=1" : "=0";
-  };
-#if defined(__x86_64__) || defined(__i386__)
-  flag("sse2", __builtin_cpu_supports("sse2"));
-  flag("avx", __builtin_cpu_supports("avx"));
-  flag("avx2", __builtin_cpu_supports("avx2"));
-  flag("fma", __builtin_cpu_supports("fma"));
-  flag("avx512f", __builtin_cpu_supports("avx512f"));
-#elif defined(__aarch64__)
-  flag("neon", true);
-#else
-  flag("scalar_only", true);
-#endif
-  return out;
-}
-
 double dot(std::span<const double> a, std::span<const double> b) {
   WAVM3_REQUIRE(a.size() == b.size(), "kernels: dot size mismatch");
-  return ops().dot(a.data(), b.data(), a.size());
+  double acc[4] = {0.0, 0.0, 0.0, 0.0};
+  for (std::size_t i = 0; i < a.size(); ++i) acc[i & 3] += a[i] * b[i];
+  return (acc[0] + acc[1]) + (acc[2] + acc[3]);
 }
 
 void axpy(double a, std::span<const double> x, std::span<double> y) {
   WAVM3_REQUIRE(x.size() == y.size(), "kernels: axpy size mismatch");
-  ops().axpy(a, x.data(), y.data(), x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) y[i] += a * x[i];
 }
 
 void apply_design_matrix(std::span<const std::span<const double>> columns,
@@ -133,7 +51,12 @@ void apply_design_matrix(std::span<const std::span<const double>> columns,
                   "kernels: apply_design_matrix column/output size mismatch");
     col_ptrs[j] = columns[j].data();
   }
-  ops().apply(col_ptrs, columns.size(), coeffs.data(), bias, out.data(), out.size());
+  const std::size_t ncols = columns.size();
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    double acc = 0.0;
+    for (std::size_t j = 0; j < ncols; ++j) acc += coeffs[j] * col_ptrs[j][i];
+    out[i] = bias == 0.0 ? acc : acc + bias;
+  }
 }
 
 double trapezoid(std::span<const double> t, std::span<const double> y) {
@@ -142,12 +65,12 @@ double trapezoid(std::span<const double> t, std::span<const double> y) {
   for (std::size_t i = 1; i < t.size(); ++i) {
     WAVM3_REQUIRE(t[i] >= t[i - 1], "trapezoid: timestamps must be non-decreasing");
   }
-  return ops().trapezoid(t.data(), y.data(), t.size());
+  return trapezoid_panels(t.data(), y.data(), t.size());
 }
 
 double trapezoid_panel(double t0, double y0, double t1, double y1) {
   // Must stay out-of-line in this -ffp-contract=off TU — see the
-  // header. Expression order matches every backend's panel.
+  // header. Expression order matches trapezoid_panels().
   return 0.5 * (y0 + y1) * (t1 - t0);
 }
 
@@ -189,7 +112,7 @@ double window_trapezoid(std::span<const double> t, std::span<const double> y,
   // Left partial panel + blocked interior + right partial panel,
   // summed in that fixed order.
   double area = trapezoid_panel(a, ya, t[fi], y[fi]);
-  area += ops().trapezoid(t.data() + fi, y.data() + fi, li - fi);
+  area += trapezoid_panels(t.data() + fi, y.data() + fi, li - fi);
   area += trapezoid_panel(t[li - 1], y[li - 1], b, yb);
   return area;
 }

@@ -1,43 +1,27 @@
-// Runtime-dispatched numeric kernels: the one implementation of the
-// dot / axpy / design-matrix-apply / trapezoid inner loops that the
-// stats, models, stream, and serve layers all build on. Backends
-// (scalar, AVX2, NEON) are selected once at startup from CPUID and the
-// WAVM3_FORCE_SCALAR override, and can be re-pinned at runtime for
-// tests and A/B benchmarks.
+// Numeric kernels: the one implementation of the dot / axpy /
+// design-matrix-apply / trapezoid inner loops that the stats, models,
+// stream, and serve layers all build on.
 //
-// ## Fixed-reduction-order parity contract
+// ## Fixed-reduction-order contract
 //
 // Every reduction in this library — dot products and trapezoid panel
-// sums — uses the SAME blocked-4 accumulation order in every backend:
+// sums — uses the same blocked-4 accumulation order:
 //
 //   double acc[4] = {0, 0, 0, 0};
 //   for (i = 0; i < n; ++i) acc[i % 4] += term(i);
 //   result = (acc[0] + acc[1]) + (acc[2] + acc[3]);
 //
-// A 4-lane SIMD backend that loads consecutive elements and keeps one
-// vector accumulator performs exactly this partition (lane j sums the
-// terms with i % 4 == j), the scalar backend performs it explicitly,
-// and a 2-lane backend (NEON float64x2) emulates 4 lanes with two
-// vector accumulators. Tails continue into acc[i % 4] and the final
-// combine is always (acc0 + acc1) + (acc2 + acc3). The consequence —
-// and the contract callers may rely on, regression-pinned by the
-// golden suite in tests/kernels_test.cpp — is that scalar and SIMD
-// results are BIT-IDENTICAL, not merely close, for every input
-// including denormals and catastrophic cancellation.
-//
-// Element-wise kernels (axpy, apply_design_matrix) have no cross-lane
+// Element-wise kernels (axpy, apply_design_matrix) have no cross-element
 // reduction; their per-element operation order is fixed instead (see
-// each function) which makes them bit-identical across backends at any
-// vector width automatically.
+// each function). The order is part of the API: callers that
+// accumulate the same terms elsewhere (PanelAccumulator below, the
+// stream layer's running aggregates) reproduce these results
+// bit-for-bit, regression-pinned against independent reference loops
+// by the golden suite in tests/kernels_test.cpp.
 //
-// Two build rules keep the contract honest (enforced in
-// src/kernels/CMakeLists.txt):
-//  - every TU here compiles with -ffp-contract=off, and the SIMD
-//    backends use separate multiply/add intrinsics (never FMA), so no
-//    backend can fuse a*b+c into a differently-rounded fma(a,b,c);
-//  - the scalar backend additionally compiles with
-//    -fno-tree-vectorize, so the forced-scalar baseline measured by
-//    bench_kernels is genuinely scalar code.
+// The library compiles with -ffp-contract=off (src/kernels/CMakeLists.txt)
+// so the compiler cannot fuse a*b+c into a differently-rounded
+// fma(a,b,c).
 //
 // Streaming callers that cannot present a whole array use
 // trapezoid_panel() + PanelAccumulator, whose add/finalize order is
@@ -49,45 +33,9 @@
 
 #include <cstddef>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace wavm3::kernels {
-
-/// Dispatch backends. kAvx2 is available on x86-64 hosts whose CPUID
-/// reports AVX2; kNeon on aarch64 (ASIMD is architecturally
-/// mandatory); kScalar everywhere.
-enum class Backend { kScalar, kAvx2, kNeon };
-
-/// Stable lower-case name ("scalar", "avx2", "neon") for logs and
-/// bench JSON.
-const char* to_string(Backend b);
-
-/// The backend every kernel call currently dispatches to. Resolved
-/// once on first use: WAVM3_FORCE_SCALAR (env, any value but "" / "0")
-/// pins scalar; otherwise the widest supported SIMD backend wins.
-Backend active_backend();
-
-/// True when `b` can run on this host (compiled in + CPU support).
-bool backend_supported(Backend b);
-
-/// Re-pin dispatch to `b` (tests, CLI --force-scalar, bench A/B).
-/// Returns false — leaving dispatch unchanged — when the backend is
-/// not supported on this host.
-bool set_backend(Backend b);
-
-/// Restore the startup resolution (CPUID + WAVM3_FORCE_SCALAR).
-void reset_backend();
-
-/// Human-readable CPU feature summary (e.g. "sse2=1 avx=1 avx2=1
-/// fma=1 avx512f=0") for bench provenance; pairs with
-/// to_string(active_backend()) in bench JSON.
-std::string cpu_features();
-
-/// Reduction block width of the parity contract above. Every backend
-/// reduces as if through this many accumulators regardless of its
-/// hardware vector width.
-inline constexpr std::size_t kReductionLanes = 4;
 
 /// Maximum column count apply_design_matrix accepts (generous: the
 /// widest design in the repo is WAVM3's 11 phase-expanded terms).

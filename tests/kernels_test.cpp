@@ -1,7 +1,7 @@
-// Golden suite for src/kernels/: the fixed-reduction-order parity
-// contract (scalar and SIMD results BIT-identical, not merely close),
-// the runtime dispatch controls, the streaming PanelAccumulator, and
-// the grow-only Scratch arena.
+// Golden suite for src/kernels/: the fixed-reduction-order contract
+// (results BIT-identical to independent reference loops, not merely
+// close), the streaming PanelAccumulator, and the grow-only Scratch
+// arena.
 //
 // This file compiles with -ffp-contract=off (tests/CMakeLists.txt) so
 // the independent reference implementations below cannot be fused into
@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <random>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "kernels/kernels.hpp"
@@ -27,23 +26,8 @@ std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 #define EXPECT_BITEQ(a, b) \
   EXPECT_EQ(bits(a), bits(b)) << "values: " << (a) << " vs " << (b)
 
-/// Pins a backend for one scope; restores startup dispatch on exit.
-class BackendGuard {
- public:
-  explicit BackendGuard(Backend b) { WAVM3_REQUIRE(set_backend(b), "backend unsupported"); }
-  ~BackendGuard() { reset_backend(); }
-};
-
-std::vector<Backend> simd_backends() {
-  std::vector<Backend> out;
-  for (const Backend b : {Backend::kAvx2, Backend::kNeon}) {
-    if (backend_supported(b)) out.push_back(b);
-  }
-  return out;
-}
-
-// The tails of the SIMD main loops sit exactly at these lengths'
-// allocation boundaries; 0 and 1 are the degenerate reductions.
+// Lengths around the blocked-4 partition (and its multiples); 0 and 1
+// are the degenerate reductions.
 const std::size_t kSizes[] = {0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 31, 63, 64, 65, 127, 1023};
 
 /// Uniform values spanning magnitudes, both signs.
@@ -56,8 +40,8 @@ std::vector<double> random_vec(std::size_t n, std::uint64_t seed) {
   return out;
 }
 
-/// Subnormals: the gradual-underflow range where naive SIMD (DAZ/FTZ)
-/// would flush to zero and diverge from scalar.
+/// Subnormals: the gradual-underflow range a flush-to-zero mode would
+/// silently change.
 std::vector<double> denormal_vec(std::size_t n, std::uint64_t seed) {
   std::mt19937_64 rng(seed);
   std::uniform_real_distribution<double> unit(-1.0, 1.0);
@@ -67,8 +51,8 @@ std::vector<double> denormal_vec(std::size_t n, std::uint64_t seed) {
 }
 
 /// Alternating huge cancelling terms plus a small signal: any
-/// reassociation between backends shows up as a different rounding of
-/// the catastrophic cancellation.
+/// reassociation shows up as a different rounding of the catastrophic
+/// cancellation.
 std::vector<double> cancel_vec(std::size_t n, std::uint64_t seed) {
   std::mt19937_64 rng(seed);
   std::uniform_real_distribution<double> unit(-1.0, 1.0);
@@ -113,10 +97,9 @@ double ref_trapezoid(std::span<const double> t, std::span<const double> y) {
   return (acc[0] + acc[1]) + (acc[2] + acc[3]);
 }
 
-// ---- contract pinning: scalar backend == blocked-4 reference ----
+// ---- contract pinning: kernels == independent references ----
 
-TEST(KernelContract, ScalarDotIsBlocked4) {
-  BackendGuard guard(Backend::kScalar);
+TEST(KernelContract, DotIsBlocked4) {
   for (const std::size_t n : kSizes) {
     for (const Maker make : kValueMakers) {
       const std::vector<double> a = make(n, 11 + n);
@@ -126,8 +109,7 @@ TEST(KernelContract, ScalarDotIsBlocked4) {
   }
 }
 
-TEST(KernelContract, ScalarTrapezoidIsBlocked4PanelSum) {
-  BackendGuard guard(Backend::kScalar);
+TEST(KernelContract, TrapezoidIsBlocked4PanelSum) {
   for (const std::size_t n : kSizes) {
     const std::vector<double> t = time_vec(n, 31 + n);
     for (const Maker make : kValueMakers) {
@@ -138,7 +120,6 @@ TEST(KernelContract, ScalarTrapezoidIsBlocked4PanelSum) {
 }
 
 TEST(KernelContract, ApplyBiasAddedLastAndSkippedWhenZero) {
-  BackendGuard guard(Backend::kScalar);
   const std::vector<double> col = random_vec(33, 5);
   const std::vector<double> out0 = [&] {
     std::vector<double> out(col.size());
@@ -157,114 +138,41 @@ TEST(KernelContract, ApplyBiasAddedLastAndSkippedWhenZero) {
   }
 }
 
-// ---- bit-identity: every supported SIMD backend vs scalar ----
-
-/// Runs `eval` once under scalar dispatch and once under `simd`,
-/// asserting bit-identical scalar results are returned by both.
-template <typename Eval>
-void expect_backend_parity(Backend simd, const Eval& eval, const char* what) {
-  double scalar_result = 0.0;
-  {
-    BackendGuard guard(Backend::kScalar);
-    scalar_result = eval();
-  }
-  double simd_result = 0.0;
-  {
-    BackendGuard guard(simd);
-    simd_result = eval();
-  }
-  EXPECT_BITEQ(scalar_result, simd_result) << what << " under " << to_string(simd);
-}
-
-TEST(KernelParity, DotBitIdenticalAcrossBackends) {
-  const std::vector<Backend> simd = simd_backends();
-  if (simd.empty()) GTEST_SKIP() << "no SIMD backend on this host";
-  for (const Backend b : simd) {
-    for (const std::size_t n : kSizes) {
-      for (const Maker make : kValueMakers) {
-        const std::vector<double> x = make(n, 101 + n);
-        const std::vector<double> y = make(n, 211 + n);
-        expect_backend_parity(b, [&] { return dot(x, y); }, "dot");
+TEST(KernelContract, AxpyRoundsProductThenAdds) {
+  for (const std::size_t n : kSizes) {
+    for (const Maker make : kValueMakers) {
+      const std::vector<double> x = make(n, 307 + n);
+      std::vector<double> y = make(n, 401 + n);
+      const std::vector<double> y0 = y;
+      axpy(1.75, x, y);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double product = 1.75 * x[i];
+        EXPECT_BITEQ(y[i], y0[i] + product) << "n=" << n << " i=" << i;
       }
     }
   }
 }
 
-TEST(KernelParity, AxpyBitIdenticalAcrossBackends) {
-  const std::vector<Backend> simd = simd_backends();
-  if (simd.empty()) GTEST_SKIP() << "no SIMD backend on this host";
-  for (const Backend b : simd) {
-    for (const std::size_t n : kSizes) {
-      for (const Maker make : kValueMakers) {
-        const std::vector<double> x = make(n, 307 + n);
-        const std::vector<double> y0 = make(n, 401 + n);
-        std::vector<double> ys = y0;
-        {
-          BackendGuard guard(Backend::kScalar);
-          axpy(1.75, x, ys);
-        }
-        std::vector<double> yv = y0;
-        {
-          BackendGuard guard(b);
-          axpy(1.75, x, yv);
-        }
-        for (std::size_t i = 0; i < n; ++i) EXPECT_BITEQ(ys[i], yv[i]);
+TEST(KernelContract, ApplyAccumulatesColumnsInAscendingOrder) {
+  // The serving shape: 11 columns (WAVM3's full design) at every size.
+  constexpr std::size_t kCols = 11;
+  for (const std::size_t n : kSizes) {
+    for (const Maker make : kValueMakers) {
+      std::vector<std::vector<double>> storage;
+      storage.reserve(kCols);
+      std::vector<std::span<const double>> cols;
+      for (std::size_t j = 0; j < kCols; ++j) {
+        storage.push_back(make(n, 1000 + 17 * j + n));
+        cols.emplace_back(storage.back());
       }
-    }
-  }
-}
-
-TEST(KernelParity, ApplyDesignMatrixBitIdenticalAcrossBackends) {
-  const std::vector<Backend> simd = simd_backends();
-  if (simd.empty()) GTEST_SKIP() << "no SIMD backend on this host";
-  // The serve-relevant shape: 11 columns (WAVM3's full design) at
-  // batch-64, plus ragged sizes around the 8-wide and 4-wide unrolls.
-  for (const Backend b : simd) {
-    for (const std::size_t n : kSizes) {
-      for (const Maker make : kValueMakers) {
-        constexpr std::size_t kCols = 11;
-        std::vector<std::vector<double>> storage;
-        storage.reserve(kCols);
-        std::vector<std::span<const double>> cols;
-        for (std::size_t j = 0; j < kCols; ++j) {
-          storage.push_back(make(n, 1000 + 17 * j + n));
-          cols.emplace_back(storage.back());
-        }
-        const std::vector<double> coeffs = random_vec(kCols, 77 + n);
-        for (const double bias : {0.0, 3.25}) {
-          std::vector<double> outs(n);
-          {
-            BackendGuard guard(Backend::kScalar);
-            apply_design_matrix(cols, coeffs, bias, outs);
-          }
-          std::vector<double> outv(n);
-          {
-            BackendGuard guard(b);
-            apply_design_matrix(cols, coeffs, bias, outv);
-          }
-          for (std::size_t i = 0; i < n; ++i) EXPECT_BITEQ(outs[i], outv[i]);
-        }
-      }
-    }
-  }
-}
-
-TEST(KernelParity, TrapezoidFamilyBitIdenticalAcrossBackends) {
-  const std::vector<Backend> simd = simd_backends();
-  if (simd.empty()) GTEST_SKIP() << "no SIMD backend on this host";
-  for (const Backend b : simd) {
-    for (const std::size_t n : kSizes) {
-      const std::vector<double> t = time_vec(n, 503 + n);
-      for (const Maker make : kValueMakers) {
-        const std::vector<double> y = make(n, 601 + n);
-        expect_backend_parity(b, [&] { return trapezoid(t, y); }, "trapezoid");
-        if (n >= 2) {
-          const double a = t.front() + 0.3 * (t.back() - t.front());
-          const double z = t.front() + 0.9 * (t.back() - t.front());
-          expect_backend_parity(
-              b, [&] { return window_trapezoid(t, y, a, z); }, "window_trapezoid");
-          expect_backend_parity(b, [&] { return window_mean(t, y, a, z); }, "window_mean");
-          expect_backend_parity(b, [&] { return interp_at(t, y, a); }, "interp_at");
+      const std::vector<double> coeffs = random_vec(kCols, 77 + n);
+      for (const double bias : {0.0, 3.25}) {
+        std::vector<double> out(n);
+        apply_design_matrix(cols, coeffs, bias, out);
+        for (std::size_t i = 0; i < n; ++i) {
+          double acc = 0.0;
+          for (std::size_t j = 0; j < kCols; ++j) acc += coeffs[j] * storage[j][i];
+          EXPECT_BITEQ(out[i], bias == 0.0 ? acc : acc + bias) << "n=" << n << " i=" << i;
         }
       }
     }
@@ -295,37 +203,6 @@ TEST(PanelAccumulator, ResetStartsOver) {
   acc.reset();
   EXPECT_EQ(acc.panels(), 0u);
   EXPECT_BITEQ(acc.sum(), 0.0);
-}
-
-// ---- dispatch controls ----
-
-TEST(KernelDispatch, StartupBackendIsSupported) {
-  EXPECT_TRUE(backend_supported(active_backend()));
-  EXPECT_TRUE(backend_supported(Backend::kScalar));  // always compiled in
-}
-
-TEST(KernelDispatch, SetAndResetBackend) {
-  const Backend startup = active_backend();
-  ASSERT_TRUE(set_backend(Backend::kScalar));
-  EXPECT_EQ(active_backend(), Backend::kScalar);
-  reset_backend();
-  EXPECT_EQ(active_backend(), startup);
-}
-
-TEST(KernelDispatch, UnsupportedBackendIsRejected) {
-  const Backend startup = active_backend();
-  for (const Backend b : {Backend::kAvx2, Backend::kNeon}) {
-    if (backend_supported(b)) continue;
-    EXPECT_FALSE(set_backend(b));
-    EXPECT_EQ(active_backend(), startup) << "failed set_backend must not change dispatch";
-  }
-}
-
-TEST(KernelDispatch, Names) {
-  EXPECT_STREQ(to_string(Backend::kScalar), "scalar");
-  EXPECT_STREQ(to_string(Backend::kAvx2), "avx2");
-  EXPECT_STREQ(to_string(Backend::kNeon), "neon");
-  EXPECT_FALSE(cpu_features().empty());
 }
 
 // ---- input screening (same messages as the stats wrappers) ----

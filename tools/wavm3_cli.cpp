@@ -63,7 +63,6 @@
 #include "models/liu.hpp"
 #include "models/strunk.hpp"
 #include "chaos/executor.hpp"
-#include "kernels/kernels.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -1586,33 +1585,13 @@ int cmd_help() {
       "            [--min-improvement F] [--cooldown N] [--seed N]\n"
       "            [--out FILE] [--metrics-out FILE (.json|.prom)]\n"
       "  report    [--out FILE] [--fast] [--seed N]\n"
-      "  help\n"
-      "\n"
-      "global flags:\n"
-      "  --force-scalar   pin numeric kernels to the scalar backend\n"
-      "                   (bit-identical to SIMD; also: WAVM3_FORCE_SCALAR=1)\n");
+      "  help\n");
   return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Global flag, valid before or after the subcommand: pin the numeric
-  // kernels to the portable scalar backend (same effect as the
-  // WAVM3_FORCE_SCALAR env var; results are bit-identical either way —
-  // that is the kernels contract — so this is for timing A/Bs and for
-  // ruling SIMD in or out when triaging).
-  std::vector<char*> kept;
-  kept.reserve(static_cast<std::size_t>(argc));
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--force-scalar") == 0) {
-      kernels::set_backend(kernels::Backend::kScalar);
-    } else {
-      kept.push_back(argv[i]);
-    }
-  }
-  argc = static_cast<int>(kept.size());
-  argv = kept.data();
   if (argc < 2) return cmd_help();
   const std::string cmd = argv[1];
   const Args args(argc, argv, 2);
