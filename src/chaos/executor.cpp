@@ -87,8 +87,16 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 /// Actual (post-execution) migration intervals per host; mirrors the
 /// planner's scheduler but against realised durations, so the executor
 /// re-serialises when a storm stretched an earlier attempt.
+///
+/// Attempts are placed in time order per host: none starts before the
+/// latest start already placed on either endpoint. The slot check can
+/// only use the *planned* duration of the attempt being placed, so
+/// slotting it into a gap before a later placement would let a storm
+/// stretch it into that placement; placed in order, every later
+/// attempt sees its realised end instead.
 struct BusyIntervals {
   std::unordered_map<int, std::vector<std::pair<double, double>>> by_host;
+  std::unordered_map<int, double> last_start;
 
   int overlap(int host, double t0, double t1) const {
     const auto it = by_host.find(host);
@@ -100,13 +108,21 @@ struct BusyIntervals {
     return n;
   }
 
-  void add(int host, double t0, double t1) { by_host[host].emplace_back(t0, t1); }
+  void add(int host, double t0, double t1) {
+    by_host[host].emplace_back(t0, t1);
+    last_start[host] = t0;  // earliest_start never returns an earlier one
+  }
 
-  /// Earliest start >= t_min with a free slot on both endpoints.
+  /// Earliest start >= t_min, and no earlier than any start already
+  /// placed on either endpoint, with a free slot on both endpoints.
   double earliest_start(const plan::Fleet& fleet, int source, int target, double duration,
                         double t_min) const {
     const int cap_src = std::max(1, fleet.host(source).spec.max_concurrent_migrations);
     const int cap_dst = std::max(1, fleet.host(target).spec.max_concurrent_migrations);
+    for (const int h : {source, target}) {
+      const auto it = last_start.find(h);
+      if (it != last_start.end()) t_min = std::max(t_min, it->second);
+    }
     std::vector<double> starts{t_min};
     for (const int h : {source, target}) {
       const auto it = by_host.find(h);

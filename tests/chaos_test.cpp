@@ -4,6 +4,7 @@
 // against the direct MigrationPlanner commit path and convergence
 // under a seeded fault storm.
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -371,6 +372,26 @@ TEST(WaveExecutor, ConvergesUnderSeededStorm) {
   EXPECT_DOUBLE_EQ(replay.ledger.committed_j, report.ledger.committed_j);
   for (std::size_t v = 0; v < fleet.vm_count(); ++v) {
     EXPECT_EQ(fleet.vm(static_cast<int>(v)).host, fleet2.vm(static_cast<int>(v)).host);
+  }
+}
+
+TEST(WaveExecutor, StretchedAttemptsNeverDoubleBookAHost) {
+  // Under the level-3 storm an attempt can run far past its planned
+  // end. Slotted into a gap before a move already placed later on the
+  // same host, it used to overrun that move (256 hosts, seeds 11, 15
+  // and 16 each breached a concurrency cap of 1).
+  const core::Wavm3Model model = make_model();
+  const plan::BeamSearchStrategy beam;
+  const double now = plan::SyntheticFleetOptions{}.history_s;
+  for (const std::uint64_t seed : {11u, 15u, 16u}) {
+    plan::Fleet fleet = plan::Fleet::synthetic(256, 2560, seed);
+    ChaosConfig cfg;
+    cfg.storm.level = 3;
+    cfg.storm_seed = seed;
+    WaveExecutor executor(model, cfg);
+    const ChaosReport report = executor.run(fleet, beam, now);
+    ASSERT_GT(report.moves_planned, 0) << "seed " << seed;
+    EXPECT_EQ(report.invariant_violations, 0) << "seed " << seed;
   }
 }
 
