@@ -38,7 +38,6 @@ dcsim::DcSimConfig scenario(dcsim::Strategy strategy, double horizon, bool memor
 void print_report() {
   benchx::print_banner("Extension: fleet energy under consolidation strategies");
   const auto& pl = benchx::pipeline();
-  const core::MigrationPlanner planner(pl.wavm3);
 
   util::AsciiTable table({"Workload / horizon", "Strategy", "Energy [kWh]", "Migrations",
                           "Hosts off", "Plans rejected"});
@@ -55,7 +54,7 @@ void print_report() {
           dcsim::Strategy::kCostAware}) {
       dcsim::DataCenterSimulation sim(
           scenario(strategy, c.horizon, c.memory_hot),
-          strategy == dcsim::Strategy::kNoConsolidation ? nullptr : &planner);
+          strategy == dcsim::Strategy::kNoConsolidation ? nullptr : &pl.wavm3);
       const dcsim::DcSimReport r = sim.run();
       table.add_row({util::format("%s", c.label), to_string(strategy),
                      util::fmt_fixed(r.total_energy_joules / 3.6e6, 2),
@@ -76,9 +75,9 @@ void print_report() {
 
 void BM_FleetSimulation12h(benchmark::State& state) {
   const auto& pl = benchx::pipeline();
-  const core::MigrationPlanner planner(pl.wavm3);
   for (auto _ : state) {
-    dcsim::DataCenterSimulation sim(scenario(dcsim::Strategy::kCostAware, 7200.0, false), &planner);
+    dcsim::DataCenterSimulation sim(scenario(dcsim::Strategy::kCostAware, 7200.0, false),
+                                    &pl.wavm3);
     const dcsim::DcSimReport r = sim.run();
     benchmark::DoNotOptimize(r.total_energy_joules);
   }

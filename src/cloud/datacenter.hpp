@@ -1,5 +1,5 @@
 // Data centre: the set of hosts plus the network topology connecting
-// them. The consolidation manager and the experiment harness operate on
+// them. dcsim's controller and the experiment harness operate on
 // this container.
 #pragma once
 

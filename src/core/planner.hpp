@@ -2,9 +2,10 @@
 // workload signature, the load on both hosts, and the link), forecast
 // phase durations, transferred data, downtime, and — through a fitted
 // WAVM3 model — the energy each host will spend. This is the interface
-// a consolidation manager calls before deciding to migrate (the SVIII
-// use-case), with no simulator in the loop: the pre-copy dynamics are
-// evaluated in closed form with the same laws the engine uses.
+// the consolidation planner (plan::MigrationPlanner) calls before
+// deciding to migrate (the SVIII use-case), with no simulator in the
+// loop: the pre-copy dynamics are evaluated in closed form with the
+// same laws the engine uses.
 #pragma once
 
 #include "core/wavm3_model.hpp"

@@ -7,6 +7,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "plan/strategy.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
@@ -28,6 +29,21 @@ namespace {
 
 std::uint64_t sim_ns(double seconds) {
   return seconds <= 0.0 ? 0 : static_cast<std::uint64_t>(seconds * 1e9);
+}
+
+/// The planner's view of the simulated fleet: its policy, the
+/// machine class's power estimate, and the default link's payload rate
+/// between every host pair.
+plan::PlannerConfig planner_config(const DcSimConfig& cfg) {
+  plan::PlannerConfig pc;
+  pc.policy = cfg.policy;
+  pc.host_power.idle_watts = cfg.power.idle_watts;
+  pc.host_power.watts_per_vcpu = cfg.power.watts_per_vcpu;
+  pc.migration = cfg.migration;
+  pc.bandwidth = cfg.bandwidth;
+  pc.intra_group_payload_rate = net::Link(cfg.link).max_payload_rate();
+  pc.inter_group_payload_rate = pc.intra_group_payload_rate;
+  return pc;
 }
 
 }  // namespace
@@ -68,22 +84,23 @@ void emit_fault_instants(const faults::FaultPlan& plan) {
 /// All mutable simulation state; lives only inside run().
 struct DataCenterSimulation::Runtime {
   const DcSimConfig& cfg;
-  const core::MigrationPlanner* planner;
 
   sim::Simulator sim;
   cloud::DataCenter dc;
   power::HostPowerModel power_model;
   std::unique_ptr<migration::MigrationEngine> engine;
-  std::unique_ptr<consolidation::ConsolidationManager> manager;
+  std::unique_ptr<plan::MigrationPlanner> planner;
+  const plan::BeamSearchStrategy beam;
 
   std::set<std::string> powered_off;
-  /// One queued move of the plan being executed, with its retry count.
+  /// One queued move of the wave being executed, with its retry count.
   struct PendingMove {
-    consolidation::MigrationProposal proposal;
+    std::string vm;
+    std::string source;
+    std::string target;
     int attempts = 0;
   };
-  std::deque<PendingMove> pending;  ///< plan being executed
-  std::string vacating_host;        ///< host the plan empties
+  std::deque<PendingMove> pending;  ///< wave being executed
 
   // Trapezoidal energy accounting.
   std::map<std::string, double> energy;
@@ -97,8 +114,8 @@ struct DataCenterSimulation::Runtime {
   /// Controller rounds by strategy, in the global obs registry.
   obs::Counter& rounds_counter;
 
-  explicit Runtime(const DcSimConfig& config, const core::MigrationPlanner* pl)
-      : cfg(config), planner(pl), power_model(config.power),
+  explicit Runtime(const DcSimConfig& config)
+      : cfg(config), power_model(config.power),
         rounds_counter(obs::registry().counter("dcsim_controller_rounds_total",
                                                "Fleet controller ticks executed",
                                                {{"strategy", to_string(config.strategy)}})) {}
@@ -138,18 +155,23 @@ struct DataCenterSimulation::Runtime {
     report.total_migration_downtime += r.downtime;
   }
 
-  /// Starts the next queued migration of the active plan, or finalises
-  /// the plan (powering the vacated host off when it emptied).
+  /// Powers a donor off once its last VM has left.
+  void power_off_if_empty(const std::string& host_name) {
+    const cloud::Host* host = dc.host(host_name);
+    if (host != nullptr && host->vm_count() == 0 && powered_off.insert(host_name).second) {
+      ++report.power_off_events;
+    }
+  }
+
+  /// Starts the next queued migration of the active wave.
   void execute_next_migration() {
     while (!pending.empty()) {
       const PendingMove move = pending.front();
       pending.pop_front();
-      const consolidation::MigrationProposal& prop = move.proposal;
-      cloud::Host* source = dc.host(prop.source);
-      cloud::Host* target = dc.host(prop.target);
-      if (source == nullptr || target == nullptr || !source->has_vm(prop.vm_id)) continue;
+      cloud::Host* source = dc.host(move.source);
+      if (source == nullptr || !source->has_vm(move.vm)) continue;
       try {
-        engine->migrate(prop.vm_id, prop.source, prop.target, cfg.policy.migration_type, {},
+        engine->migrate(move.vm, move.source, move.target, cfg.policy.migration_type, {},
                         [this, move](const migration::MigrationRecord& r) {
                           account_migration(r);
                           // A rolled-back move left the world as it was:
@@ -158,10 +180,10 @@ struct DataCenterSimulation::Runtime {
                           // already restarted the VM on the target, so
                           // a re-attempt would migrate a VM that is no
                           // longer on the source. Past the bound the
-                          // plan continues without this move; the next
+                          // wave continues without this move; the next
                           // controller tick replans around it.
                           if (r.outcome == migration::MigrationOutcome::kRolledBack) {
-                            if (move.attempts < cfg.policy.max_retries) {
+                            if (move.attempts < cfg.max_retries) {
                               ++report.migrations_retried;
                               obs::registry()
                                   .counter("dcsim_migration_retries_total",
@@ -180,21 +202,13 @@ struct DataCenterSimulation::Runtime {
                                   .inc();
                             }
                           }
+                          power_off_if_empty(move.source);
                           execute_next_migration();
                         });
         return;  // one at a time; continue from the completion callback
       } catch (const util::ContractError& e) {
         util::log_warn(std::string("dcsim: dropping planned migration: ") + e.what());
       }
-    }
-    // Plan drained: power the vacated host off when it is really empty.
-    if (!vacating_host.empty()) {
-      cloud::Host* host = dc.host(vacating_host);
-      if (host != nullptr && host->vm_count() == 0 &&
-          powered_off.insert(vacating_host).second) {
-        ++report.power_off_events;
-      }
-      vacating_host.clear();
     }
   }
 
@@ -247,22 +261,40 @@ struct DataCenterSimulation::Runtime {
     }
   }
 
-  void try_consolidate(double now) {
-    const auto plans = manager->plan(dc, net::Link(cfg.link).max_payload_rate(), powered_off,
-                                     now);
-    for (const auto& plan : plans) {
-      if (cfg.strategy == Strategy::kCostAware && !plan.beneficial) {
-        ++report.plans_rejected_by_cost;
-        continue;
-      }
-      vacating_host = plan.vacated_host;
-      pending.clear();
-      for (const consolidation::MigrationProposal& m : plan.migrations) {
-        pending.push_back(PendingMove{m, 0});
-      }
-      execute_next_migration();
-      return;  // one plan at a time
+  /// The planner's snapshot of the live data centre: every host with
+  /// its spec and power state, every VM as plan::fleet_vm sees it (no
+  /// history, so no cycle scheduling).
+  plan::Fleet snapshot(double now) const {
+    plan::Fleet fleet;
+    for (const cloud::Host* h : dc.hosts()) {
+      const int host = fleet.add_host(h->spec());
+      fleet.set_powered(host, powered_off.count(h->name()) == 0);
+      for (const cloud::VmPtr& vm : h->vms()) fleet.add_vm(plan::fleet_vm(*vm, now), host);
     }
+    return fleet;
+  }
+
+  /// Plans one what-if wave and queues its moves. Cost-aware drops
+  /// every donor whose moves cost at least what vacating it saves.
+  void try_consolidate(double now) {
+    plan::Fleet fleet = snapshot(now);
+    const plan::WavePlan wave = planner->plan_wave(fleet, beam, now, /*commit=*/false);
+    std::map<int, double> donor_cost;
+    for (const plan::ScheduledMove& m : wave.moves) donor_cost[m.source] += m.energy_j;
+    std::set<int> rejected;
+    if (cfg.strategy == Strategy::kCostAware) {
+      const double saving = plan::donor_saving_j(planner->config());
+      for (const auto& [donor, cost] : donor_cost) {
+        if (cost >= saving) rejected.insert(donor);
+      }
+      report.plans_rejected_by_cost += static_cast<int>(rejected.size());
+    }
+    for (const plan::ScheduledMove& m : wave.moves) {
+      if (rejected.count(m.source) != 0) continue;
+      pending.push_back(PendingMove{fleet.vm(m.vm).id, fleet.host(m.source).spec.name,
+                                    fleet.host(m.target).spec.name});
+    }
+    execute_next_migration();
   }
 
   void controller_tick() {
@@ -286,22 +318,22 @@ struct DataCenterSimulation::Runtime {
   }
 };
 
-DataCenterSimulation::DataCenterSimulation(DcSimConfig config,
-                                           const core::MigrationPlanner* planner)
-    : config_(std::move(config)), planner_(planner) {
+DataCenterSimulation::DataCenterSimulation(DcSimConfig config, const core::Wavm3Model* model)
+    : config_(std::move(config)), model_(model) {
   WAVM3_REQUIRE(config_.hosts.size() >= 2, "need at least two hosts");
   WAVM3_REQUIRE(config_.duration > 0.0, "duration must be positive");
   WAVM3_REQUIRE(config_.controller_interval > 0.0, "controller interval must be positive");
   WAVM3_REQUIRE(config_.power_sample_period > 0.0, "sample period must be positive");
-  WAVM3_REQUIRE(config_.strategy == Strategy::kNoConsolidation || planner_ != nullptr,
-                "consolidating strategies need a planner");
+  WAVM3_REQUIRE(config_.max_retries >= 0, "retry bound must be non-negative");
+  WAVM3_REQUIRE(config_.strategy == Strategy::kNoConsolidation || model_ != nullptr,
+                "consolidating strategies need a model");
 }
 
 DcSimReport DataCenterSimulation::run() {
   WAVM3_REQUIRE(!ran_, "a DataCenterSimulation is single-use");
   ran_ = true;
 
-  Runtime rt(config_, planner_);
+  Runtime rt(config_);
   rt.report.strategy = config_.strategy;
   rt.report.duration = config_.duration;
 
@@ -325,12 +357,8 @@ DcSimReport DataCenterSimulation::run() {
     rt.engine->set_fault_plan(config_.faults);
     emit_fault_instants(*config_.faults);
   }
-  if (planner_ != nullptr) {
-    consolidation::HostPowerEstimate estimate;
-    estimate.idle_watts = config_.power.idle_watts;
-    estimate.watts_per_vcpu = config_.power.watts_per_vcpu;
-    rt.manager = std::make_unique<consolidation::ConsolidationManager>(config_.policy,
-                                                                       *planner_, estimate);
+  if (model_ != nullptr) {
+    rt.planner = std::make_unique<plan::MigrationPlanner>(*model_, planner_config(config_));
   }
 
   // Initial power sample, then periodic accounting and control.

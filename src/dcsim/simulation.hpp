@@ -5,16 +5,20 @@
 //
 // A fleet of homogeneous hosts runs VMs with time-varying load
 // profiles. A controller periodically (1) relieves overloaded hosts and
-// (2) consolidates underutilised ones, executing the chosen migrations
-// through the migration engine and powering vacated hosts off. Total
-// energy is integrated from the ground-truth power of every host, so
-// different consolidation strategies can be compared end to end:
+// (2) consolidates underutilised ones: it snapshots the live data
+// centre into a plan::Fleet, plans one what-if wave with
+// plan::MigrationPlanner (beam search), executes the moves one at a
+// time through the migration engine, and powers each donor off as soon
+// as it is empty. Total energy is integrated from the ground-truth
+// power of every host, so different consolidation strategies can be
+// compared end to end:
 //
 //   kNoConsolidation  - never migrate (baseline)
-//   kCostBlind        - vacate whenever feasible, ignoring what the
-//                       migrations themselves will cost
-//   kCostAware        - vacate only when the WAVM3 forecast says the
-//                       moves pay for themselves within the horizon
+//   kCostBlind        - vacate every donor the wave plans, ignoring
+//                       what the migrations themselves will cost
+//   kCostAware        - drop each donor whose forecast move energy is
+//                       not repaid by its idle draw over the horizon
+//                       (plan::donor_saving_j)
 #pragma once
 
 #include <map>
@@ -23,12 +27,12 @@
 #include <vector>
 
 #include "cloud/datacenter.hpp"
-#include "consolidation/manager.hpp"
-#include "core/planner.hpp"
+#include "core/wavm3_model.hpp"
 #include "dcsim/traced_workload.hpp"
 #include "faults/fault_plan.hpp"
 #include "migration/engine.hpp"
 #include "net/bandwidth_model.hpp"
+#include "plan/planner.hpp"
 #include "power/host_power_model.hpp"
 
 namespace wavm3::dcsim {
@@ -59,11 +63,15 @@ struct DcSimConfig {
   double controller_interval = 300.0;      ///< consolidation check cadence
   double power_sample_period = 2.0;        ///< energy-accounting resolution
   double standby_watts = 0.0;              ///< draw of a powered-off host
-  consolidation::ConsolidationPolicy policy;
+  plan::ConsolidationPolicy policy;
   Strategy strategy = Strategy::kCostAware;
+  /// How often a rolled-back plan migration is re-attempted before the
+  /// executor gives up on it (failures waste energy, so retries are
+  /// bounded; the next controller tick replans from the new snapshot).
+  int max_retries = 2;
   /// Optional fault schedule injected into the migration engine (link
   /// faults, overload spikes, connection losses). Failed plan moves
-  /// are retried up to policy.max_retries each.
+  /// are retried up to max_retries each.
   std::shared_ptr<const faults::FaultPlan> faults;
 };
 
@@ -82,7 +90,7 @@ struct DcSimReport {
   /// the engine already restarted them on the target.
   std::map<std::string, int> migration_failures_by_cause;
   double wasted_migration_bytes = 0.0;       ///< traffic of failed migrations
-  int plans_rejected_by_cost = 0;            ///< cost-aware refusals
+  int plans_rejected_by_cost = 0;            ///< donors dropped by the cost gate
   int power_off_events = 0;
   int power_on_events = 0;
   double total_migration_downtime = 0.0;
@@ -93,12 +101,12 @@ struct DcSimReport {
   double final_powered_on_hosts = 0.0;
 };
 
-/// Runs one configured simulation. The planner is required for
-/// kCostBlind/kCostAware (it prices and routes the moves); it may be
-/// null for kNoConsolidation.
+/// Runs one configured simulation. The model is required for
+/// kCostBlind/kCostAware (the planner prices the moves with it); it may
+/// be null for kNoConsolidation. It must outlive the simulation.
 class DataCenterSimulation {
  public:
-  DataCenterSimulation(DcSimConfig config, const core::MigrationPlanner* planner);
+  DataCenterSimulation(DcSimConfig config, const core::Wavm3Model* model);
 
   /// Executes the simulation to `config.duration` and returns the report.
   /// A simulation object is single-use.
@@ -108,7 +116,7 @@ class DataCenterSimulation {
   struct Runtime;  // owns simulator, datacenter, engine, controller state
 
   DcSimConfig config_;
-  const core::MigrationPlanner* planner_;
+  const core::Wavm3Model* model_;
   bool ran_ = false;
 };
 

@@ -27,6 +27,17 @@ double VmHistory::mean_dirty(double t0, double t1) const {
   return stats::window_mean(t, dirty, t0, t1);
 }
 
+FleetVm fleet_vm(const cloud::Vm& vm, double now) {
+  FleetVm fv;
+  fv.id = vm.id();
+  fv.vcpus = static_cast<double>(vm.spec().vcpus);
+  fv.ram_bytes = vm.spec().ram_bytes;
+  fv.working_set_pages = vm.working_set_pages();
+  fv.cpu_now = vm.cpu_demand(now);
+  fv.dirty_now = vm.dirty_page_rate(now);
+  return fv;
+}
+
 int Fleet::add_host(cloud::HostSpec spec) {
   WAVM3_REQUIRE(!spec.name.empty(), "fleet host needs a name");
   WAVM3_REQUIRE(host_index(spec.name) < 0, "duplicate fleet host: " + spec.name);
@@ -167,34 +178,6 @@ Fleet Fleet::synthetic(int n_hosts, int n_vms, std::uint64_t seed,
     fleet.add_vm(std::move(vm), host);
   }
   fleet.refresh_loads(opts.history_s, opts.history_s);
-  return fleet;
-}
-
-Fleet Fleet::from_config(const dcsim::DcSimConfig& cfg, double now, double history_s,
-                         double sample_period_s) {
-  WAVM3_REQUIRE(history_s > 0.0 && sample_period_s > 0.0,
-                "from_config needs positive history and sample period");
-  Fleet fleet;
-  for (const cloud::HostSpec& spec : cfg.hosts) fleet.add_host(spec);
-
-  const double t0 = std::max(0.0, now - history_s);
-  for (const dcsim::VmPlacement& p : cfg.vms) {
-    const int host = fleet.host_index(p.host);
-    WAVM3_REQUIRE(host >= 0, "from_config: placement names unknown host: " + p.host);
-    FleetVm vm;
-    vm.id = p.vm_id;
-    vm.vcpus = static_cast<double>(p.workload.vcpus);
-    vm.ram_bytes = p.spec.ram_bytes;
-    vm.working_set_pages = p.workload.working_set_pages;
-    for (double t = t0; t <= now + 1e-9; t += sample_period_s) {
-      const double frac = p.workload.profile.fraction_at(t);
-      vm.history.t.push_back(t);
-      vm.history.cpu.push_back(frac * vm.vcpus);
-      vm.history.dirty.push_back(frac * p.workload.dirty_pages_per_s_full);
-    }
-    fleet.add_vm(std::move(vm), host);
-  }
-  fleet.refresh_loads(now, history_s);
   return fleet;
 }
 

@@ -7,9 +7,10 @@
 // 20k-VM wave fits comfortably in cache-friendly vectors.
 //
 // Population paths: synthetic() (seeded scenario generator with
-// periodic and aperiodic workloads), from_config() (bridge from a
-// dcsim::DcSimConfig, sampling each VM's LoadProfile into a history),
-// and from_csv() (external host/VM spec files).
+// periodic and aperiodic workloads), from_csv() (external host/VM spec
+// files), and add_host()/add_vm() directly — dcsim's controller builds
+// a history-less snapshot of its live data centre that way (fleet_vm())
+// on every consolidation tick.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +21,6 @@
 #include <vector>
 
 #include "cloud/host.hpp"
-#include "dcsim/simulation.hpp"
 
 namespace wavm3::plan {
 
@@ -52,6 +52,10 @@ struct FleetVm {
   double dirty_now = 0.0;              ///< trailing-window mean dirtying, pages/s
   VmHistory history;
 };
+
+/// A live cloud::Vm as the planner sees it at time `now`: its current
+/// demand and dirtying rate, RAM and working set, with no history.
+FleetVm fleet_vm(const cloud::Vm& vm, double now);
 
 /// One host as the planner sees it. Capacities come from the shared
 /// cloud::HostSpec (including the fleet fields: nic_rate,
@@ -118,11 +122,6 @@ class Fleet {
   /// grouped into racks of opts.hosts_per_group.
   static Fleet synthetic(int n_hosts, int n_vms, std::uint64_t seed,
                          const SyntheticFleetOptions& opts = {});
-
-  /// Bridge from a dcsim scenario: samples each placement's
-  /// LoadProfile over [now - history_s, now] at sample_period_s.
-  static Fleet from_config(const dcsim::DcSimConfig& cfg, double now, double history_s,
-                           double sample_period_s);
 
   /// Loads a fleet from CSV specs.
   /// Hosts header: name,vcpus,ram_gib,nic_gbit,group,max_migrations

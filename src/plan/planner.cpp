@@ -110,6 +110,10 @@ double link_payload_rate(const PlannerConfig& config, const cloud::HostSpec& sou
   return std::min({group_rate, nic_payload(source.nic_rate), nic_payload(target.nic_rate)});
 }
 
+double donor_saving_j(const PlannerConfig& config) {
+  return config.host_power.power(0.0) * config.policy.horizon_seconds;
+}
+
 core::MigrationScenario move_scenario(const Fleet& fleet, int vm, int source, int target,
                                       const PlannerConfig& config) {
   const FleetVm& v = fleet.vm(vm);
@@ -133,6 +137,13 @@ core::MigrationScenario move_scenario(const Fleet& fleet, int vm, int source, in
 
 MigrationPlanner::MigrationPlanner(const core::Wavm3Model& model, PlannerConfig config)
     : forecaster_(model), config_(std::move(config)) {
+  const ConsolidationPolicy& policy = config_.policy;
+  WAVM3_REQUIRE(policy.underload_fraction > 0.0 && policy.underload_fraction < 1.0,
+                "underload fraction must be in (0,1)");
+  WAVM3_REQUIRE(policy.overload_fraction > policy.underload_fraction &&
+                    policy.overload_fraction <= 1.0,
+                "overload fraction must exceed the underload fraction and be at most 1");
+  WAVM3_REQUIRE(policy.horizon_seconds > 0.0, "horizon must be positive");
   WAVM3_REQUIRE(config_.candidate_targets > 0, "planner needs at least one candidate target");
   WAVM3_REQUIRE(config_.load_window_s > 0.0 && config_.wave_horizon_s > 0.0,
                 "planner windows must be positive");
@@ -396,8 +407,7 @@ WavePlan MigrationPlanner::plan_wave(Fleet& fleet, const PlacementStrategy& stra
     std::unordered_set<int> vacated;
     for (const ScheduledMove& scheduled : plan.moves) vacated.insert(scheduled.source);
     plan.donors_vacated = static_cast<int>(vacated.size());
-    plan.steady_saving_j =
-        plan.donors_vacated * config_.host_power.power(0.0) * config_.policy.horizon_seconds;
+    plan.steady_saving_j = plan.donors_vacated * donor_saving_j(config_);
     if (commit) {
       for (const ScheduledMove& scheduled : plan.moves) {
         fleet.move_vm(scheduled.vm, scheduled.target);

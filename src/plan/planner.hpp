@@ -26,7 +26,6 @@
 #include <utility>
 #include <vector>
 
-#include "consolidation/manager.hpp"
 #include "core/planner.hpp"
 #include "core/wavm3_model.hpp"
 #include "plan/cycle_detector.hpp"
@@ -34,12 +33,30 @@
 
 namespace wavm3::plan {
 
+/// Thresholds and horizon of the consolidation policy.
+struct ConsolidationPolicy {
+  double underload_fraction = 0.30;  ///< hosts below this CPU fraction donate
+  double overload_fraction = 0.90;   ///< never load a target beyond this fraction
+  double horizon_seconds = 3600.0;   ///< period a vacated host would stay off
+  migration::MigrationType migration_type = migration::MigrationType::kLive;
+};
+
+/// Observable steady-state host power estimate used for the benefit
+/// side of the ledger (idle draw + linear CPU term; the planner has no
+/// access to ground truth either).
+struct HostPowerEstimate {
+  double idle_watts = 430.0;
+  double watts_per_vcpu = 11.0;
+
+  double power(double cpu_vcpus) const { return idle_watts + watts_per_vcpu * cpu_vcpus; }
+};
+
 struct PlannerConfig {
   /// Underload/overload thresholds, planning horizon, migration type —
   /// shared with the dcsim consolidation controller.
-  consolidation::ConsolidationPolicy policy;
+  ConsolidationPolicy policy;
   /// Benefit side of the ledger (idle draw of a vacated host).
-  consolidation::HostPowerEstimate host_power;
+  HostPowerEstimate host_power;
   migration::MigrationConfig migration;
   net::BandwidthModelParams bandwidth;
 
@@ -71,6 +88,11 @@ struct PlannerConfig {
 /// rate capped by both NICs' payload rates.
 double link_payload_rate(const PlannerConfig& config, const cloud::HostSpec& source,
                          const cloud::HostSpec& target);
+
+/// What vacating one donor saves: its idle draw over the policy
+/// horizon. WavePlan::steady_saving_j sums it over vacated donors; the
+/// dcsim cost gate compares it with each donor's move energy.
+double donor_saving_j(const PlannerConfig& config);
 
 /// The scenario of moving `vm` from `source` to `target` on the fleet
 /// as it stands: the VM's current signature, the source's load without
@@ -170,7 +192,9 @@ struct WavePlan {
 class MigrationPlanner {
  public:
   /// `model` must outlive the planner and be fitted for the policy's
-  /// migration type.
+  /// migration type. Throws util::ContractError on an invalid policy:
+  /// underload outside (0,1), overload not in (underload, 1], or a
+  /// non-positive horizon.
   MigrationPlanner(const core::Wavm3Model& model, PlannerConfig config = {});
 
   const PlannerConfig& config() const { return config_; }

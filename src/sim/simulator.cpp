@@ -90,22 +90,34 @@ void Simulator::PeriodicHandle::cancel() {
   if (alive_) *alive_ = false;
 }
 
+namespace {
+
+/// One firing of a periodic callback; reschedules a copy of itself
+/// while the handle is alive. Only queued events own a tick (it must
+/// not own itself), so the callback is freed once the tick stops
+/// rescheduling or the simulator is destroyed.
+struct PeriodicTick {
+  Simulator* sim;
+  std::shared_ptr<bool> alive;
+  double period;
+  std::shared_ptr<Simulator::Callback> fn;
+
+  void operator()() const {
+    if (!*alive) return;
+    (*fn)();
+    if (!*alive) return;
+    sim->schedule_in(period, *this);
+  }
+};
+
+}  // namespace
+
 Simulator::PeriodicHandle Simulator::schedule_periodic(double start, double period, Callback fn) {
   WAVM3_REQUIRE(period > 0.0, "period must be positive");
   PeriodicHandle handle;
   handle.alive_ = std::make_shared<bool>(true);
-
-  // The tick closure reschedules itself while the handle is alive.
-  auto alive = handle.alive_;
-  auto tick = std::make_shared<Callback>();
-  auto shared_fn = std::make_shared<Callback>(std::move(fn));
-  *tick = [this, alive, period, tick, shared_fn]() {
-    if (!*alive) return;
-    (*shared_fn)();
-    if (!*alive) return;
-    schedule_in(period, *tick);
-  };
-  schedule_at(start, *tick);
+  schedule_at(start, PeriodicTick{this, handle.alive_, period,
+                                  std::make_shared<Callback>(std::move(fn))});
   return handle;
 }
 

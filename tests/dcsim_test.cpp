@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <fstream>
 
-#include "core/planner.hpp"
 #include "core/wavm3_model.hpp"
 #include "dcsim/load_profile.hpp"
 #include "dcsim/simulation.hpp"
@@ -26,11 +25,6 @@ const core::Wavm3Model& model() {
     return model;
   }();
   return m;
-}
-
-const core::MigrationPlanner& planner() {
-  static const core::MigrationPlanner p(model());
-  return p;
 }
 
 TEST(LoadProfile, ConstantHoldsForever) {
@@ -151,7 +145,7 @@ TEST(Simulation, CostAwareConsolidationSavesEnergy) {
   DataCenterSimulation baseline(small_config(Strategy::kNoConsolidation), nullptr);
   const DcSimReport r_base = baseline.run();
 
-  DataCenterSimulation aware(small_config(Strategy::kCostAware), &planner());
+  DataCenterSimulation aware(small_config(Strategy::kCostAware), &model());
   const DcSimReport r_aware = aware.run();
 
   EXPECT_GT(r_aware.migrations_executed, 0);
@@ -173,7 +167,7 @@ TEST(Simulation, CostAwareRejectsUnprofitablePlans) {
         static_cast<std::uint64_t>(0.9 * vm.spec.ram_bytes / util::kPageSize);
     vm.workload.profile = LoadProfile::constant(0.9);
   }
-  DataCenterSimulation sim(cfg, &planner());
+  DataCenterSimulation sim(cfg, &model());
   const DcSimReport report = sim.run();
   EXPECT_EQ(report.power_off_events, 0);
   EXPECT_GT(report.plans_rejected_by_cost, 0);
@@ -182,10 +176,38 @@ TEST(Simulation, CostAwareRejectsUnprofitablePlans) {
 TEST(Simulation, CostBlindExecutesWhatAwareRejects) {
   DcSimConfig cfg = small_config(Strategy::kCostBlind);
   cfg.policy.horizon_seconds = 1.0;  // worthless savings, blind does it anyway
-  DataCenterSimulation blind(cfg, &planner());
+  DataCenterSimulation blind(cfg, &model());
   const DcSimReport report = blind.run();
   EXPECT_GT(report.migrations_executed, 0);
   EXPECT_GT(report.power_off_events, 0);
+}
+
+TEST(Simulation, LongHorizonEveryDonorPays) {
+  // A day off repays any move: the cost gate drops nothing, so the
+  // cost-aware run is the cost-blind run.
+  DcSimConfig cfg = small_config(Strategy::kCostBlind);
+  cfg.policy.horizon_seconds = 24.0 * 3600.0;
+  const DcSimReport blind = DataCenterSimulation(cfg, &model()).run();
+  cfg.strategy = Strategy::kCostAware;
+  const DcSimReport aware = DataCenterSimulation(cfg, &model()).run();
+
+  ASSERT_GT(blind.migrations_executed, 0);
+  EXPECT_EQ(aware.plans_rejected_by_cost, 0);
+  EXPECT_EQ(aware.duration, blind.duration);
+  EXPECT_EQ(aware.total_energy_joules, blind.total_energy_joules);
+  EXPECT_EQ(aware.host_energy, blind.host_energy);
+  EXPECT_EQ(aware.migrations_executed, blind.migrations_executed);
+  EXPECT_EQ(aware.migrations_failed, blind.migrations_failed);
+  EXPECT_EQ(aware.migrations_retried, blind.migrations_retried);
+  EXPECT_EQ(aware.migration_retries_exhausted, blind.migration_retries_exhausted);
+  EXPECT_EQ(aware.migration_failures_by_cause, blind.migration_failures_by_cause);
+  EXPECT_EQ(aware.wasted_migration_bytes, blind.wasted_migration_bytes);
+  EXPECT_EQ(aware.plans_rejected_by_cost, blind.plans_rejected_by_cost);
+  EXPECT_EQ(aware.power_off_events, blind.power_off_events);
+  EXPECT_EQ(aware.power_on_events, blind.power_on_events);
+  EXPECT_EQ(aware.total_migration_downtime, blind.total_migration_downtime);
+  EXPECT_EQ(aware.mean_migration_performance, blind.mean_migration_performance);
+  EXPECT_EQ(aware.final_powered_on_hosts, blind.final_powered_on_hosts);
 }
 
 TEST(Simulation, SingleUseGuard) {
@@ -221,7 +243,7 @@ TEST(Simulation, OverloadedHostShedsLoad) {
     p.workload.vcpus = 4;
     cfg.vms.push_back(std::move(p));
   }
-  DataCenterSimulation sim(cfg, &planner());
+  DataCenterSimulation sim(cfg, &model());
   const DcSimReport report = sim.run();
   EXPECT_GT(report.migrations_executed, 0);  // relief migrations happened
 }

@@ -1,12 +1,16 @@
 // src/plan/: fleet model, workload-cycle detection, candidate pricing,
 // and wave planning with the bundled placement strategies.
 #include <cmath>
+#include <initializer_list>
 #include <map>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cloud/instances.hpp"
+#include "core/planner.hpp"
 #include "plan/cycle_detector.hpp"
 #include "plan/fleet.hpp"
 #include "plan/planner.hpp"
@@ -506,6 +510,155 @@ TEST(MigrationPlanner, WavesRollForward) {
     now += 1800.0;
   }
   EXPECT_LT(prev, 24);
+}
+
+// ------------------------------------------- small hand-built fleets
+
+cloud::HostSpec gbe_host(const std::string& name, int vcpus = 32) {
+  cloud::HostSpec h;
+  h.name = name;
+  h.vcpus = vcpus;
+  h.ram_bytes = util::gib(32);
+  h.nic_rate = util::gbit_per_s(1);
+  return h;
+}
+
+/// A fleet of 32-vCPU GbE hosts named `names`.
+Fleet hosts_named(std::initializer_list<const char*> names) {
+  Fleet fleet;
+  for (const char* name : names) fleet.add_host(gbe_host(name));
+  return fleet;
+}
+
+/// Places `n` load-cpu VMs (4 busy vCPUs each) on host `h`.
+void place_load_vms(Fleet& fleet, int h, int n) {
+  for (int i = 0; i < n; ++i) {
+    const std::string id = fleet.host(h).spec.name + "-l" + std::to_string(i);
+    fleet.add_vm(fleet_vm(*cloud::make_load_cpu_vm(id), 0.0), h);
+  }
+}
+
+TEST(MigrationPlanner, RejectsInvalidPolicy) {
+  const core::Wavm3Model model = make_model();
+  EXPECT_NO_THROW(MigrationPlanner(model, test_config()));
+  const auto rejects = [&](auto&& mutate) {
+    PlannerConfig config = test_config();
+    mutate(config.policy);
+    EXPECT_THROW(MigrationPlanner(model, config), util::ContractError);
+  };
+  rejects([](ConsolidationPolicy& p) { p.underload_fraction = 0.0; });
+  rejects([](ConsolidationPolicy& p) { p.underload_fraction = 1.0; });
+  rejects([](ConsolidationPolicy& p) {
+    p.underload_fraction = 0.9;
+    p.overload_fraction = 0.5;
+  });
+  rejects([](ConsolidationPolicy& p) { p.overload_fraction = p.underload_fraction; });
+  rejects([](ConsolidationPolicy& p) { p.overload_fraction = 1.5; });
+  rejects([](ConsolidationPolicy& p) { p.horizon_seconds = 0.0; });
+  rejects([](ConsolidationPolicy& p) { p.horizon_seconds = -100.0; });
+}
+
+TEST(MoveScenario, MapsVmSignatureLoadsCapacitiesAndLinkRate) {
+  Fleet fleet;
+  const int src = fleet.add_host(gbe_host("src", 32));
+  const int dst = fleet.add_host(gbe_host("dst", 16));
+  FleetVm mover;
+  mover.id = "mv";
+  mover.ram_bytes = util::gib(4);
+  mover.cpu_now = 1.0;
+  mover.dirty_now = 2.0e5;
+  mover.working_set_pages = 100000;
+  const int v = fleet.add_vm(mover, src);
+  FleetVm neighbour;
+  neighbour.id = "n";
+  neighbour.ram_bytes = util::gib(1);
+  neighbour.cpu_now = 3.0;
+  fleet.add_vm(neighbour, src);
+  FleetVm resident;
+  resident.id = "r";
+  resident.ram_bytes = util::gib(2);
+  resident.cpu_now = 5.0;
+  fleet.add_vm(resident, dst);
+
+  PlannerConfig config = test_config();
+  config.policy.migration_type = MigrationType::kNonLive;
+  config.intra_group_payload_rate = 1e9;  // the NICs are the bottleneck
+  const core::MigrationScenario sc = move_scenario(fleet, v, src, dst, config);
+  EXPECT_EQ(sc.type, MigrationType::kNonLive);
+  EXPECT_DOUBLE_EQ(sc.vm_mem_bytes, util::gib(4));
+  EXPECT_DOUBLE_EQ(sc.vm_cpu_vcpus, 1.0);
+  EXPECT_DOUBLE_EQ(sc.vm_dirty_pages_per_s, 2.0e5);
+  EXPECT_DOUBLE_EQ(sc.vm_working_set_pages, 100000.0);
+  EXPECT_DOUBLE_EQ(sc.source_cpu_load, 3.0);  // without the moving VM
+  EXPECT_DOUBLE_EQ(sc.target_cpu_load, 5.0);
+  EXPECT_DOUBLE_EQ(sc.source_cpu_capacity, 32.0);
+  EXPECT_DOUBLE_EQ(sc.target_cpu_capacity, 16.0);
+  EXPECT_DOUBLE_EQ(sc.link_payload_rate,
+                   config.nic_protocol_efficiency * util::gbit_per_s(1));
+}
+
+TEST(MoveScenario, HighDirtyVmOntoBusyTargetCostsMore) {
+  // The SVIII guidance: migrating a high-dirtying-ratio VM towards a
+  // CPU-loaded host is the expensive move the model should expose.
+  const core::Wavm3Model model = make_model();
+  Fleet fleet = hosts_named({"src", "idle", "busy"});
+  fleet.add_vm(fleet_vm(*cloud::make_migrating_mem_vm("mv", 0.95), 0.0), 0);
+  place_load_vms(fleet, 2, 7);
+
+  const core::MigrationPlanner forecaster(model);
+  const int mv = fleet.host(0).vms.front();
+  const PlannerConfig config = test_config();
+  const auto to_idle = forecaster.forecast(move_scenario(fleet, mv, 0, 1, config));
+  const auto to_busy = forecaster.forecast(move_scenario(fleet, mv, 0, 2, config));
+  // The busy target throttles the transfer and burns more energy.
+  EXPECT_GE(to_busy.times.transfer_duration(), to_idle.times.transfer_duration());
+  EXPECT_GT(to_busy.total_energy(), to_idle.total_energy());
+}
+
+TEST(MigrationPlanner, VacatePlanCoversEveryDonorVm) {
+  const core::Wavm3Model model = make_model();
+  Fleet fleet = hosts_named({"a", "b", "c"});
+  fleet.add_vm(fleet_vm(*cloud::make_load_cpu_vm("v1"), 0.0), 0);
+  fleet.add_vm(fleet_vm(*cloud::make_migrating_cpu_vm("v2"), 0.0), 0);
+
+  MigrationPlanner planner(model, test_config());
+  const WavePlan plan = planner.plan_wave(fleet, BeamSearchStrategy{}, 0.0, /*commit=*/false);
+  ASSERT_EQ(plan.moves.size(), 2u);
+  for (const ScheduledMove& m : plan.moves) {
+    EXPECT_EQ(m.source, 0);
+    EXPECT_NE(m.target, 0);
+    EXPECT_GT(m.energy_j, 0.0);
+  }
+  EXPECT_EQ(plan.donors_vacated, 1);
+  EXPECT_EQ(plan.steady_saving_j, donor_saving_j(planner.config()));
+  EXPECT_GT(plan.steady_saving_j, 0.0);
+}
+
+TEST(MigrationPlanner, DonorWithOnlyOverloadedReceiverGetsNoMoves) {
+  const core::Wavm3Model model = make_model();
+  Fleet fleet = hosts_named({"a", "b"});
+  place_load_vms(fleet, 0, 1);
+  // Saturate the only receiver beyond the overload fraction.
+  place_load_vms(fleet, 1, 8);
+
+  MigrationPlanner planner(model, test_config());
+  const WavePlan plan = planner.plan_wave(fleet, BeamSearchStrategy{}, 0.0, /*commit=*/false);
+  EXPECT_EQ(plan.donors_considered, 1);
+  EXPECT_TRUE(plan.moves.empty());
+  EXPECT_EQ(plan.donors_vacated, 0);
+}
+
+TEST(MigrationPlanner, OnlyUnderloadedHostsDonate) {
+  const core::Wavm3Model model = make_model();
+  Fleet fleet = hosts_named({"light", "heavy", "spare1", "spare2"});
+  place_load_vms(fleet, 0, 1);  // 4 of 32 vCPUs busy
+  place_load_vms(fleet, 1, 6);  // 24 of 32 vCPUs busy
+
+  MigrationPlanner planner(model, test_config());
+  const WavePlan plan = planner.plan_wave(fleet, BeamSearchStrategy{}, 0.0, /*commit=*/false);
+  EXPECT_EQ(plan.donors_considered, 1);
+  ASSERT_FALSE(plan.moves.empty());
+  for (const ScheduledMove& m : plan.moves) EXPECT_EQ(m.source, 0);
 }
 
 }  // namespace

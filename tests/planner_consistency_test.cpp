@@ -1,7 +1,7 @@
 // Property suite: the closed-form planner must agree with the
 // event-driven engine across the whole scenario space — dirtying
 // fractions, host loads, and all three migration flavours. This is the
-// guarantee that lets the consolidation manager trust forecasts it
+// guarantee that lets the consolidation planner trust forecasts it
 // never simulates.
 #include <gtest/gtest.h>
 

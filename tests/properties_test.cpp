@@ -192,7 +192,6 @@ INSTANTIATE_TEST_SUITE_P(Floors, BandwidthParamSweep, ::testing::Values(0.2, 0.5
 TEST(DcSimSla, PostCopyPolicyPreservesPerformance) {
   core::Wavm3Model model;
   model.fit(wavm3::testing::fast_campaign_m().dataset);
-  const core::MigrationPlanner planner(model);
 
   const auto run_with = [&](migration::MigrationType type) {
     dcsim::DcSimConfig cfg = dcsim::make_fleet_scenario(3, 4, 11);
@@ -201,7 +200,7 @@ TEST(DcSimSla, PostCopyPolicyPreservesPerformance) {
     cfg.policy.migration_type = type;
     cfg.policy.underload_fraction = 0.45;
     for (auto& vm : cfg.vms) vm.workload.profile = dcsim::LoadProfile::constant(0.1);
-    dcsim::DataCenterSimulation sim(cfg, &planner);
+    dcsim::DataCenterSimulation sim(cfg, &model);
     return sim.run();
   };
 

@@ -2,6 +2,7 @@
 // cancellation, periodic tasks, determinism.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -101,6 +102,32 @@ TEST(Simulator, PeriodicCancelFromInsideCallback) {
   });
   sim.run_to_completion();
   EXPECT_EQ(count, 3);
+}
+
+TEST(Simulator, PeriodicCallbackIsFreed) {
+  // Whatever the callback owns is released once the periodic task ends
+  // (cancelled, then drained) or its simulator goes away with it still
+  // queued.
+  auto owned = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = owned;
+  {
+    Simulator sim;
+    auto handle = sim.schedule_periodic(0.0, 1.0, [owned] { ++*owned; });
+    sim.schedule_at(2.5, [&handle] { handle.cancel(); });
+    sim.run_to_completion();
+    EXPECT_EQ(*owned, 3);
+    owned.reset();
+    EXPECT_TRUE(watch.expired());
+  }
+  owned = std::make_shared<int>(0);
+  const std::weak_ptr<int> queued = owned;
+  {
+    Simulator sim;
+    sim.schedule_periodic(0.0, 1.0, [owned] { ++*owned; });
+    sim.run_until(1.5);
+    owned.reset();
+  }
+  EXPECT_TRUE(queued.expired());
 }
 
 TEST(Simulator, RunToCompletionCapsRunaway) {

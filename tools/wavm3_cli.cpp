@@ -716,7 +716,6 @@ int cmd_simulate(const Args& args) {
   const exp::CampaignResult campaign = exp::run_campaign(testbed, options, args.get_seed());
   core::Wavm3Model model;
   model.fit(campaign.dataset);
-  const core::MigrationPlanner planner(model);
 
   std::printf("%-18s %14s %12s %10s %10s %14s\n", "strategy", "energy [kWh]", "migrations",
               "hosts off", "rejected", "downtime [s]");
@@ -728,7 +727,7 @@ int cmd_simulate(const Args& args) {
     cfg.strategy = strategy;
     cfg.policy.horizon_seconds = horizon;
     dcsim::DataCenterSimulation sim(
-        cfg, strategy == dcsim::Strategy::kNoConsolidation ? nullptr : &planner);
+        cfg, strategy == dcsim::Strategy::kNoConsolidation ? nullptr : &model);
     const dcsim::DcSimReport r = sim.run();
     std::printf("%-18s %14.2f %12d %10d %10d %14.1f\n", to_string(strategy),
                 r.total_energy_joules / 3.6e6, r.migrations_executed, r.power_off_events,
