@@ -4,7 +4,6 @@
 #include <cmath>
 #include <vector>
 
-#include "stats/integrate.hpp"
 #include "util/error.hpp"
 
 namespace wavm3::plan {
@@ -21,17 +20,38 @@ CycleEstimate CycleDetector::analyze(std::span<const double> t,
                                      std::span<const double> y) const {
   WAVM3_REQUIRE(t.size() == y.size(), "cycle detector: time/value size mismatch");
   CycleEstimate est;
-  if (t.size() < 8) return est;
+  // Too short (or zero-span) to resample: the plain sample mean.
+  if (t.size() < 8 || t.back() - t.front() <= 0.0) {
+    if (!y.empty()) {
+      for (const double v : y) est.overall_mean += v;
+      est.overall_mean /= static_cast<double>(y.size());
+    }
+    return est;
+  }
   const double span = t.back() - t.front();
-  if (span <= 0.0) return est;
 
-  // Uniform analysis grid via the shared interpolation kernel.
+  // Uniform analysis grid: stats::interp_at at every grid point, with
+  // its bracketing sample found by one forward walk (the grid only
+  // moves forward) instead of a binary search per point. The walk stops
+  // at the first sample after the point, as interp_at's upper_bound
+  // does, and the blend is interp_at's, so the grid is bit-equal.
   const std::size_t n = config_.resample_points;
   const double dt = span / static_cast<double>(n - 1);
   std::vector<double> x(n);
   double mean = 0.0;
+  std::size_t hi = 1;
   for (std::size_t i = 0; i < n; ++i) {
-    x[i] = stats::interp_at(t, y, t.front() + static_cast<double>(i) * dt);
+    const double at = t.front() + static_cast<double>(i) * dt;
+    if (at <= t.front()) {
+      x[i] = y.front();
+    } else if (at >= t.back()) {
+      x[i] = y.back();
+    } else {
+      while (t[hi] <= at) ++hi;
+      const std::size_t lo = hi - 1;
+      const double f = (at - t[lo]) / (t[hi] - t[lo]);
+      x[i] = y[lo] * (1.0 - f) + y[hi] * f;
+    }
     mean += x[i];
   }
   mean /= static_cast<double>(n);
@@ -57,9 +77,25 @@ CycleEstimate CycleDetector::analyze(std::span<const double> t,
       std::min(n / 2, static_cast<std::size_t>(std::floor(max_period / dt)));
   if (lag_lo >= lag_hi) return est;
 
-  // Normalized autocorrelation over the lag window.
+  // Normalized autocorrelation over the lag window, kLanes lags at a
+  // time: each lag's sum still accumulates in index order (bit-equal
+  // to one lag at a time), but the independent add chains overlap
+  // instead of waiting on each other's latency. Lag L sums n - L terms.
+  constexpr std::size_t kLanes = 8;
   std::vector<double> acf(lag_hi + 1, 0.0);
-  for (std::size_t lag = lag_lo; lag <= lag_hi; ++lag) {
+  std::size_t lag = lag_lo;
+  for (; lag + kLanes - 1 <= lag_hi; lag += kLanes) {
+    double s[kLanes] = {};
+    const std::size_t common = n - lag - (kLanes - 1);  // terms every lane sums
+    for (std::size_t i = 0; i < common; ++i) {
+      for (std::size_t k = 0; k < kLanes; ++k) s[k] += x[i] * x[i + lag + k];
+    }
+    for (std::size_t k = 0; k < kLanes; ++k) {
+      for (std::size_t i = common; i + lag + k < n; ++i) s[k] += x[i] * x[i + lag + k];
+      acf[lag + k] = s[k] / (static_cast<double>(n - lag - k) * var);
+    }
+  }
+  for (; lag <= lag_hi; ++lag) {
     double sum = 0.0;
     for (std::size_t i = 0; i + lag < n; ++i) sum += x[i] * x[i + lag];
     acf[lag] = sum / (static_cast<double>(n - lag) * var);
@@ -107,8 +143,7 @@ CycleEstimate CycleDetector::analyze(std::span<const double> t,
   const std::size_t bins = best_lag;
   std::vector<double> folded(bins, 0.0);
   std::vector<std::size_t> counts(bins, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t b = i % bins;
+  for (std::size_t i = 0, b = 0; i < n; ++i, b = b + 1 == bins ? 0 : b + 1) {
     folded[b] += x[i] + mean;
     ++counts[b];
   }
@@ -122,8 +157,12 @@ CycleEstimate CycleDetector::analyze(std::span<const double> t,
   double best_sum = 0.0;
   std::size_t best_off = 0;
   for (std::size_t off = 0; off < bins; ++off) {
+    // Summed afresh per offset (not slid), so every window total is
+    // rounded the same way whatever its offset; b wraps at bins.
     double sum = 0.0;
-    for (std::size_t k = 0; k < win; ++k) sum += folded[(off + k) % bins];
+    for (std::size_t k = 0, b = off; k < win; ++k, b = b + 1 == bins ? 0 : b + 1) {
+      sum += folded[b];
+    }
     if (off == 0 || sum < best_sum) {
       best_sum = sum;
       best_off = off;

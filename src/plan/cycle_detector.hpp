@@ -32,6 +32,8 @@ struct CycleDetectorConfig {
   std::size_t resample_points = 256;
   /// Length of the reported low window as a fraction of the period.
   double low_window_fraction = 0.25;
+
+  bool operator==(const CycleDetectorConfig&) const = default;
 };
 
 /// What analyze() found in one trace.

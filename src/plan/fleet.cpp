@@ -104,6 +104,22 @@ void Fleet::set_powered(int h, bool on) {
   hosts_[static_cast<std::size_t>(h)].powered_on = on;
 }
 
+const CycleEstimate& Fleet::cycle(int v, const CycleDetector& detector) {
+  WAVM3_REQUIRE(v >= 0 && v < static_cast<int>(vms_.size()), "cycle: VM index out of range");
+  if (!(detector.config() == cycles_config_)) {
+    cycles_.clear();
+    cycles_config_ = detector.config();
+  }
+  if (cycles_.size() < vms_.size()) cycles_.resize(vms_.size());
+  std::optional<CycleEstimate>& slot = cycles_[static_cast<std::size_t>(v)];
+  if (!slot) {
+    const VmHistory& history = vms_[static_cast<std::size_t>(v)].history;
+    slot = detector.analyze(history.t, history.dirty);
+    ++cycle_analyses_;
+  }
+  return *slot;
+}
+
 void Fleet::refresh_loads(double now, double window_s) {
   for (FleetHost& h : hosts_) h.cpu_load = 0.0;
   for (FleetVm& vm : vms_) {

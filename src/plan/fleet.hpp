@@ -11,16 +11,22 @@
 // files), and add_host()/add_vm() directly — dcsim's controller builds
 // a history-less snapshot of its live data centre that way (fleet_vm())
 // on every consolidation tick.
+//
+// The fleet also memoises each VM's workload cycle (cycle()): a VM's
+// history never changes once added, so rolling waves analyse it once,
+// not once per wave.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "cloud/host.hpp"
+#include "plan/cycle_detector.hpp"
 
 namespace wavm3::plan {
 
@@ -111,6 +117,18 @@ class Fleet {
 
   void set_powered(int h, bool on);
 
+  /// The workload cycle of VM `v`'s dirtying history, analysed by
+  /// `detector` on first use and memoised per VM. The memo remembers
+  /// the CycleDetectorConfig it was filled under; a call under a
+  /// different config clears it. Copies of the fleet carry the memo.
+  /// The reference stays valid until the fleet gains a VM or the
+  /// config changes.
+  const CycleEstimate& cycle(int v, const CycleDetector& detector);
+
+  /// Analyses cycle() actually ran (memo misses, not hits), counted
+  /// across copies.
+  std::size_t cycle_analyses() const { return cycle_analyses_; }
+
   /// Refreshes every VM's cpu_now/dirty_now to the trailing-window
   /// means ending at `now`, and host loads to match. Call before
   /// planning a wave at a new time.
@@ -131,8 +149,15 @@ class Fleet {
 
  private:
   std::vector<FleetHost> hosts_;
+  // Invariant behind the cycle memo: a VM's history is set once, by
+  // add_vm, and never changes. vms_ is private and vm()/vms() hand out
+  // const views; move_vm and refresh_loads touch only placement and
+  // cpu_now/dirty_now. So a memoised CycleEstimate is exact.
   std::vector<FleetVm> vms_;
   std::unordered_map<std::string, int> host_by_name_;
+  std::vector<std::optional<CycleEstimate>> cycles_;  ///< by VM index; filled lazily
+  CycleDetectorConfig cycles_config_;                  ///< config cycles_ was filled under
+  std::size_t cycle_analyses_ = 0;
 };
 
 }  // namespace wavm3::plan

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <optional>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -24,6 +26,7 @@ struct PlanMetrics {
   obs::Counter& moves;
   obs::Counter& donors_vacated;
   obs::Counter& cycle_aligned;
+  obs::Counter& cycle_analyses;
   obs::Histogram& wave_seconds;
   obs::Histogram& score_seconds;
   obs::Gauge& last_wave_energy;
@@ -39,6 +42,8 @@ PlanMetrics plan_metrics(const char* strategy) {
       r.counter("plan_donors_vacated_total", "Donor hosts fully vacated by wave plans", labels),
       r.counter("plan_cycle_aligned_moves_total",
                 "Moves scheduled into a workload-cycle low-dirtying window", labels),
+      r.counter("plan_cycle_analyses_total",
+                "Workload-cycle analyses run (cycle memo misses, not hits)", labels),
       r.exponential_histogram("plan_wave_seconds", "Wall time of one planning wave", 1e-4, 2.0,
                               22, labels),
       r.exponential_histogram("plan_score_seconds", "Wall time pricing wave candidates",
@@ -149,31 +154,49 @@ MigrationPlanner::MigrationPlanner(const core::Wavm3Model& model, PlannerConfig 
                 "planner windows must be positive");
 }
 
-WavePlan MigrationPlanner::plan_wave(Fleet& fleet, const PlacementStrategy& strategy,
-                                     double now, bool commit) {
-  const auto wall_start = std::chrono::steady_clock::now();
-  WAVM3_OBS_SPAN(span, "plan", "wave");
-  span.note("strategy", strategy.name());
-  PlanMetrics metrics = plan_metrics(strategy.name());
-  WavePlan plan;
+namespace {
 
-  fleet.refresh_loads(now, config_.load_window_s);
-  const auto count_overloaded = [&] {
-    int n = 0;
-    for (std::size_t h = 0; h < fleet.host_count(); ++h) {
-      const int hi = static_cast<int>(h);
-      if (fleet.host(hi).powered_on &&
-          fleet.host_utilisation(hi) > config_.policy.overload_fraction) {
-        ++n;
-      }
+static_assert(sizeof(ScoredMove) <= 128, "ScoredMove must stay a lean record");
+
+/// The hosts of one wave: donors to vacate and three receiver orderings.
+struct WaveHosts {
+  std::vector<int> donors;     ///< emptiest first
+  std::vector<int> receivers;  ///< host-index order, for first-fit semantics
+  std::unordered_map<std::string, std::vector<int>> receivers_by_group;  ///< rack-local
+  std::vector<int> receivers_by_load;  ///< most loaded first, for tight packing
+};
+
+int count_overloaded(const Fleet& fleet, const PlannerConfig& config) {
+  int n = 0;
+  for (std::size_t h = 0; h < fleet.host_count(); ++h) {
+    const int hi = static_cast<int>(h);
+    if (fleet.host(hi).powered_on &&
+        fleet.host_utilisation(hi) > config.policy.overload_fraction) {
+      ++n;
     }
-    return n;
-  };
-  plan.overloaded_hosts_before = count_overloaded();
+  }
+  return n;
+}
+
+/// VM `v`'s memoised cycle when it is periodic; nullptr when planning
+/// is cycle-blind (`detector` null), the VM has no history, or it
+/// shows no cycle.
+const CycleEstimate* periodic_cycle(Fleet& fleet, const CycleDetector* detector, int v) {
+  if (detector == nullptr || fleet.vm(v).history.empty()) return nullptr;
+  const CycleEstimate& estimate = fleet.cycle(v, *detector);
+  return estimate.periodic ? &estimate : nullptr;
+}
+
+/// Stage 1: refreshes loads and picks the wave's donors and receivers.
+WaveHosts select_hosts(Fleet& fleet, const PlannerConfig& config, double now, WavePlan& plan) {
+  WAVM3_OBS_SPAN(span, "plan", "select");
+  fleet.refresh_loads(now, config.load_window_s);
+  plan.overloaded_hosts_before = count_overloaded(fleet, config);
 
   // Donors: powered, populated, below the underload threshold;
   // emptiest first so the cheapest vacates go first when capped.
-  std::vector<int> donors;
+  WaveHosts hosts;
+  std::vector<int>& donors = hosts.donors;
   std::size_t powered = 0;
   for (std::size_t h = 0; h < fleet.host_count(); ++h) {
     const int hi = static_cast<int>(h);
@@ -181,7 +204,7 @@ WavePlan MigrationPlanner::plan_wave(Fleet& fleet, const PlacementStrategy& stra
     if (!host.powered_on) continue;
     ++powered;
     if (host.vms.empty()) continue;
-    if (fleet.host_utilisation(hi) < config_.policy.underload_fraction) donors.push_back(hi);
+    if (fleet.host_utilisation(hi) < config.policy.underload_fraction) donors.push_back(hi);
   }
   std::sort(donors.begin(), donors.end(), [&](int a, int b) {
     const double ua = fleet.host_utilisation(a);
@@ -192,66 +215,77 @@ WavePlan MigrationPlanner::plan_wave(Fleet& fleet, const PlacementStrategy& stra
   // every host is underloaded, the fuller half must stay as the
   // receiving side — rolling waves converge over repeated calls.
   if (donors.size() > powered / 2) donors.resize(powered / 2);
-  if (config_.max_donors_per_wave > 0 &&
-      donors.size() > static_cast<std::size_t>(config_.max_donors_per_wave)) {
-    donors.resize(static_cast<std::size_t>(config_.max_donors_per_wave));
+  if (config.max_donors_per_wave > 0 &&
+      donors.size() > static_cast<std::size_t>(config.max_donors_per_wave)) {
+    donors.resize(static_cast<std::size_t>(config.max_donors_per_wave));
   }
   plan.donors_considered = static_cast<int>(donors.size());
   const std::unordered_set<int> donor_set(donors.begin(), donors.end());
 
-  // Receiver orderings: natural (host-index) order for first-fit
-  // semantics, per-group lists for rack-local targets, and a
-  // most-loaded ordering for tight packing.
-  std::vector<int> receivers;
-  std::unordered_map<std::string, std::vector<int>> receivers_by_group;
   for (std::size_t h = 0; h < fleet.host_count(); ++h) {
     const int hi = static_cast<int>(h);
     if (!fleet.host(hi).powered_on || donor_set.count(hi) != 0) continue;
-    receivers.push_back(hi);
-    receivers_by_group[fleet.host(hi).spec.group].push_back(hi);
+    hosts.receivers.push_back(hi);
+    hosts.receivers_by_group[fleet.host(hi).spec.group].push_back(hi);
   }
-  std::vector<int> receivers_by_load = receivers;
-  std::sort(receivers_by_load.begin(), receivers_by_load.end(), [&](int a, int b) {
+  hosts.receivers_by_load = hosts.receivers;
+  std::sort(hosts.receivers_by_load.begin(), hosts.receivers_by_load.end(), [&](int a, int b) {
     const double ua = fleet.host_utilisation(a);
     const double ub = fleet.host_utilisation(b);
     return ua != ub ? ua > ub : a < b;
   });
+  span.arg("donors", static_cast<double>(donors.size()));
+  span.arg("receivers", static_cast<double>(hosts.receivers.size()));
+  return hosts;
+}
 
-  // Workload cycles of the donor VMs' dirtying histories.
-  std::unordered_map<int, CycleEstimate> cycles;
-  if (config_.cycle_aware) {
-    WAVM3_OBS_SPAN(cycle_span, "plan", "cycle_detect");
-    const CycleDetector detector(config_.cycles);
-    std::size_t analyzed = 0;
-    for (const int h : donors) {
-      for (const int v : fleet.host(h).vms) {
-        const VmHistory& hist = fleet.vm(v).history;
-        if (hist.empty()) continue;
-        ++analyzed;
-        CycleEstimate estimate = detector.analyze(hist.t, hist.dirty);
-        if (estimate.periodic) cycles.emplace(v, estimate);
-      }
+/// Stage 2: fills the fleet's cycle memo for every donor VM with a
+/// history. Only memo misses run an analysis; `analyses` counts them.
+void detect_cycles(Fleet& fleet, const std::vector<int>& donors, const CycleDetector& detector,
+                   obs::Counter& analyses) {
+  WAVM3_OBS_SPAN(span, "plan", "cycle_detect");
+  const std::size_t analyses_before = fleet.cycle_analyses();
+  std::size_t lookups = 0;
+  std::size_t periodic = 0;
+  for (const int h : donors) {
+    for (const int v : fleet.host(h).vms) {
+      if (fleet.vm(v).history.empty()) continue;
+      ++lookups;
+      if (fleet.cycle(v, detector).periodic) ++periodic;
     }
-    cycle_span.arg("traces", static_cast<double>(analyzed));
-    cycle_span.arg("periodic", static_cast<double>(cycles.size()));
   }
+  const std::size_t ran = fleet.cycle_analyses() - analyses_before;
+  analyses.inc(ran);
+  span.arg("traces", static_cast<double>(ran));
+  span.arg("memo_hits", static_cast<double>(lookups - ran));
+  span.arg("periodic", static_cast<double>(periodic));
+}
 
-  // Candidate generation: per donor VM, up to candidate_targets
-  // destinations drawn from the three orderings (deduplicated), each
-  // expanded into a blind — and for periodic VMs an aligned — scenario.
-  CandidateSet candidates;
+/// Stage 3a: per donor VM, up to candidate_targets destinations drawn
+/// from the three receiver orderings (deduplicated). A move of a
+/// periodic VM also gets an aligned variant.
+CandidateSet generate_candidates(Fleet& fleet, const WaveHosts& hosts,
+                                 const PlannerConfig& config, const CycleDetector* detector) {
+  WAVM3_OBS_SPAN(span, "plan", "candidates");
   const auto receiver_ok = [&](int h, const FleetVm& vm) {
     if (!fleet.fits(h, vm)) return false;
     const FleetHost& host = fleet.host(h);
     const double capacity = static_cast<double>(host.spec.vcpus);
-    return host.cpu_load + vm.cpu_now <= config_.policy.overload_fraction * capacity;
+    return host.cpu_load + vm.cpu_now <= config.policy.overload_fraction * capacity;
   };
 
-  const int k_total = config_.candidate_targets;
+  const int k_total = config.candidate_targets;
   const int k_ff = std::max(1, k_total / 3);
   const int k_group = std::max(1, k_total / 3);
 
-  for (const int donor_host : donors) {
+  CandidateSet candidates;
+  std::size_t donor_vms_total = 0;
+  for (const int h : hosts.donors) donor_vms_total += fleet.host(h).vms.size();
+  candidates.moves.reserve(donor_vms_total * static_cast<std::size_t>(k_total));
+  candidates.donors.reserve(hosts.donors.size());
+
+  std::vector<int> targets;
+  for (const int donor_host : hosts.donors) {
     DonorCandidates donor;
     donor.host = donor_host;
     std::vector<int> donor_vms(fleet.host(donor_host).vms);
@@ -264,44 +298,35 @@ WavePlan MigrationPlanner::plan_wave(Fleet& fleet, const PlacementStrategy& stra
 
     for (const int v : donor_vms) {
       const FleetVm& vm = fleet.vm(v);
-      std::vector<int> targets;
-      std::unordered_set<int> seen;
+      targets.clear();
       const auto take = [&](const std::vector<int>& order, int limit) {
         int taken = 0;
         for (const int h : order) {
           if (taken >= limit || static_cast<int>(targets.size()) >= k_total) break;
-          if (h == donor_host || seen.count(h) != 0 || !receiver_ok(h, vm)) continue;
-          seen.insert(h);
+          if (h == donor_host || !receiver_ok(h, vm) ||
+              std::find(targets.begin(), targets.end(), h) != targets.end()) {
+            continue;
+          }
           targets.push_back(h);
           ++taken;
         }
       };
-      take(receivers, k_ff);
-      const auto group_it = receivers_by_group.find(fleet.host(donor_host).spec.group);
-      if (group_it != receivers_by_group.end()) take(group_it->second, k_group);
-      take(receivers_by_load, k_total - static_cast<int>(targets.size()));
+      take(hosts.receivers, k_ff);
+      const auto group_it = hosts.receivers_by_group.find(fleet.host(donor_host).spec.group);
+      if (group_it != hosts.receivers_by_group.end()) take(group_it->second, k_group);
+      take(hosts.receivers_by_load, k_total - static_cast<int>(targets.size()));
 
       VmCandidates vc;
       vc.vm = v;
       vc.begin = static_cast<int>(candidates.moves.size());
-      const auto cycle_it = cycles.find(v);
+      const bool has_aligned = periodic_cycle(fleet, detector, v) != nullptr;
       for (const int target : targets) {
         ScoredMove move;
         move.vm = v;
         move.source = donor_host;
         move.target = target;
-        move.blind.scenario = move_scenario(fleet, v, donor_host, target, config_);
-
-        if (cycle_it != cycles.end()) {
-          move.has_aligned = true;
-          move.cycle = cycle_it->second;
-          // Same move priced at the low-window dirtying rate; the CPU
-          // signature is kept (conservative — only the dirtying
-          // benefit of the window is claimed).
-          move.aligned.scenario = move.blind.scenario;
-          move.aligned.scenario.vm_dirty_pages_per_s = move.cycle.low_mean;
-        }
-        candidates.moves.push_back(std::move(move));
+        move.has_aligned = has_aligned;
+        candidates.moves.push_back(move);
       }
       vc.end = static_cast<int>(candidates.moves.size());
       if (vc.end > vc.begin) donor.vms.push_back(vc);
@@ -312,113 +337,154 @@ WavePlan MigrationPlanner::plan_wave(Fleet& fleet, const PlacementStrategy& stra
       candidates.donors.push_back(std::move(donor));
     }
   }
-  plan.candidates_scored = candidates.moves.size();
+  span.arg("moves", static_cast<double>(candidates.moves.size()));
+  return candidates;
+}
 
-  // Price every variant: closed-form timings, then paper Eq. 4 over the
-  // forecast phases (core::attach_energy). The span keeps its historical
-  // name: traces and perfbench's plan.score_batch_s key on it.
-  {
-    WAVM3_OBS_SPAN(score_span, "plan", "score_batch");
-    const auto score_start = std::chrono::steady_clock::now();
-    std::size_t priced = 0;
-    const auto price = [&](MoveVariant& variant) {
-      variant.forecast = forecaster_.forecast(variant.scenario);
-      variant.energy_j = variant.forecast.total_energy();
-      ++priced;
-    };
-    for (ScoredMove& move : candidates.moves) {
-      price(move.blind);
-      if (move.has_aligned) price(move.aligned);
+/// Stage 3b: prices every variant through the closed-form forecast
+/// (timings, then paper Eq. 4 over the forecast phases). The aligned
+/// variant is the same move at the cycle's low-window dirtying rate;
+/// the CPU signature is kept (conservative — only the dirtying benefit
+/// of the window is claimed). Returns the wall time spent. The span
+/// keeps its historical name: traces and perfbench's
+/// plan.score_batch_s key on it.
+double price_candidates(Fleet& fleet, CandidateSet& candidates,
+                        const core::MigrationPlanner& forecaster, const PlannerConfig& config,
+                        const CycleDetector* detector) {
+  WAVM3_OBS_SPAN(span, "plan", "score_batch");
+  const auto start = std::chrono::steady_clock::now();
+  std::size_t priced = 0;
+  const auto price = [&](const core::MigrationScenario& scenario) {
+    const core::MigrationForecast forecast = forecaster.forecast(scenario);
+    ++priced;
+    return MoveVariant{forecast.total_energy(), forecast.times.me, forecast.downtime};
+  };
+  for (ScoredMove& move : candidates.moves) {
+    core::MigrationScenario scenario =
+        move_scenario(fleet, move.vm, move.source, move.target, config);
+    move.blind = price(scenario);
+    if (move.has_aligned) {
+      scenario.vm_dirty_pages_per_s = periodic_cycle(fleet, detector, move.vm)->low_mean;
+      move.aligned = price(scenario);
     }
-    plan.scoring_seconds = seconds_since(score_start);
-    score_span.arg("scenarios", static_cast<double>(priced));
   }
-  metrics.candidates.inc(plan.candidates_scored);
-  metrics.score_seconds.observe(plan.scoring_seconds);
+  span.arg("scenarios", static_cast<double>(priced));
+  return seconds_since(start);
+}
 
-  // Target selection.
-  std::vector<int> chosen;
-  {
-    WAVM3_OBS_SPAN(strategy_span, "plan", "strategy");
-    chosen = strategy.choose(fleet, candidates, config_);
-    strategy_span.arg("chosen", static_cast<double>(chosen.size()));
-  }
+/// Stage 4: the strategy picks one candidate per donor VM.
+std::vector<int> choose_moves(const Fleet& fleet, const PlacementStrategy& strategy,
+                              const CandidateSet& candidates, const PlannerConfig& config) {
+  WAVM3_OBS_SPAN(span, "plan", "strategy");
+  std::vector<int> chosen = strategy.choose(fleet, candidates, config);
+  span.arg("chosen", static_cast<double>(chosen.size()));
+  return chosen;
+}
 
-  // Scheduling under per-host concurrency caps. Periodic VMs snap into
-  // the next low-dirtying window inside the horizon when the aligned
-  // variant is no dearer; everything else starts as early as slots
-  // allow.
-  {
-    WAVM3_OBS_SPAN(schedule_span, "plan", "schedule");
-    BusyIntervals busy;
-    for (const int m : chosen) {
-      const ScoredMove& move = candidates.moves[static_cast<std::size_t>(m)];
-      bool aligned = false;
-      double start = 0.0;
-      if (move.has_aligned && move.aligned.energy_j <= move.blind.energy_j) {
-        const double duration = move.aligned.forecast.times.me;
-        for (double w = CycleDetector::next_low_window_start(move.cycle, now);
-             w <= now + config_.wave_horizon_s; w += move.cycle.period_s) {
-          const double t =
-              earliest_feasible_start(fleet, busy, move.source, move.target, duration, w);
-          if (t <= w + move.cycle.low_duration_s) {
-            start = t;
-            aligned = true;
-            break;
-          }
+/// Stage 5: schedules the chosen moves under per-host concurrency
+/// caps. Periodic VMs snap into the next low-dirtying window inside
+/// the horizon when the aligned variant is no dearer; everything else
+/// starts as early as slots allow.
+void schedule_moves(Fleet& fleet, const CandidateSet& candidates, const std::vector<int>& chosen,
+                    const PlannerConfig& config, const CycleDetector* detector, double now,
+                    WavePlan& plan) {
+  WAVM3_OBS_SPAN(span, "plan", "schedule");
+  BusyIntervals busy;
+  plan.moves.reserve(chosen.size());
+  for (const int m : chosen) {
+    const ScoredMove& move = candidates.moves[static_cast<std::size_t>(m)];
+    bool aligned = false;
+    double start = 0.0;
+    if (move.has_aligned && move.aligned.energy_j <= move.blind.energy_j) {
+      const CycleEstimate& cycle = *periodic_cycle(fleet, detector, move.vm);
+      const double duration = move.aligned.duration_s;
+      for (double w = CycleDetector::next_low_window_start(cycle, now);
+           w <= now + config.wave_horizon_s; w += cycle.period_s) {
+        const double t =
+            earliest_feasible_start(fleet, busy, move.source, move.target, duration, w);
+        if (t <= w + cycle.low_duration_s) {
+          start = t;
+          aligned = true;
+          break;
         }
       }
-      if (!aligned) {
-        start = earliest_feasible_start(fleet, busy, move.source, move.target,
-                                        move.blind.forecast.times.me, now);
-      }
-      const MoveVariant& variant = aligned ? move.aligned : move.blind;
-      const double duration = variant.forecast.times.me;
-      busy.add(move.source, start, start + duration);
-      busy.add(move.target, start, start + duration);
-
-      ScheduledMove scheduled;
-      scheduled.vm = move.vm;
-      scheduled.source = move.source;
-      scheduled.target = move.target;
-      scheduled.start_s = start;
-      scheduled.end_s = start + duration;
-      scheduled.cycle_aligned = aligned;
-      scheduled.energy_j = variant.energy_j;
-      scheduled.downtime_s = variant.forecast.downtime;
-      plan.moves.push_back(scheduled);
-
-      plan.total_migration_energy_j += scheduled.energy_j;
-      plan.total_downtime_s += scheduled.downtime_s;
-      if (aligned) ++plan.moves_cycle_aligned;
     }
-    std::sort(plan.moves.begin(), plan.moves.end(),
-              [](const ScheduledMove& a, const ScheduledMove& b) {
-                return a.start_s != b.start_s ? a.start_s < b.start_s : a.vm < b.vm;
-              });
-    schedule_span.arg("moves", static_cast<double>(plan.moves.size()));
-    schedule_span.arg("aligned", static_cast<double>(plan.moves_cycle_aligned));
-  }
-
-  // Commit: placements move; donors are all-or-nothing, so every
-  // source that appears in the schedule is fully vacated.
-  {
-    WAVM3_OBS_SPAN(commit_span, "plan", "commit");
-    std::unordered_set<int> vacated;
-    for (const ScheduledMove& scheduled : plan.moves) vacated.insert(scheduled.source);
-    plan.donors_vacated = static_cast<int>(vacated.size());
-    plan.steady_saving_j = plan.donors_vacated * donor_saving_j(config_);
-    if (commit) {
-      for (const ScheduledMove& scheduled : plan.moves) {
-        fleet.move_vm(scheduled.vm, scheduled.target);
-      }
-      for (const int h : vacated) fleet.set_powered(h, false);
-      plan.overloaded_hosts_after = count_overloaded();
-    } else {
-      plan.overloaded_hosts_after = plan.overloaded_hosts_before;
+    if (!aligned) {
+      start = earliest_feasible_start(fleet, busy, move.source, move.target,
+                                      move.blind.duration_s, now);
     }
-    commit_span.arg("vacated", static_cast<double>(plan.donors_vacated));
+    const MoveVariant& variant = aligned ? move.aligned : move.blind;
+    busy.add(move.source, start, start + variant.duration_s);
+    busy.add(move.target, start, start + variant.duration_s);
+
+    ScheduledMove scheduled;
+    scheduled.vm = move.vm;
+    scheduled.source = move.source;
+    scheduled.target = move.target;
+    scheduled.start_s = start;
+    scheduled.end_s = start + variant.duration_s;
+    scheduled.cycle_aligned = aligned;
+    scheduled.energy_j = variant.energy_j;
+    scheduled.downtime_s = variant.downtime_s;
+    plan.moves.push_back(scheduled);
+
+    plan.total_migration_energy_j += scheduled.energy_j;
+    plan.total_downtime_s += scheduled.downtime_s;
+    if (aligned) ++plan.moves_cycle_aligned;
   }
+  std::sort(plan.moves.begin(), plan.moves.end(),
+            [](const ScheduledMove& a, const ScheduledMove& b) {
+              return a.start_s != b.start_s ? a.start_s < b.start_s : a.vm < b.vm;
+            });
+  span.arg("moves", static_cast<double>(plan.moves.size()));
+  span.arg("aligned", static_cast<double>(plan.moves_cycle_aligned));
+}
+
+/// Stage 6: books the vacated donors' saving and, when `commit`,
+/// applies the plan — placements move and vacated donors power off.
+/// Donors are all-or-nothing, so every source in the schedule is fully
+/// vacated.
+void commit_wave(Fleet& fleet, const PlannerConfig& config, bool commit, WavePlan& plan) {
+  WAVM3_OBS_SPAN(span, "plan", "commit");
+  std::unordered_set<int> vacated;
+  for (const ScheduledMove& scheduled : plan.moves) vacated.insert(scheduled.source);
+  plan.donors_vacated = static_cast<int>(vacated.size());
+  plan.steady_saving_j = plan.donors_vacated * donor_saving_j(config);
+  if (commit) {
+    for (const ScheduledMove& scheduled : plan.moves) {
+      fleet.move_vm(scheduled.vm, scheduled.target);
+    }
+    for (const int h : vacated) fleet.set_powered(h, false);
+    plan.overloaded_hosts_after = count_overloaded(fleet, config);
+  } else {
+    plan.overloaded_hosts_after = plan.overloaded_hosts_before;
+  }
+  span.arg("vacated", static_cast<double>(plan.donors_vacated));
+}
+
+}  // namespace
+
+WavePlan MigrationPlanner::plan_wave(Fleet& fleet, const PlacementStrategy& strategy,
+                                     double now, bool commit) {
+  const auto wall_start = std::chrono::steady_clock::now();
+  WAVM3_OBS_SPAN(span, "plan", "wave");
+  span.note("strategy", strategy.name());
+  PlanMetrics metrics = plan_metrics(strategy.name());
+  WavePlan plan;
+  std::optional<CycleDetector> cycle_detector;
+  if (config_.cycle_aware) cycle_detector.emplace(config_.cycles);
+  const CycleDetector* detector = cycle_detector ? &*cycle_detector : nullptr;
+
+  const WaveHosts hosts = select_hosts(fleet, config_, now, plan);
+  if (detector != nullptr) detect_cycles(fleet, hosts.donors, *detector, metrics.cycle_analyses);
+  CandidateSet candidates = generate_candidates(fleet, hosts, config_, detector);
+  plan.candidates_scored = candidates.moves.size();
+  plan.scoring_seconds = price_candidates(fleet, candidates, forecaster_, config_, detector);
+  metrics.candidates.inc(plan.candidates_scored);
+  metrics.score_seconds.observe(plan.scoring_seconds);
+  const std::vector<int> chosen = choose_moves(fleet, strategy, candidates, config_);
+  schedule_moves(fleet, candidates, chosen, config_, detector, now, plan);
+  commit_wave(fleet, config_, commit, plan);
 
   plan.wave_seconds = seconds_since(wall_start);
   metrics.waves.inc();

@@ -3,13 +3,18 @@
 // (core::MigrationPlanner) and scheduled into workload-cycle
 // low-dirtying windows (plan/cycle_detector.hpp).
 //
-// One wave:
+// One wave, one stage function each:
 //   1. refresh loads; pick donor hosts (underloaded, to be vacated)
 //      and receivers;
-//   2. detect workload cycles on every donor VM's dirtying history;
-//   3. generate (VM, source, target) candidates and price them — each
-//      in a cycle-blind variant (trailing-window dirtying) and, for
-//      periodic VMs, a cycle-aligned variant (low-window dirtying);
+//   2. detect workload cycles on every donor VM's dirtying history
+//      through the fleet's per-VM memo (Fleet::cycle): a history is
+//      analysed once, so a rolling wave only analyses VMs it has not
+//      seen before;
+//   3. generate (VM, source, target) candidates, then price each into
+//      a lean record (energy, duration, downtime) — a cycle-blind
+//      variant (trailing-window dirtying) and, for periodic VMs, a
+//      cycle-aligned variant (low-window dirtying). The scenario is
+//      rebuilt by move_scenario() for pricing and not kept;
 //   4. a PlacementStrategy picks targets (naive first-fit, or
 //      energy-aware beam search) donor by donor, all-or-nothing per
 //      donor (partial vacates save no host energy);
@@ -18,8 +23,10 @@
 //   6. the wave is committed to the fleet (placements move, vacated
 //      donors power off).
 //
-// Every phase runs under an obs:: span (category "plan") and feeds
-// plan_* metrics, so planner runs are traceable like serve requests.
+// Every stage runs under its own obs:: span (category "plan": select,
+// cycle_detect, candidates, score_batch, strategy, schedule, commit,
+// all inside "wave") and feeds plan_* metrics, so planner runs are
+// traceable like serve requests.
 #pragma once
 
 #include <algorithm>
@@ -100,22 +107,24 @@ double donor_saving_j(const PlannerConfig& config);
 core::MigrationScenario move_scenario(const Fleet& fleet, int vm, int source, int target,
                                       const PlannerConfig& config);
 
-/// One priced placement variant of a candidate move.
+/// One priced placement variant of a candidate move: what the
+/// closed-form forecast of its scenario says, and nothing the later
+/// stages do not read.
 struct MoveVariant {
-  core::MigrationScenario scenario;
-  core::MigrationForecast forecast;  ///< closed-form timings + energies
-  double energy_j = 0.0;             ///< source + target
+  double energy_j = 0.0;    ///< source + target
+  double duration_s = 0.0;  ///< migration time (forecast times.me)
+  double downtime_s = 0.0;
 };
 
-/// One (VM, source, target) candidate with its priced variants.
+/// One (VM, source, target) candidate with its priced variants. The
+/// VM's cycle (when has_aligned) is the fleet's memoised estimate.
 struct ScoredMove {
   int vm = -1;
   int source = -1;
   int target = -1;
-  MoveVariant blind;        ///< trailing-window dirtying rate
   bool has_aligned = false;
+  MoveVariant blind;        ///< trailing-window dirtying rate
   MoveVariant aligned;      ///< low-cycle-window dirtying rate
-  CycleEstimate cycle;      ///< the VM's detected cycle (when has_aligned)
 
   /// The energy strategies optimise. Deliberately the *blind* price:
   /// selection is then identical whether cycle scheduling is on or

@@ -1,6 +1,8 @@
 // src/plan/: fleet model, workload-cycle detection, candidate pricing,
 // and wave planning with the bundled placement strategies.
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <initializer_list>
 #include <map>
 #include <sstream>
@@ -11,10 +13,12 @@
 
 #include "cloud/instances.hpp"
 #include "core/planner.hpp"
+#include "obs/metrics.hpp"
 #include "plan/cycle_detector.hpp"
 #include "plan/fleet.hpp"
 #include "plan/planner.hpp"
 #include "plan/strategy.hpp"
+#include "stats/integrate.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
 
@@ -103,11 +107,93 @@ TEST(CycleDetector, RejectsFlatAndDegenerateTraces) {
   EXPECT_FALSE(flat.periodic);
   EXPECT_DOUBLE_EQ(flat.overall_mean, 4321.0);
 
-  // Too short to support any period.
+  // Too short to support any period: still reports the sample mean.
   const std::vector<double> t3 = {0.0, 60.0, 120.0};
-  const std::vector<double> y3 = {1.0, 2.0, 3.0};
-  EXPECT_FALSE(CycleDetector().analyze(t3, y3).periodic);
-  EXPECT_FALSE(CycleDetector().analyze({}, {}).periodic);
+  const std::vector<double> y3 = {1.0, 2.0, 6.0};
+  const CycleEstimate short_trace = CycleDetector().analyze(t3, y3);
+  EXPECT_FALSE(short_trace.periodic);
+  EXPECT_DOUBLE_EQ(short_trace.overall_mean, 3.0);
+  // Zero time span (every sample at one instant).
+  const std::vector<double> t_same(10, 500.0);
+  const std::vector<double> y_same = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+  const CycleEstimate instant = CycleDetector().analyze(t_same, y_same);
+  EXPECT_FALSE(instant.periodic);
+  EXPECT_DOUBLE_EQ(instant.overall_mean, 5.5);
+  const CycleEstimate empty = CycleDetector().analyze({}, {});
+  EXPECT_FALSE(empty.periodic);
+  EXPECT_EQ(empty.overall_mean, 0.0);
+}
+
+/// analyze()'s reported peak and low window recomputed the plain way:
+/// stats::interp_at per grid point, one lag at a time, modulo folding.
+std::pair<double, double> plain_peak_and_low_mean(const std::vector<double>& t,
+                                                  const std::vector<double>& y,
+                                                  const CycleEstimate& e,
+                                                  const CycleDetectorConfig& cfg) {
+  const std::size_t n = cfg.resample_points;
+  const double dt = (t.back() - t.front()) / static_cast<double>(n - 1);
+  std::vector<double> x(n);
+  double mean = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    x[i] = stats::interp_at(t, y, t.front() + static_cast<double>(i) * dt);
+    mean += x[i];
+  }
+  mean /= static_cast<double>(n);
+  double var = 0.0;
+  for (double& v : x) {
+    v -= mean;
+    var += v * v;
+  }
+  var /= static_cast<double>(n);
+  const std::size_t lag = static_cast<std::size_t>(std::llround(e.period_s / dt));
+  double sum = 0.0;
+  for (std::size_t i = 0; i + lag < n; ++i) sum += x[i] * x[i + lag];
+
+  std::vector<double> folded(lag, 0.0);
+  std::vector<std::size_t> counts(lag, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    folded[i % lag] += x[i] + mean;
+    ++counts[i % lag];
+  }
+  for (std::size_t b = 0; b < lag; ++b) {
+    folded[b] /= static_cast<double>(std::max<std::size_t>(1, counts[b]));
+  }
+  const std::size_t win = std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::round(cfg.low_window_fraction * static_cast<double>(lag))));
+  double best = 0.0;
+  for (std::size_t off = 0; off < lag; ++off) {
+    double window = 0.0;
+    for (std::size_t k = 0; k < win; ++k) window += folded[(off + k) % lag];
+    if (off == 0 || window < best) best = window;
+  }
+  return {sum / (static_cast<double>(n - lag) * var), best / static_cast<double>(win)};
+}
+
+TEST(CycleDetector, MatchesThePlainOneLagAtATimeComputation) {
+  int checked = 0;
+  for (const std::size_t points : {16u, 64u, 97u, 256u, 301u}) {
+    for (const double period : {3600.0, 5400.0, 7200.0}) {
+      for (const unsigned seed : {3u, 8u}) {
+        auto [t, y] = sampled_signal(period, 4.5 * period, 60.0, 700.0, seed, 450.0 * seed);
+        if (seed == 8u) {
+          // Repeated timestamps: a step at every 7th sample.
+          for (std::size_t i = 7; i < t.size(); i += 8) {
+            t.insert(t.begin() + static_cast<std::ptrdiff_t>(i), t[i]);
+            y.insert(y.begin() + static_cast<std::ptrdiff_t>(i), y[i] + 2500.0);
+          }
+        }
+        CycleDetectorConfig cfg;
+        cfg.resample_points = points;
+        const CycleEstimate e = CycleDetector(cfg).analyze(t, y);
+        if (!e.periodic) continue;
+        const auto [peak, low_mean] = plain_peak_and_low_mean(t, y, e, cfg);
+        EXPECT_EQ(e.confidence, peak) << points << " points, period " << period;
+        EXPECT_EQ(e.low_mean, low_mean) << points << " points, period " << period;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GE(checked, 20);
 }
 
 TEST(CycleDetector, NextLowWindowStartRepeatsEveryPeriod) {
@@ -258,6 +344,68 @@ TEST(Fleet, CsvRejectsMalformedSpecs) {
   EXPECT_EQ(ok.vm_count(), 2u);
 }
 
+void expect_same_estimate(const CycleEstimate& a, const CycleEstimate& b, int vm) {
+  EXPECT_EQ(a.periodic, b.periodic) << "vm " << vm;
+  EXPECT_EQ(a.period_s, b.period_s) << "vm " << vm;
+  EXPECT_EQ(a.confidence, b.confidence) << "vm " << vm;
+  EXPECT_EQ(a.low_anchor_s, b.low_anchor_s) << "vm " << vm;
+  EXPECT_EQ(a.low_duration_s, b.low_duration_s) << "vm " << vm;
+  EXPECT_EQ(a.low_mean, b.low_mean) << "vm " << vm;
+  EXPECT_EQ(a.overall_mean, b.overall_mean) << "vm " << vm;
+}
+
+TEST(Fleet, CycleMemoMatchesFreshAnalysis) {
+  Fleet fleet = Fleet::synthetic(64, 640, 19);
+  const CycleDetectorConfig cfg;
+  const CycleDetector detector(cfg);
+  const int n = static_cast<int>(fleet.vm_count());
+  EXPECT_EQ(fleet.cycle_analyses(), 0u);  // nothing computed eagerly
+
+  int periodic = 0;
+  for (int v = 0; v < n; ++v) {
+    const VmHistory& h = fleet.vm(v).history;
+    const CycleEstimate& memo = fleet.cycle(v, detector);
+    expect_same_estimate(memo, CycleDetector(cfg).analyze(h.t, h.dirty), v);
+    if (memo.periodic) ++periodic;
+  }
+  EXPECT_GT(periodic, 0);
+  EXPECT_EQ(fleet.cycle_analyses(), static_cast<std::size_t>(n));
+  // Hits run nothing.
+  for (int v = 0; v < n; ++v) (void)fleet.cycle(v, detector);
+  EXPECT_EQ(fleet.cycle_analyses(), static_cast<std::size_t>(n));
+
+  // A copy carries the memo.
+  Fleet copy = fleet;
+  for (int v = 0; v < n; ++v) {
+    expect_same_estimate(copy.cycle(v, detector), fleet.cycle(v, detector), v);
+  }
+  EXPECT_EQ(copy.cycle_analyses(), static_cast<std::size_t>(n));
+
+  // A different config recomputes, and matches a fresh analysis.
+  CycleDetectorConfig other = cfg;
+  other.low_window_fraction = 0.5;
+  ASSERT_FALSE(other == cfg);
+  const CycleDetector other_detector(other);
+  for (int v = 0; v < n; ++v) {
+    const VmHistory& h = copy.vm(v).history;
+    expect_same_estimate(copy.cycle(v, other_detector), other_detector.analyze(h.t, h.dirty), v);
+  }
+  EXPECT_EQ(copy.cycle_analyses(), static_cast<std::size_t>(2 * n));
+
+  // A VM added after the memo is filled is analysed on first use; the
+  // others stay memoised.
+  const Fleet donor = Fleet::synthetic(2, 1, 23);
+  FleetVm extra = donor.vm(0);
+  extra.ram_bytes = 0.0;
+  const int added = fleet.add_vm(extra, 0);
+  expect_same_estimate(fleet.cycle(added, detector),
+                       detector.analyze(extra.history.t, extra.history.dirty), added);
+  EXPECT_EQ(fleet.cycle_analyses(), static_cast<std::size_t>(n + 1));
+  expect_same_estimate(fleet.cycle(0, detector), copy.cycle(0, detector), 0);
+  EXPECT_EQ(fleet.cycle_analyses(), static_cast<std::size_t>(n + 1));
+  EXPECT_THROW((void)fleet.cycle(added + 1, detector), util::ContractError);
+}
+
 TEST(Fleet, RefreshLoadsTracksTrailingWindow) {
   // One host, one VM with a step history: 1 vCPU before t=1000,
   // 3 vCPUs after. A trailing window entirely inside the high plateau
@@ -389,41 +537,64 @@ class RecordingStrategy final : public PlacementStrategy {
 TEST(MigrationPlanner, PricesEveryMoveWithTheClosedFormForecast) {
   const core::Wavm3Model model = make_model();
   const core::MigrationPlanner forecaster(model);
-  PlannerConfig config = test_config();
-  config.cycle_aware = false;
   const double now = SyntheticFleetOptions{}.history_s;
-  Fleet fleet = Fleet::synthetic(24, 120, 23);
-  // The fleet as the wave sees it before committing anything.
-  Fleet before = fleet;
-  before.refresh_loads(now, config.load_window_s);
-
   const BeamSearchStrategy beam;
-  const RecordingStrategy recording(beam);
-  MigrationPlanner planner(model, config);
-  const WavePlan plan = planner.plan_wave(fleet, recording, now);
-  ASSERT_FALSE(plan.moves.empty());
 
-  // Bit-equal, not merely close: the planner prices through the very
-  // same forecast call.
-  for (const ScheduledMove& m : plan.moves) {
-    const core::MigrationForecast expect =
-        forecaster.forecast(move_scenario(before, m.vm, m.source, m.target, config));
-    EXPECT_EQ(m.energy_j, expect.total_energy()) << "vm " << m.vm;
-    EXPECT_EQ(m.downtime_s, expect.downtime) << "vm " << m.vm;
-  }
+  for (const bool cycle_aware : {false, true}) {
+    SCOPED_TRACE(cycle_aware ? "cycle-aware" : "cycle-blind");
+    PlannerConfig config = test_config();
+    config.cycle_aware = cycle_aware;
+    Fleet fleet = Fleet::synthetic(24, 120, 23);
+    // The fleet as the wave sees it before committing anything.
+    Fleet before = fleet;
+    before.refresh_loads(now, config.load_window_s);
+    const CycleDetector detector(config.cycles);
 
-  // Every candidate carries the per-phase split, summing to its totals.
-  ASSERT_EQ(recording.seen.moves.size(), plan.candidates_scored);
-  for (const ScoredMove& c : recording.seen.moves) {
-    EXPECT_FALSE(c.has_aligned);
-    const core::MigrationForecast& fc = c.blind.forecast;
-    EXPECT_EQ(c.blind.energy_j, forecaster.forecast(c.blind.scenario).total_energy());
-    EXPECT_GT(fc.source_phase_energy[1], 0.0);
-    EXPECT_GT(fc.target_phase_energy[1], 0.0);
-    EXPECT_EQ(fc.source_phase_energy[0] + fc.source_phase_energy[1] + fc.source_phase_energy[2],
-              fc.source_energy);
-    EXPECT_EQ(fc.target_phase_energy[0] + fc.target_phase_energy[1] + fc.target_phase_energy[2],
-              fc.target_energy);
+    const RecordingStrategy recording(beam);
+    MigrationPlanner planner(model, config);
+    const WavePlan plan = planner.plan_wave(fleet, recording, now);
+    ASSERT_FALSE(plan.moves.empty());
+
+    // Bit-equal, not merely close: the planner prices through the very
+    // same forecast call.
+    for (const ScheduledMove& m : plan.moves) {
+      core::MigrationScenario sc = move_scenario(before, m.vm, m.source, m.target, config);
+      if (m.cycle_aligned) sc.vm_dirty_pages_per_s = before.cycle(m.vm, detector).low_mean;
+      const core::MigrationForecast expect = forecaster.forecast(sc);
+      EXPECT_EQ(m.energy_j, expect.total_energy()) << "vm " << m.vm;
+      EXPECT_EQ(m.downtime_s, expect.downtime) << "vm " << m.vm;
+    }
+
+    // Every candidate's lean record is its scenario's forecast, and
+    // that forecast carries the per-phase split summing to its totals.
+    ASSERT_EQ(recording.seen.moves.size(), plan.candidates_scored);
+    int aligned = 0;
+    for (const ScoredMove& c : recording.seen.moves) {
+      core::MigrationScenario sc = move_scenario(before, c.vm, c.source, c.target, config);
+      const core::MigrationForecast fc = forecaster.forecast(sc);
+      EXPECT_EQ(c.blind.energy_j, fc.total_energy());
+      EXPECT_EQ(c.blind.duration_s, fc.times.me);
+      EXPECT_EQ(c.blind.downtime_s, fc.downtime);
+      EXPECT_GT(fc.source_phase_energy[1], 0.0);
+      EXPECT_GT(fc.target_phase_energy[1], 0.0);
+      EXPECT_EQ(fc.source_phase_energy[0] + fc.source_phase_energy[1] + fc.source_phase_energy[2],
+                fc.source_energy);
+      EXPECT_EQ(fc.target_phase_energy[0] + fc.target_phase_energy[1] + fc.target_phase_energy[2],
+                fc.target_energy);
+
+      const CycleEstimate& cycle = before.cycle(c.vm, detector);
+      EXPECT_EQ(c.has_aligned, cycle_aware && cycle.periodic) << "vm " << c.vm;
+      if (!c.has_aligned) continue;
+      ++aligned;
+      sc.vm_dirty_pages_per_s = cycle.low_mean;
+      const core::MigrationForecast low = forecaster.forecast(sc);
+      EXPECT_EQ(c.aligned.energy_j, low.total_energy());
+      EXPECT_EQ(c.aligned.duration_s, low.times.me);
+      EXPECT_EQ(c.aligned.downtime_s, low.downtime);
+    }
+    if (cycle_aware) {
+      EXPECT_GT(aligned, 0);
+    }
   }
 }
 
@@ -480,6 +651,56 @@ TEST(MigrationPlanner, CycleAwareSchedulingNeverCostsMoreAndAligns) {
     if (m.cycle_aligned && m.start_s > now) any_deferred = true;
   }
   EXPECT_TRUE(any_deferred);
+}
+
+std::uint64_t cycle_analyses_counted(const char* strategy) {
+  return obs::registry()
+      .counter("plan_cycle_analyses_total", "", {{"strategy", strategy}})
+      .value();
+}
+
+TEST(MigrationPlanner, WarmMemoPlansIdentically) {
+  const core::Wavm3Model model = make_model();
+  Fleet fleet = Fleet::synthetic(32, 320, 37);
+  Fleet fresh = fleet;
+  MigrationPlanner planner(model, test_config());
+  const BeamSearchStrategy beam;
+  const double now = SyntheticFleetOptions{}.history_s;
+
+  const std::uint64_t counted0 = cycle_analyses_counted(beam.name());
+  const WavePlan cold = planner.plan_wave(fleet, beam, now, /*commit=*/false);
+  const std::size_t analyses = fleet.cycle_analyses();
+  ASSERT_GT(analyses, 0u);
+  EXPECT_EQ(cycle_analyses_counted(beam.name()) - counted0, analyses);
+
+  // The second identical what-if wave runs no analysis at all: a dead
+  // memo fails here, with no wall-clock ratio involved.
+  const WavePlan warm = planner.plan_wave(fleet, beam, now, /*commit=*/false);
+  EXPECT_EQ(fleet.cycle_analyses(), analyses);
+  EXPECT_EQ(cycle_analyses_counted(beam.name()) - counted0, analyses);
+
+  const WavePlan copy = planner.plan_wave(fresh, beam, now, /*commit=*/false);
+  EXPECT_EQ(fresh.cycle_analyses(), analyses);
+
+  ASSERT_FALSE(cold.moves.empty());
+  EXPECT_GT(cold.moves_cycle_aligned, 0);
+  for (const WavePlan* other : {&warm, &copy}) {
+    ASSERT_EQ(other->moves.size(), cold.moves.size());
+    for (std::size_t i = 0; i < cold.moves.size(); ++i) {
+      const ScheduledMove& a = cold.moves[i];
+      const ScheduledMove& b = other->moves[i];
+      EXPECT_EQ(a.vm, b.vm);
+      EXPECT_EQ(a.source, b.source);
+      EXPECT_EQ(a.target, b.target);
+      EXPECT_EQ(a.start_s, b.start_s);
+      EXPECT_EQ(a.end_s, b.end_s);
+      EXPECT_EQ(a.energy_j, b.energy_j);
+      EXPECT_EQ(a.downtime_s, b.downtime_s);
+      EXPECT_EQ(a.cycle_aligned, b.cycle_aligned);
+    }
+    EXPECT_EQ(other->total_migration_energy_j, cold.total_migration_energy_j);
+    EXPECT_EQ(other->candidates_scored, cold.candidates_scored);
+  }
 }
 
 TEST(MigrationPlanner, WavesRollForward) {
