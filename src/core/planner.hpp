@@ -6,7 +6,19 @@
 // deciding to migrate (the SVIII use-case), with no simulator in the
 // loop: the pre-copy dynamics are evaluated in closed form with the
 // same laws the engine uses.
+//
+// A forecast splits at two seams. The target host enters the timings
+// only through the transfer bandwidth (transfer_bandwidth), and the
+// energy splits into a source half and a target half
+// (attach_source_energy / attach_target_energy). So pricing one VM's
+// move to many targets (MigrationPlanner::forecast_targets) runs the
+// pre-copy recursion and the source half once per distinct (bandwidth,
+// link rate) and only the target half per target. forecast() is a
+// batch of one of it, so every caller prices through one code path.
 #pragma once
+
+#include <cstddef>
+#include <span>
 
 #include "core/wavm3_model.hpp"
 #include "migration/engine.hpp"
@@ -59,6 +71,14 @@ struct MigrationForecast {
   double total_energy() const { return source_energy + target_energy; }
 };
 
+/// The target-host fields of a MigrationScenario: what varies when one
+/// VM's move is priced towards several candidate targets.
+struct TargetSide {
+  double cpu_load = 0.0;  ///< as MigrationScenario::target_cpu_load
+  double cpu_capacity = 32.0;
+  double link_payload_rate = 117.5e6;  ///< bytes/s, source to this target
+};
+
 /// Closed-form planner over a fitted WAVM3 model.
 class MigrationPlanner {
  public:
@@ -66,17 +86,42 @@ class MigrationPlanner {
   /// migration type.
   explicit MigrationPlanner(const Wavm3Model& model) : model_(&model) {}
 
-  /// Forecasts durations, traffic, downtime and energy.
+  /// Forecasts durations, traffic, downtime and energy: a batch of one
+  /// of forecast_targets.
   MigrationForecast forecast(const MigrationScenario& scenario) const;
+
+  /// Forecasts moving `base`'s VM to each of `targets`: out[i] bit-equals
+  /// forecast() of `base` with its target fields set to targets[i]. The
+  /// timing recursion and the source energy half run once per distinct
+  /// (transfer bandwidth, link rate) — exact `==`, in any order — and
+  /// each target pays only its target half. `base`'s own target fields
+  /// are not read. Every target is validated like forecast(). Keys are matched by a scan over the earlier
+  /// outputs, so a batch is meant to be one VM's handful of candidates.
+  /// Returns the number of timing recursions run (distinct keys).
+  std::size_t forecast_targets(const MigrationScenario& base,
+                               std::span<const TargetSide> targets,
+                               std::span<MigrationForecast> out) const;
 
  private:
   const Wavm3Model* model_;
 };
 
 /// Pure timing/traffic forecast (no energy model needed): evaluates the
-/// pre-copy recursion in closed form. Exposed separately so callers
-/// without a fitted model (and the engine's tests) can use it.
+/// pre-copy recursion in closed form at transfer_bandwidth(scenario).
+/// Exposed separately so callers without a fitted model (and the
+/// engine's tests) can use it. Throws util::ContractError on a scenario
+/// without memory size, link rate or positive host capacities.
 MigrationForecast forecast_timings(const MigrationScenario& scenario);
+
+/// Pre-copy/transfer bandwidth (bytes/s) of a scenario: the link rate
+/// scaled by the weaker endpoint's CPU-headroom efficiency, floored at
+/// 1e5. The only way the target host enters the timings.
+double transfer_bandwidth(const MigrationScenario& scenario);
+
+/// The timing recursion of forecast_timings at a given transfer
+/// `bandwidth`; forecast_timings(sc) is
+/// forecast_timings_at(sc, transfer_bandwidth(sc)). Same checks.
+MigrationForecast forecast_timings_at(const MigrationScenario& scenario, double bandwidth);
 
 /// The representative constant feature values the energy attribution
 /// integrates over each phase: one (source, target) sample pair per
@@ -86,7 +131,10 @@ MigrationForecast forecast_timings(const MigrationScenario& scenario);
 /// predict_power and multiplies by each phase's duration — paper Eq. 4
 /// with constant per-phase features. The closed-form planner, the
 /// datacenter planner's candidates, chaos relief moves and engine-timed
-/// serve forecasts all price through it.
+/// serve forecasts all price through it. Each role's samples come from
+/// one helper: the source samples read the VM, the source host, the
+/// link rate and the timings; the target samples read the VM, the
+/// target host, the link rate and the timings.
 struct PhaseRepresentatives {
   models::MigrationSample source[3];  ///< initiation, transfer, activation
   models::MigrationSample target[3];
@@ -98,11 +146,24 @@ PhaseRepresentatives representative_features(const MigrationScenario& scenario,
                                              const MigrationForecast& fc);
 
 /// Fills the energy fields of `fc` from the fitted model, given the
-/// scenario and already-computed timings/traffic. Exposed so forecasts
-/// whose timings come from elsewhere (e.g. an engine simulation run by
+/// scenario and already-computed timings/traffic: attach_source_energy
+/// then attach_target_energy. Exposed so forecasts whose timings come
+/// from elsewhere (e.g. an engine simulation run by
 /// serve::simulate_forecast) get the exact same energy attribution as
 /// the closed-form planner.
 void attach_energy(const Wavm3Model& model, const MigrationScenario& scenario,
                    MigrationForecast& fc);
+
+/// The source half of attach_energy: fills source_phase_energy and
+/// source_energy, leaving the target fields alone. Reads no target
+/// host field, so one result serves every target with the same
+/// (bandwidth, link rate).
+void attach_source_energy(const Wavm3Model& model, const MigrationScenario& scenario,
+                          MigrationForecast& fc);
+
+/// The target half of attach_energy: fills target_phase_energy and
+/// target_energy, leaving the source fields alone.
+void attach_target_energy(const Wavm3Model& model, const MigrationScenario& scenario,
+                          MigrationForecast& fc);
 
 }  // namespace wavm3::core

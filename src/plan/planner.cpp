@@ -27,6 +27,7 @@ struct PlanMetrics {
   obs::Counter& donors_vacated;
   obs::Counter& cycle_aligned;
   obs::Counter& cycle_analyses;
+  obs::Counter& timing_forecasts;
   obs::Histogram& wave_seconds;
   obs::Histogram& score_seconds;
   obs::Gauge& last_wave_energy;
@@ -44,6 +45,10 @@ PlanMetrics plan_metrics(const char* strategy) {
                 "Moves scheduled into a workload-cycle low-dirtying window", labels),
       r.counter("plan_cycle_analyses_total",
                 "Workload-cycle analyses run (cycle memo misses, not hits)", labels),
+      r.counter("plan_timing_forecasts_total",
+                "Pre-copy timing recursions run pricing candidates (one per VM, variant and "
+                "distinct transfer bandwidth and link rate)",
+                labels),
       r.exponential_histogram("plan_wave_seconds", "Wall time of one planning wave", 1e-4, 2.0,
                               22, labels),
       r.exponential_histogram("plan_score_seconds", "Wall time pricing wave candidates",
@@ -123,7 +128,6 @@ core::MigrationScenario move_scenario(const Fleet& fleet, int vm, int source, in
                                       const PlannerConfig& config) {
   const FleetVm& v = fleet.vm(vm);
   const FleetHost& src = fleet.host(source);
-  const FleetHost& dst = fleet.host(target);
   core::MigrationScenario sc;
   sc.type = config.policy.migration_type;
   sc.vm_mem_bytes = v.ram_bytes;
@@ -132,12 +136,20 @@ core::MigrationScenario move_scenario(const Fleet& fleet, int vm, int source, in
   sc.vm_working_set_pages = static_cast<double>(v.working_set_pages);
   sc.source_cpu_load = std::max(0.0, src.cpu_load - v.cpu_now);
   sc.source_cpu_capacity = static_cast<double>(src.spec.vcpus);
-  sc.target_cpu_load = dst.cpu_load;
-  sc.target_cpu_capacity = static_cast<double>(dst.spec.vcpus);
-  sc.link_payload_rate = link_payload_rate(config, src.spec, dst.spec);
+  const core::TargetSide side = move_target(fleet, source, target, config);
+  sc.target_cpu_load = side.cpu_load;
+  sc.target_cpu_capacity = side.cpu_capacity;
+  sc.link_payload_rate = side.link_payload_rate;
   sc.migration = config.migration;
   sc.bandwidth = config.bandwidth;
   return sc;
+}
+
+core::TargetSide move_target(const Fleet& fleet, int source, int target,
+                             const PlannerConfig& config) {
+  const FleetHost& dst = fleet.host(target);
+  return core::TargetSide{dst.cpu_load, static_cast<double>(dst.spec.vcpus),
+                          link_payload_rate(config, fleet.host(source).spec, dst.spec)};
 }
 
 MigrationPlanner::MigrationPlanner(const core::Wavm3Model& model, PlannerConfig config)
@@ -345,30 +357,49 @@ CandidateSet generate_candidates(Fleet& fleet, const WaveHosts& hosts,
 /// (timings, then paper Eq. 4 over the forecast phases). The aligned
 /// variant is the same move at the cycle's low-window dirtying rate;
 /// the CPU signature is kept (conservative — only the dirtying benefit
-/// of the window is claimed). Returns the wall time spent. The span
-/// keeps its historical name: traces and perfbench's
-/// plan.score_batch_s key on it.
+/// of the window is claimed). One VM's moves are contiguous, so each
+/// run of equal (vm, source) is priced by one forecast_targets call per
+/// variant; `timing_forecasts` counts the recursions those calls run.
+/// Returns the wall time spent. The span keeps its historical name:
+/// traces and perfbench's plan.score_batch_s key on it.
 double price_candidates(Fleet& fleet, CandidateSet& candidates,
                         const core::MigrationPlanner& forecaster, const PlannerConfig& config,
-                        const CycleDetector* detector) {
+                        const CycleDetector* detector, obs::Counter& timing_forecasts) {
   WAVM3_OBS_SPAN(span, "plan", "score_batch");
   const auto start = std::chrono::steady_clock::now();
+  std::vector<ScoredMove>& moves = candidates.moves;
+  std::vector<core::TargetSide> targets;
+  std::vector<core::MigrationForecast> forecasts;
   std::size_t priced = 0;
-  const auto price = [&](const core::MigrationScenario& scenario) {
-    const core::MigrationForecast forecast = forecaster.forecast(scenario);
-    ++priced;
-    return MoveVariant{forecast.total_energy(), forecast.times.me, forecast.downtime};
-  };
-  for (ScoredMove& move : candidates.moves) {
+  std::size_t timings = 0;
+  for (std::size_t begin = 0, end = 0; begin < moves.size(); begin = end) {
+    const ScoredMove& first = moves[begin];
+    targets.clear();
+    for (end = begin; end < moves.size() && moves[end].vm == first.vm &&
+                      moves[end].source == first.source;
+         ++end) {
+      targets.push_back(move_target(fleet, first.source, moves[end].target, config));
+    }
+    forecasts.resize(targets.size());
+    const auto variant = [&](std::size_t i) {
+      const core::MigrationForecast& fc = forecasts[i];
+      return MoveVariant{fc.total_energy(), fc.times.me, fc.downtime};
+    };
     core::MigrationScenario scenario =
-        move_scenario(fleet, move.vm, move.source, move.target, config);
-    move.blind = price(scenario);
-    if (move.has_aligned) {
-      scenario.vm_dirty_pages_per_s = periodic_cycle(fleet, detector, move.vm)->low_mean;
-      move.aligned = price(scenario);
+        move_scenario(fleet, first.vm, first.source, first.target, config);
+    timings += forecaster.forecast_targets(scenario, targets, forecasts);
+    for (std::size_t i = 0; i < targets.size(); ++i) moves[begin + i].blind = variant(i);
+    priced += targets.size();
+    if (first.has_aligned) {
+      scenario.vm_dirty_pages_per_s = periodic_cycle(fleet, detector, first.vm)->low_mean;
+      timings += forecaster.forecast_targets(scenario, targets, forecasts);
+      for (std::size_t i = 0; i < targets.size(); ++i) moves[begin + i].aligned = variant(i);
+      priced += targets.size();
     }
   }
+  timing_forecasts.inc(timings);
   span.arg("scenarios", static_cast<double>(priced));
+  span.arg("timings", static_cast<double>(timings));
   return seconds_since(start);
 }
 
@@ -479,7 +510,8 @@ WavePlan MigrationPlanner::plan_wave(Fleet& fleet, const PlacementStrategy& stra
   if (detector != nullptr) detect_cycles(fleet, hosts.donors, *detector, metrics.cycle_analyses);
   CandidateSet candidates = generate_candidates(fleet, hosts, config_, detector);
   plan.candidates_scored = candidates.moves.size();
-  plan.scoring_seconds = price_candidates(fleet, candidates, forecaster_, config_, detector);
+  plan.scoring_seconds = price_candidates(fleet, candidates, forecaster_, config_, detector,
+                                           metrics.timing_forecasts);
   metrics.candidates.inc(plan.candidates_scored);
   metrics.score_seconds.observe(plan.scoring_seconds);
   const std::vector<int> chosen = choose_moves(fleet, strategy, candidates, config_);

@@ -13,7 +13,11 @@
 //   3. generate (VM, source, target) candidates, then price each into
 //      a lean record (energy, duration, downtime) — a cycle-blind
 //      variant (trailing-window dirtying) and, for periodic VMs, a
-//      cycle-aligned variant (low-window dirtying). The scenario is
+//      cycle-aligned variant (low-window dirtying). Pricing fans out
+//      once per VM run: one core forecast_targets call per variant
+//      prices the VM's move to all its targets, running the pre-copy
+//      recursion and source energy once per distinct (bandwidth, link
+//      rate) and only the target half per target. The scenario is
 //      rebuilt by move_scenario() for pricing and not kept;
 //   4. a PlacementStrategy picks targets (naive first-fit, or
 //      energy-aware beam search) donor by donor, all-or-nothing per
@@ -106,6 +110,11 @@ double donor_saving_j(const PlannerConfig& config);
 /// the VM, the target's load, and the link between them.
 core::MigrationScenario move_scenario(const Fleet& fleet, int vm, int source, int target,
                                       const PlannerConfig& config);
+
+/// The target fields of move_scenario(fleet, vm, source, target,
+/// config): the target's load and capacity and the link from `source`.
+core::TargetSide move_target(const Fleet& fleet, int source, int target,
+                             const PlannerConfig& config);
 
 /// One priced placement variant of a candidate move: what the
 /// closed-form forecast of its scenario says, and nothing the later

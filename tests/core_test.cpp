@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "core/calibration.hpp"
 #include "core/phase_eval.hpp"
@@ -316,6 +317,121 @@ TEST(Planner, RejectsInvalidScenarios) {
   MigrationScenario sc = base_scenario();
   sc.vm_mem_bytes = 0.0;
   EXPECT_THROW(forecast_timings(sc), util::ContractError);
+}
+
+/// Every field of two forecasts, compared bit for bit.
+void expect_bit_equal(const MigrationForecast& a, const MigrationForecast& b) {
+  EXPECT_EQ(a.times.ms, b.times.ms);
+  EXPECT_EQ(a.times.ts, b.times.ts);
+  EXPECT_EQ(a.times.te, b.times.te);
+  EXPECT_EQ(a.times.me, b.times.me);
+  EXPECT_EQ(a.bandwidth, b.bandwidth);
+  EXPECT_EQ(a.total_bytes, b.total_bytes);
+  EXPECT_EQ(a.precopy_rounds, b.precopy_rounds);
+  EXPECT_EQ(a.downtime, b.downtime);
+  EXPECT_EQ(a.degenerated_to_nonlive, b.degenerated_to_nonlive);
+  EXPECT_EQ(a.source_energy, b.source_energy);
+  EXPECT_EQ(a.target_energy, b.target_energy);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(a.source_phase_energy[i], b.source_phase_energy[i]) << "phase " << i;
+    EXPECT_EQ(a.target_phase_energy[i], b.target_phase_energy[i]) << "phase " << i;
+  }
+}
+
+MigrationScenario with_target(MigrationScenario sc, const TargetSide& target) {
+  sc.target_cpu_load = target.cpu_load;
+  sc.target_cpu_capacity = target.cpu_capacity;
+  sc.link_payload_rate = target.link_payload_rate;
+  return sc;
+}
+
+TEST(Planner, ForecastTargetsBitEqualsPerTargetForecast) {
+  const Wavm3Model& model = fitted_wavm3();
+  const MigrationPlanner planner(model);
+  const double nic_1g = 0.94 * util::gbit_per_s(1);  // a NIC-capped link
+  const double link_10g = 0.94 * util::gbit_per_s(10);
+
+  for (const MigrationType type :
+       {MigrationType::kLive, MigrationType::kNonLive, MigrationType::kPostCopy}) {
+    SCOPED_TRACE(static_cast<int>(type));
+    MigrationScenario base = base_scenario();
+    base.type = type;
+    base.vm_dirty_pages_per_s = 2000.0;  // several pre-copy rounds
+    // Exact efficiencies (0.5 at no headroom, 1 at full), so a link of
+    // twice the rate at no headroom lands on the same bandwidth.
+    base.bandwidth.min_efficiency = 0.5;
+    const double wire = base.bandwidth.cpu_for_wire_speed;
+    // Post-copy adds the VM's CPU to the target's busy side.
+    const double vm_on_target = type == MigrationType::kPostCopy ? base.vm_cpu_vcpus : 0.0;
+    const double cap = 16.0;
+
+    // Headroom above, below and at cpu_for_wire_speed, then a faster
+    // link and a link twice as fast with no headroom: keys A B A C D B.
+    const TargetSide above{cap - wire - 3.0 - vm_on_target, cap, nic_1g};   // key A
+    const TargetSide below{cap - 0.5 * wire - vm_on_target, cap, nic_1g};   // key B
+    const TargetSide at{32.0 - wire - vm_on_target, 32.0, nic_1g};          // key A
+    const TargetSide fast{1.0, cap, link_10g};                              // key C
+    const TargetSide starved{cap - vm_on_target, cap, 2.0 * nic_1g};        // key D
+    const TargetSide below_again{24.0 - 0.5 * wire - vm_on_target, 24.0, nic_1g};  // key B
+    const std::vector<TargetSide> targets = {above, below, at, fast, starved, below_again};
+
+    // The keys are what the test says they are: at least three distinct
+    // bandwidths, and D shares A's bandwidth but not its link rate (so
+    // a memo keyed on bandwidth alone would price D's source wrongly).
+    const auto bw = [&](const TargetSide& t) { return transfer_bandwidth(with_target(base, t)); };
+    ASSERT_EQ(bw(above), bw(at));
+    ASSERT_EQ(bw(below), bw(below_again));
+    ASSERT_NE(bw(above), bw(below));
+    ASSERT_NE(bw(above), bw(fast));
+    ASSERT_NE(bw(below), bw(fast));
+    ASSERT_EQ(bw(starved), bw(above));
+    ASSERT_NE(starved.link_payload_rate, above.link_payload_rate);
+
+    std::vector<MigrationForecast> out(targets.size());
+    // A memo that kept only the last key would run 6 recursions, one
+    // that kept only the first would run 5.
+    EXPECT_EQ(planner.forecast_targets(base, targets, out), 4u);
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+      SCOPED_TRACE(i);
+      const MigrationScenario sc = with_target(base, targets[i]);
+      expect_bit_equal(out[i], planner.forecast(sc));
+      MigrationForecast composed = forecast_timings(sc);
+      attach_energy(model, sc, composed);
+      expect_bit_equal(out[i], composed);
+
+      // The timings are the recursion at the scenario's bandwidth.
+      const MigrationForecast timings = forecast_timings(sc);
+      EXPECT_EQ(timings.bandwidth, transfer_bandwidth(sc));
+      expect_bit_equal(timings, forecast_timings_at(sc, transfer_bandwidth(sc)));
+
+      // attach_energy is its source half plus its target half, and each
+      // half fills only its own role's fields.
+      MigrationForecast halves = timings;
+      attach_source_energy(model, sc, halves);
+      EXPECT_EQ(halves.target_energy, 0.0);
+      EXPECT_EQ(halves.target_phase_energy[1], 0.0);
+      attach_target_energy(model, sc, halves);
+      expect_bit_equal(halves, composed);
+      MigrationForecast target_only = timings;
+      attach_target_energy(model, sc, target_only);
+      EXPECT_EQ(target_only.source_energy, 0.0);
+      EXPECT_EQ(target_only.target_energy, composed.target_energy);
+    }
+    // The two targets with key A differ in load and capacity, so only
+    // the target half tells them apart.
+    EXPECT_EQ(out[0].source_energy, out[2].source_energy);
+    EXPECT_NE(out[0].target_energy, out[2].target_energy);
+
+    // Every target is still validated, hit or miss.
+    const TargetSide no_capacity{0.0, 0.0, nic_1g};
+    const std::vector<TargetSide> bad = {above, no_capacity};
+    std::vector<MigrationForecast> bad_out(bad.size());
+    EXPECT_THROW(planner.forecast_targets(base, bad, bad_out), util::ContractError);
+    const std::vector<TargetSide> no_link = {above, TargetSide{1.0, cap, 0.0}};
+    EXPECT_THROW(planner.forecast_targets(base, no_link, bad_out), util::ContractError);
+    std::vector<MigrationForecast> short_out(1);
+    EXPECT_THROW(planner.forecast_targets(base, targets, short_out), util::ContractError);
+  }
 }
 
 }  // namespace

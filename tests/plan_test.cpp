@@ -1,5 +1,6 @@
 // src/plan/: fleet model, workload-cycle detection, candidate pricing,
 // and wave planning with the bundled placement strategies.
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -7,6 +8,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -880,6 +882,190 @@ TEST(MigrationPlanner, OnlyUnderloadedHostsDonate) {
   EXPECT_EQ(plan.donors_considered, 1);
   ASSERT_FALSE(plan.moves.empty());
   for (const ScheduledMove& m : plan.moves) EXPECT_EQ(m.source, 0);
+}
+
+// ------------------------------------- per-VM pricing fan-out
+
+/// Runs of equal (vm, source) in `moves` with their distinct
+/// (transfer bandwidth, link rate) keys: the recursions pricing one
+/// variant of the run must run.
+struct VmRunKeys {
+  int runs = 0;
+  int aligned_runs = 0;
+  std::size_t keys = 0;          ///< summed over runs
+  std::size_t aligned_keys = 0;  ///< summed over runs with an aligned variant
+  std::size_t max_bandwidths = 0;  ///< most distinct bandwidths in one run
+};
+
+VmRunKeys vm_run_keys(const Fleet& before, const std::vector<ScoredMove>& moves,
+                      const PlannerConfig& config) {
+  VmRunKeys out;
+  for (std::size_t begin = 0, end = 0; begin < moves.size(); begin = end) {
+    std::vector<std::pair<double, double>> keys;
+    std::vector<double> bandwidths;
+    for (end = begin; end < moves.size() && moves[end].vm == moves[begin].vm &&
+                      moves[end].source == moves[begin].source;
+         ++end) {
+      const core::MigrationScenario sc =
+          move_scenario(before, moves[end].vm, moves[end].source, moves[end].target, config);
+      const std::pair<double, double> key{core::transfer_bandwidth(sc), sc.link_payload_rate};
+      if (std::find(keys.begin(), keys.end(), key) == keys.end()) keys.push_back(key);
+      if (std::find(bandwidths.begin(), bandwidths.end(), key.first) == bandwidths.end()) {
+        bandwidths.push_back(key.first);
+      }
+    }
+    ++out.runs;
+    out.keys += keys.size();
+    out.max_bandwidths = std::max(out.max_bandwidths, bandwidths.size());
+    if (moves[begin].has_aligned) {
+      ++out.aligned_runs;
+      out.aligned_keys += keys.size();
+    }
+  }
+  return out;
+}
+
+/// Every candidate's variants bit-equal forecast(move_scenario(...)) on
+/// the fleet as the wave saw it.
+void expect_priced_by_forecast(Fleet& before, const CandidateSet& candidates,
+                               const core::MigrationPlanner& forecaster,
+                               const PlannerConfig& config, const CycleDetector& detector) {
+  for (const ScoredMove& c : candidates.moves) {
+    SCOPED_TRACE(testing::Message() << "vm " << c.vm << " to " << c.target);
+    core::MigrationScenario sc = move_scenario(before, c.vm, c.source, c.target, config);
+    const core::MigrationForecast fc = forecaster.forecast(sc);
+    EXPECT_EQ(c.blind.energy_j, fc.total_energy());
+    EXPECT_EQ(c.blind.duration_s, fc.times.me);
+    EXPECT_EQ(c.blind.downtime_s, fc.downtime);
+    if (!c.has_aligned) continue;
+    sc.vm_dirty_pages_per_s = before.cycle(c.vm, detector).low_mean;
+    const core::MigrationForecast low = forecaster.forecast(sc);
+    EXPECT_EQ(c.aligned.energy_j, low.total_energy());
+    EXPECT_EQ(c.aligned.duration_s, low.times.me);
+    EXPECT_EQ(c.aligned.downtime_s, low.downtime);
+  }
+}
+
+std::uint64_t timing_forecasts_counted(const char* strategy) {
+  return obs::registry()
+      .counter("plan_timing_forecasts_total", "", {{"strategy", strategy}})
+      .value();
+}
+
+/// Two racks of 1- and 10-Gbit hosts: 8-vCPU receivers loaded to
+/// within 2 vCPU of capacity, 32-vCPU receivers with room, and two
+/// lightly loaded donors whose VMs have periodic dirtying histories.
+/// A VM's targets then differ in link rate and in headroom below and
+/// above cpu_for_wire_speed, so its transfer bandwidths differ too.
+Fleet heterogeneous_fleet(double now) {
+  Fleet fleet;
+  const auto host = [&](const std::string& name, int vcpus, double nic_gbit,
+                        const std::string& group) {
+    cloud::HostSpec h = gbe_host(name, vcpus);
+    h.nic_rate = util::gbit_per_s(nic_gbit);
+    h.group = group;
+    return fleet.add_host(h);
+  };
+  const auto load = [&](int h, double cpu) {
+    FleetVm filler;
+    filler.id = fleet.host(h).spec.name + "-load";
+    filler.ram_bytes = util::gib(2);
+    filler.cpu_now = cpu;
+    fleet.add_vm(filler, h);
+  };
+  const int donor_10g = host("d0", 32, 10, "g0");
+  const int donor_1g = host("d1", 32, 1, "g1");
+  load(host("r0", 8, 10, "g0"), 6.5);
+  load(host("r1", 32, 10, "g0"), 12.0);
+  load(host("r2", 8, 1, "g0"), 6.2);
+  load(host("r3", 32, 10, "g1"), 14.0);
+  load(host("r4", 8, 10, "g1"), 6.4);
+  load(host("r5", 32, 1, "g1"), 11.0);
+
+  int n = 0;
+  for (const int donor : {donor_10g, donor_1g}) {
+    for (int i = 0; i < 2; ++i, ++n) {
+      FleetVm vm;
+      vm.id = "mv" + std::to_string(n);
+      vm.ram_bytes = util::gib(2 + n);
+      vm.working_set_pages = 200000;
+      const auto [t, dirty] = sampled_signal(7200.0, now, 60.0, 0.0, 5u + n, 1800.0 * n);
+      vm.history.t = t;
+      vm.history.dirty = dirty;
+      vm.history.cpu.assign(t.size(), 1.0);
+      fleet.add_vm(vm, donor);
+    }
+  }
+  return fleet;
+}
+
+TEST(MigrationPlanner, PricesHeterogeneousTargetsWithTheClosedFormForecast) {
+  const core::Wavm3Model model = make_model();
+  const core::MigrationPlanner forecaster(model);
+  const double now = 4.0 * 7200.0;
+  const BeamSearchStrategy beam;
+
+  for (const bool cycle_aware : {false, true}) {
+    SCOPED_TRACE(cycle_aware ? "cycle-aware" : "cycle-blind");
+    PlannerConfig config = test_config();
+    config.cycle_aware = cycle_aware;
+    config.policy.overload_fraction = 0.95;
+    config.intra_group_payload_rate = 0.9e9;
+    config.inter_group_payload_rate = 0.4e9;
+    Fleet fleet = heterogeneous_fleet(now);
+    Fleet before = fleet;
+    before.refresh_loads(now, config.load_window_s);
+    const CycleDetector detector(config.cycles);
+
+    const RecordingStrategy recording(beam);
+    MigrationPlanner planner(model, config);
+    const std::uint64_t counted0 = timing_forecasts_counted(beam.name());
+    planner.plan_wave(fleet, recording, now, /*commit=*/false);
+    const std::uint64_t timings = timing_forecasts_counted(beam.name()) - counted0;
+    const CandidateSet& seen = recording.seen;
+    ASSERT_FALSE(seen.moves.empty());
+
+    // Not vacuous: some VM's targets span several bandwidths, so the
+    // planner's per-VM fan-out misses its reuse inside a run.
+    const VmRunKeys keys = vm_run_keys(before, seen.moves, config);
+    EXPECT_GE(keys.max_bandwidths, 2u);
+    EXPECT_GT(keys.keys, static_cast<std::size_t>(keys.runs));
+    if (cycle_aware) {
+      EXPECT_GT(keys.aligned_runs, 0);
+    }
+    // One recursion per distinct key of each run and variant.
+    EXPECT_EQ(timings, keys.keys + keys.aligned_keys);
+    expect_priced_by_forecast(before, seen, forecaster, config, detector);
+  }
+}
+
+TEST(MigrationPlanner, PricingRunsOneRecursionPerVmRunAndVariant) {
+  // A count guard on the per-VM fan-out, with no wall-clock ratio: on
+  // the synthetic fleet every target of a VM has the same bandwidth and
+  // link rate, so a wave runs one pre-copy recursion per (VM run,
+  // variant) — strictly fewer than the variants it prices.
+  const core::Wavm3Model model = make_model();
+  const PlannerConfig config = test_config();
+  const double now = SyntheticFleetOptions{}.history_s;
+  Fleet fleet = Fleet::synthetic(24, 120, 23);
+  Fleet before = fleet;
+  before.refresh_loads(now, config.load_window_s);
+  const BeamSearchStrategy beam;
+  const RecordingStrategy recording(beam);
+  MigrationPlanner planner(model, config);
+
+  const std::uint64_t counted0 = timing_forecasts_counted(beam.name());
+  planner.plan_wave(fleet, recording, now, /*commit=*/false);
+  const std::uint64_t timings = timing_forecasts_counted(beam.name()) - counted0;
+
+  const CandidateSet& seen = recording.seen;
+  std::size_t scenarios = 0;
+  for (const ScoredMove& c : seen.moves) scenarios += c.has_aligned ? 2 : 1;
+  const VmRunKeys keys = vm_run_keys(before, seen.moves, config);
+  ASSERT_GT(keys.aligned_runs, 0);
+  EXPECT_EQ(keys.keys, static_cast<std::size_t>(keys.runs));
+  EXPECT_EQ(timings, static_cast<std::uint64_t>(keys.runs + keys.aligned_runs));
+  EXPECT_LT(timings, scenarios);
 }
 
 }  // namespace
