@@ -1,5 +1,8 @@
 // Tier-2 bench for the prediction service (src/serve/): measures
-//   * thread scaling on uncached queries (1 -> N workers),
+//   * closed-form predict_batch throughput (priced inline on the
+//     caller's thread),
+//   * thread scaling on uncached simulated-fidelity batches (1 -> N
+//     workers; the only batches the pool serves),
 //   * cached vs uncached throughput on a 90%-repeated query stream,
 //   * result equivalence against direct Planner/Wavm3Model calls,
 // prints a summary, emits bench_out/serve_throughput.json, and
@@ -127,19 +130,26 @@ void print_report() {
   const core::Wavm3Model model = make_model();
   constexpr std::size_t kRequests = 20000;
 
-  // Thread scaling, cache off, all-distinct queries.
+  // Closed-form batches, default config, all-distinct queries: priced
+  // inline on the caller's thread, so the pool size does not enter.
   const std::vector<core::MigrationScenario> distinct = make_stream(0.0, kRequests, 11);
   std::printf("%-34s %14s %10s\n", "configuration", "qps", "speedup");
+  const double inline_qps = measure_qps(model, serve::ServiceConfig{}, distinct);
+  std::printf("closed-form batch, inline %26.0f\n", inline_qps);
+
+  // Thread scaling, cache off, all-distinct queries, at simulated
+  // fidelity: every miss is an engine run in a pool task.
   std::vector<std::pair<int, double>> scaling;
   double qps_1t = 0.0;
   for (const int threads : {1, 2, 4, 8}) {
     serve::ServiceConfig cfg;
     cfg.threads = threads;
     cfg.cache_capacity = 0;
+    cfg.fidelity = serve::Fidelity::kSimulated;
     const double qps = measure_qps(model, cfg, distinct);
     if (threads == 1) qps_1t = qps;
     scaling.emplace_back(threads, qps);
-    std::printf("uncached, %2d threads %31.0f %9.2fx\n", threads, qps,
+    std::printf("simulated uncached, %2d threads %21.0f %9.2fx\n", threads, qps,
                 qps / std::max(1.0, qps_1t));
   }
 
@@ -201,12 +211,13 @@ void print_report() {
   std::ofstream json("bench_out/serve_throughput.json");
   if (json) {
     json << "{\n  \"hardware_threads\": " << hw << ",\n  \"requests\": " << kRequests
-         << ",\n  \"uncached_scaling\": [";
+         << ",\n  \"simulated_uncached_scaling\": [";
     for (std::size_t i = 0; i < scaling.size(); ++i) {
       json << (i == 0 ? "" : ", ") << "{\"threads\": " << scaling[i].first
            << ", \"qps\": " << scaling[i].second << "}";
     }
-    json << "],\n  \"closed_form\": {\"repeat90_cache_off_qps\": " << qps_off
+    json << "],\n  \"closed_form\": {\"inline_batch_qps\": " << inline_qps
+         << ", \"repeat90_cache_off_qps\": " << qps_off
          << ", \"repeat90_cache_on_qps\": " << qps_on
          << ", \"cache_speedup\": " << qps_on / std::max(1.0, qps_off)
          << "},\n  \"simulated\": {\"repeat90_cache_off_qps\": " << sim_qps_off_90

@@ -54,7 +54,8 @@ PredictionService::PredictionService(std::shared_ptr<const core::Wavm3Model> mod
       g_breaker_state_(obs_metrics_.gauge("serve_breaker_state",
                                           "Breaker state (0 closed, 1 open, 2 half-open)")),
       h_batch_size_(obs_metrics_.histogram(
-          "serve_batch_size", "Deduplicated scenarios per predict_batch worker task",
+          "serve_batch_size",
+          "Deduplicated scenarios per predict_batch worker task or inline batch",
           {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0})),
       h_batch_item_latency_(obs_metrics_.exponential_histogram(
           "serve_batch_item_latency_ns",
@@ -312,13 +313,16 @@ std::optional<std::future<core::MigrationForecast>> PredictionService::try_submi
 }
 
 void PredictionService::run_batch_chunk(const CoefficientStore::Snapshot& snap,
-                                        std::span<BatchWorkItem> chunk,
+                                        std::span<const BatchWorkItem> chunk,
+                                        std::span<BatchItem> results,
                                         std::chrono::steady_clock::time_point enqueued,
                                         double deadline_s) {
   WAVM3_OBS_SPAN(span, "serve", "batch_chunk");
   const std::uint64_t started_ns = obs::now_ns();
   h_batch_size_.observe(static_cast<double>(chunk.size()));
-  for (BatchWorkItem& item : chunk) {
+  for (const BatchWorkItem& item : chunk) {
+    BatchItem& slot = results[item.slot];
+    slot = BatchItem{};
     try {
       if (deadline_s > 0.0) {
         const double waited =
@@ -333,18 +337,41 @@ void PredictionService::run_batch_chunk(const CoefficientStore::Snapshot& snap,
                            deadline_s * 1e3));
         }
       }
-      EvalResult computed = compute(*snap.model, item.canonical);
+      EvalResult computed = compute(*snap.model, *item.canonical);
       if (computed.cacheable && cache_ != nullptr) cache_->put(item.key, computed.forecast);
-      item.result.forecast = std::move(computed.forecast);
+      slot.forecast = std::move(computed.forecast);
     } catch (const PredictError& e) {
-      item.result.error = e;
+      slot.error = e;
     } catch (const std::exception& e) {
-      item.result.error = PredictError(PredictErrorCode::kBackendFailure, e.what());
+      slot.error = PredictError(PredictErrorCode::kBackendFailure, e.what());
     }
   }
   const std::uint64_t elapsed_ns = obs::now_ns() - started_ns;
   const double amortized = static_cast<double>(elapsed_ns) / static_cast<double>(chunk.size());
   for (std::size_t i = 0; i < chunk.size(); ++i) h_batch_item_latency_.observe(amortized);
+}
+
+void PredictionService::price_batch_inline(const CoefficientStore::Snapshot& snap,
+                                           std::span<const BatchWorkItem> work,
+                                           std::span<BatchItem> results) {
+  WAVM3_OBS_SPAN(span, "serve", "batch_inline");
+  span.arg("items", static_cast<double>(results.size()));
+  span.arg("distinct", static_cast<double>(work.size()));
+  const std::uint64_t started_ns = obs::now_ns();
+  h_batch_size_.observe(static_cast<double>(work.size()));
+  const core::MigrationPlanner planner(*snap.model);
+  for (const BatchWorkItem& item : work) {
+    BatchItem& slot = results[item.slot];
+    slot = BatchItem{};
+    try {
+      slot.forecast = planner.forecast(*item.canonical);
+    } catch (const std::exception& e) {
+      slot.error = PredictError(PredictErrorCode::kBackendFailure, e.what());
+    }
+  }
+  const std::uint64_t elapsed_ns = obs::now_ns() - started_ns;
+  const double amortized = static_cast<double>(elapsed_ns) / static_cast<double>(work.size());
+  for (std::size_t i = 0; i < work.size(); ++i) h_batch_item_latency_.observe(amortized);
 }
 
 PredictionService::BatchScratch& PredictionService::batch_scratch() {
@@ -364,10 +391,11 @@ void PredictionService::predict_batch_results(
   const LatencyTimer timer(metrics_, ep_batch_);
   if (scenarios.empty()) return;
 
-  // One snapshot for the whole batch: every miss is computed — and
-  // cached — under the same coefficient version, even if a reload
-  // lands mid-batch.
+  // One snapshot for the whole batch: every scenario is priced — and,
+  // at simulated fidelity, cached — under the same coefficient
+  // version, even if a reload lands mid-batch.
   const CoefficientStore::Snapshot snap = store_.snapshot();
+  const bool simulated = config_.fidelity == Fidelity::kSimulated;
 
   // Per-thread grow-only workspace: clearing keeps the capacity, so a
   // steady-state batch reuses every buffer. The dedup table is open
@@ -384,13 +412,21 @@ void PredictionService::predict_batch_results(
   }
   std::fill(scratch.dedup.begin(), scratch.dedup.end(), 0);
   const std::size_t mask = table_size - 1;
+  // canonicalize() is the identity without quantization, so the inputs
+  // themselves are keyed and priced.
+  const bool quantized = config_.quantization_step > 0.0;
+  if (quantized) scratch.canonical.resize(scenarios.size());
 
   // Inline phase: canonicalize, deduplicate (a repeated scenario is
-  // computed once and fanned out), and probe the cache.
+  // priced once and fanned out), and at simulated fidelity probe the
+  // cache.
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    core::MigrationScenario canonical =
-        canonicalize(scenarios[i], config_.quantization_step);
-    const ScenarioKey key(snap.version, canonical);
+    const core::MigrationScenario* canonical = &scenarios[i];
+    if (quantized) {
+      scratch.canonical[i] = canonicalize(scenarios[i], config_.quantization_step);
+      canonical = &scratch.canonical[i];
+    }
+    const ScenarioKey key(snap.version, *canonical);
     std::size_t probe = ScenarioKeyHash{}(key) & mask;
     std::size_t found = kCacheHit;
     while (scratch.dedup[probe] != 0) {
@@ -405,7 +441,7 @@ void PredictionService::predict_batch_results(
       scratch.item_of[i] = found;
       continue;
     }
-    if (cache_ != nullptr) {
+    if (simulated && cache_ != nullptr) {
       if (std::optional<core::MigrationForecast> hit = cache_->get(key)) {
         results[i] = BatchItem{};
         results[i].forecast = std::move(*hit);
@@ -415,43 +451,59 @@ void PredictionService::predict_batch_results(
     }
     scratch.item_of[i] = scratch.work.size();
     scratch.dedup[probe] = scratch.work.size() + 1;
-    scratch.work.push_back(BatchWorkItem{std::move(canonical), key, BatchItem{}});
+    scratch.work.push_back(BatchWorkItem{canonical, key, i});
   }
   if (scratch.work.empty()) return;
 
-  // Fan the misses out in chunks of batch_max_size, one worker task
-  // per chunk; per-chunk promises both signal completion and publish
-  // the workers' writes to this thread.
-  const double deadline_s = config_.default_deadline_s;
-  const std::chrono::steady_clock::time_point enqueued = std::chrono::steady_clock::now();
-  scratch.completions.clear();
-  for (std::size_t begin = 0; begin < scratch.work.size();
-       begin += config_.batch_max_size) {
-    const std::size_t count = std::min(config_.batch_max_size, scratch.work.size() - begin);
-    const std::span<BatchWorkItem> chunk(scratch.work.data() + begin, count);
-    std::promise<void> done;
-    scratch.completions.push_back(done.get_future());
-    const bool queued = pool_.submit(
-        [this, &snap, chunk, enqueued, deadline_s, done = std::move(done)]() mutable {
-          run_batch_chunk(snap, chunk, enqueued, deadline_s);
-          done.set_value();
-        });
-    if (!queued) {
-      scratch.completions.pop_back();
-      for (BatchWorkItem& item : chunk) {
-        rejected_after_shutdown_.inc();
-        item.result.error =
-            PredictError(PredictErrorCode::kShutdown, "prediction service is shut down");
+  const auto reject_after_shutdown = [&](std::span<const BatchWorkItem> items) {
+    for (const BatchWorkItem& item : items) {
+      rejected_after_shutdown_.inc();
+      results[item.slot] = BatchItem{};
+      results[item.slot].error =
+          PredictError(PredictErrorCode::kShutdown, "prediction service is shut down");
+    }
+  };
+  if (!simulated) {
+    // A closed-form batch never queues, but a shut-down service still
+    // rejects it like any other request.
+    if (pool_.accepting()) {
+      price_batch_inline(snap, scratch.work, results);
+    } else {
+      reject_after_shutdown(scratch.work);
+    }
+  } else {
+    // Fan the misses out in chunks of batch_max_size, one worker task
+    // per chunk; per-chunk promises both signal completion and publish
+    // the workers' slot writes to this thread.
+    const double deadline_s = config_.default_deadline_s;
+    const std::chrono::steady_clock::time_point enqueued = std::chrono::steady_clock::now();
+    scratch.completions.clear();
+    for (std::size_t begin = 0; begin < scratch.work.size();
+         begin += config_.batch_max_size) {
+      const std::size_t count = std::min(config_.batch_max_size, scratch.work.size() - begin);
+      const std::span<const BatchWorkItem> chunk(scratch.work.data() + begin, count);
+      std::promise<void> done;
+      scratch.completions.push_back(done.get_future());
+      const bool queued = pool_.submit(
+          [this, &snap, chunk, results, enqueued, deadline_s,
+           done = std::move(done)]() mutable {
+            run_batch_chunk(snap, chunk, results, enqueued, deadline_s);
+            done.set_value();
+          });
+      if (!queued) {
+        scratch.completions.pop_back();
+        reject_after_shutdown(chunk);
       }
     }
+    for (std::future<void>& f : scratch.completions) f.get();
+    scratch.completions.clear();
   }
-  for (std::future<void>& f : scratch.completions) f.get();
-  scratch.completions.clear();
 
-  // Fan each computed item out to every input slot that mapped to it.
+  // Copy each first occurrence's answer to the duplicates that mapped
+  // to it.
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
     const std::size_t w = scratch.item_of[i];
-    if (w != kCacheHit) results[i] = scratch.work[w].result;
+    if (w != kCacheHit && scratch.work[w].slot != i) results[i] = results[scratch.work[w].slot];
   }
 }
 

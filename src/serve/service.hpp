@@ -5,14 +5,17 @@
 //   - predict()        synchronous, runs on the caller's thread
 //   - submit()         asynchronous, executed by the worker pool,
 //                      backpressured by the bounded queue
-//   - predict_batch()  answers cache hits inline, dedups repeated
-//                      scenarios, and groups the remaining misses into
-//                      real batches (<= batch_max_size) — one worker
-//                      task per batch, all coalesced under a single
-//                      coefficient snapshot, with per-slot results
+//   - predict_batch()  dedups repeated scenarios under one coefficient
+//                      snapshot, then prices the distinct ones by
+//                      fidelity: closed form inline on the caller's
+//                      thread, with no cache and no pool; simulated
+//                      through the cache, the misses in worker tasks
+//                      of <= batch_max_size scenarios each. Results
+//                      are per slot either way.
 //
-// All entry points share one sharded LRU result cache (keyed on the
-// quantized scenario + coefficient version, see scenario_key.hpp) and
+// predict(), submit(), try_submit() and simulated batches share one
+// sharded LRU result cache (keyed on the quantized scenario +
+// coefficient version, see scenario_key.hpp). All entry points share
 // one RCU-style coefficient store: reload()/swap_model() publish new
 // coefficients without blocking in-flight predictions, and the version
 // baked into every cache key retires stale results automatically.
@@ -60,7 +63,10 @@ using SimulatedBackend = std::function<core::MigrationForecast(
 struct ServiceConfig {
   int threads = 4;                   ///< worker pool size
   std::size_t queue_capacity = 1024; ///< pending async requests before backpressure
-  std::size_t cache_capacity = 4096; ///< total cached forecasts; 0 disables caching
+  /// Total cached forecasts; 0 disables caching. Batches use the
+  /// cache at simulated fidelity only: a closed-form batch prices its
+  /// distinct scenarios inline without reading or filling it.
+  std::size_t cache_capacity = 4096;
   std::size_t cache_shards = 8;
   /// Relative pitch of the cache-key feature grid (see
   /// scenario_key.hpp). 0 = exact keys, results bit-identical to
@@ -68,9 +74,10 @@ struct ServiceConfig {
   double quantization_step = 0.0;
   Fidelity fidelity = Fidelity::kClosedForm;
   /// Largest number of deduplicated cache-missed scenarios one worker
-  /// task evaluates in predict_batch(). Bigger batches amortize the
-  /// per-task overhead; smaller ones spread a batch across more
-  /// workers.
+  /// task evaluates in a simulated-fidelity predict_batch(). Bigger
+  /// batches amortize the per-task overhead; smaller ones spread a
+  /// batch across more workers. Closed-form batches never reach the
+  /// pool, so it does not apply to them.
   std::size_t batch_max_size = 32;
 
   // --- graceful degradation ladder ---
@@ -79,6 +86,8 @@ struct ServiceConfig {
   /// kDeadlineExceeded instead of occupying a worker (expired work is
   /// worthless — answering it late just delays live requests).
   /// 0 disables deadlines. submit() has a per-request override.
+  /// Batches check it at simulated fidelity only: a closed-form batch
+  /// never queues, so it cannot spend its deadline.
   double default_deadline_s = 0.0;
   /// Sim-backend retry budget per request; retries back off
   /// exponentially with deterministic jitter.
@@ -194,22 +203,33 @@ class PredictionService {
     bool ok() const { return forecast.has_value(); }
   };
 
-  /// Batched prediction with per-slot semantics: answers cache hits on
-  /// the caller's thread, dedups identical (quantized) scenarios, and
-  /// evaluates the remaining misses in worker tasks of up to
-  /// config().batch_max_size scenarios each, all under one coefficient
-  /// snapshot. Per-item failures (deadline, backend, shutdown) land as
-  /// typed PredictError values in their slots; the rest of the batch
-  /// still completes. `results` must have scenarios.size() slots and is
-  /// index-aligned with `scenarios`.
+  /// Batched prediction with per-slot semantics. Every call takes one
+  /// coefficient snapshot and dedups identical (quantized) scenarios;
+  /// duplicates copy the answer of their first occurrence. Where the
+  /// distinct scenarios are priced depends on config().fidelity:
+  ///   - closed form: inline on the caller's thread through
+  ///     core::MigrationPlanner::forecast, bit-identical to it. The
+  ///     result cache is neither read nor filled, nothing is queued
+  ///     and no deadline applies (the batch never waits).
+  ///   - simulated: cache hits are answered on the caller's thread;
+  ///     the misses run in worker tasks of up to
+  ///     config().batch_max_size scenarios each, with the per-item
+  ///     deadline and the retry/breaker/degradation ladder, and
+  ///     cacheable answers fill the cache.
+  /// Per-item failures (deadline, backend, shutdown) land as typed
+  /// PredictError values in their slots; the rest of the batch still
+  /// completes. After shutdown every slot fails with kShutdown.
+  /// `results` must have scenarios.size() slots and is index-aligned
+  /// with `scenarios`.
   ///
   /// This span core is the zero-allocation steady-state entry point
   /// (pinned by tests/serve_alloc_test.cpp): the work list, dedup
   /// table, and slot mapping live in a grow-only per-thread workspace,
-  /// so once the workspace has grown to the batch shape and every
-  /// scenario hits the warmed cache, a call performs no heap
-  /// allocation at all. Misses still allocate (futures and pool jobs),
-  /// bounded and amortized by the cache.
+  /// so once the workspace has grown to the batch shape a closed-form
+  /// call performs no heap allocation at all, and neither does a
+  /// simulated call whose scenarios all hit the warmed cache.
+  /// Simulated misses still allocate (futures and pool jobs), bounded
+  /// and amortized by the cache.
   void predict_batch_results(std::span<const core::MigrationScenario> scenarios,
                              std::span<BatchItem> results);
 
@@ -351,14 +371,13 @@ class PredictionService {
   /// Cache-then-compute against the current coefficient snapshot.
   core::MigrationForecast evaluate(const core::MigrationScenario& scenario);
 
-  /// One deduplicated scenario of one predict_batch worker task. The
-  /// worker fills `result`; the caller fans it out to every input slot
-  /// mapped to this item after the chunk completes (duplicates share
-  /// one evaluation).
+  /// One deduplicated scenario of a predict_batch call. Its answer is
+  /// written into `slot`, the first input slot holding the scenario;
+  /// the caller then copies it to every later duplicate.
   struct BatchWorkItem {
-    core::MigrationScenario canonical;
+    const core::MigrationScenario* canonical;  ///< the input itself when unquantized
     ScenarioKey key;
-    BatchItem result;
+    std::size_t slot;
   };
 
   /// Grow-only per-thread workspace of predict_batch_results. Cleared
@@ -366,17 +385,25 @@ class PredictionService {
   /// shape the inline phase allocates nothing.
   struct BatchScratch {
     std::vector<BatchWorkItem> work;
+    std::vector<core::MigrationScenario> canonical;  ///< per input slot, quantized only
     std::vector<std::size_t> item_of;    ///< per input slot: work index or kCacheHit
     std::vector<std::size_t> dedup;      ///< open-addressing table: work index + 1
     std::vector<std::future<void>> completions;
   };
   static BatchScratch& batch_scratch();
 
-  /// Worker-side body of one predict_batch chunk: per-item deadline
-  /// check, compute under the shared `snap`, per-item cache fill, and
-  /// batch metrics. Results land in the chunk items themselves.
+  /// Closed-form back half of predict_batch_results: prices every
+  /// distinct scenario under `snap` on the caller's thread, straight
+  /// into its first slot, and records the batch metrics.
+  void price_batch_inline(const CoefficientStore::Snapshot& snap,
+                          std::span<const BatchWorkItem> work, std::span<BatchItem> results);
+
+  /// Worker-side body of one simulated predict_batch chunk: per-item
+  /// deadline check, compute under the shared `snap`, per-item cache
+  /// fill, and batch metrics. Each answer lands in its item's slot of
+  /// `results`.
   void run_batch_chunk(const CoefficientStore::Snapshot& snap,
-                       std::span<BatchWorkItem> chunk,
+                       std::span<const BatchWorkItem> chunk, std::span<BatchItem> results,
                        std::chrono::steady_clock::time_point enqueued, double deadline_s);
 
   /// The configured backend (planner, or engine simulation behind the
@@ -432,7 +459,7 @@ class PredictionService {
   obs::Gauge& g_breaker_open_transitions_;
   obs::Gauge& g_breaker_rejections_;
   obs::Gauge& g_breaker_state_;  ///< CircuitBreaker::State as 0/1/2
-  obs::Histogram& h_batch_size_;          ///< scenarios per worker batch task
+  obs::Histogram& h_batch_size_;          ///< scenarios per pool task or inline batch
   obs::Histogram& h_batch_item_latency_;  ///< amortized ns per batched item
   obs::Counter& feedback_accepted_;  ///< samples handed to the sink
   obs::Counter& feedback_dropped_;   ///< no sink / queue full / shutdown / invalid

@@ -1,7 +1,7 @@
 // Steady-state allocation pin for the serving hot path: once the
-// result cache is warm and the per-thread batch workspace has grown to
-// the request shape, the span-based predict_batch_results() core and
-// the predict() cache-hit path must perform ZERO heap allocations.
+// per-thread batch workspace has grown to the request shape, the
+// span-based predict_batch_results() core (warm or unseen scenarios)
+// and the predict() cache-hit path must perform ZERO heap allocations.
 // Enforced with a counting global operator new in its own test binary
 // (tests/CMakeLists.txt) so the counter cannot interfere with the
 // other suites.
@@ -125,8 +125,9 @@ TEST(ServeAllocation, WarmBatchPathAllocatesNothing) {
   const std::span<const core::MigrationScenario> in(scenarios);
   const std::span<PredictionService::BatchItem> out(results);
 
-  // Warmup: the first call computes and caches every miss and grows
-  // the per-thread workspace; the second confirms an all-hit pass.
+  // Warmup: the first call grows the per-thread workspace (a
+  // closed-form batch prices inline and leaves the cache alone); the
+  // second repeats the same batch.
   service.predict_batch_results(in, out);
   service.predict_batch_results(in, out);
   for (const auto& item : results) ASSERT_TRUE(item.ok());
@@ -138,6 +139,45 @@ TEST(ServeAllocation, WarmBatchPathAllocatesNothing) {
   const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after, before) << "steady-state predict_batch_results must not allocate";
   for (const auto& item : results) EXPECT_TRUE(item.ok());
+}
+
+TEST(ServeAllocation, ClosedFormMissBatchAllocatesNothing) {
+  if (sanitizers_active()) GTEST_SKIP() << "allocator intercepted by a sanitizer";
+  // Default config: closed form with its 4096-entry cache, which a
+  // closed-form batch neither reads nor fills.
+  PredictionService service(make_model(), ServiceConfig{});
+
+  constexpr int kBatch = 64;
+  constexpr int kRounds = 10;
+  // make_scenario(i) repeats every 120 indices, so each VM is also
+  // grown by i pages: no scenario repeats, within a batch or between
+  // rounds.
+  std::vector<core::MigrationScenario> scenarios;
+  scenarios.reserve(kBatch * (kRounds + 1));
+  for (int i = 0; i < kBatch * (kRounds + 1); ++i) {
+    core::MigrationScenario sc = make_scenario(i);
+    sc.vm_mem_bytes += static_cast<double>(i) * util::kPageSize;
+    scenarios.push_back(sc);
+  }
+  std::vector<PredictionService::BatchItem> results(kBatch);
+  const std::span<PredictionService::BatchItem> out(results);
+  const auto round_of = [&](int round) {
+    return std::span<const core::MigrationScenario>(scenarios).subspan(
+        static_cast<std::size_t>(round) * kBatch, kBatch);
+  };
+
+  // Warmup: grows the per-thread workspace to the batch shape.
+  service.predict_batch_results(round_of(0), out);
+  for (const auto& item : results) ASSERT_TRUE(item.ok());
+
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int round = 1; round <= kRounds; ++round) {
+    service.predict_batch_results(round_of(round), out);
+  }
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after, before) << "a closed-form batch of unseen scenarios must not allocate";
+  for (const auto& item : results) EXPECT_TRUE(item.ok());
+  EXPECT_EQ(service.stats().cache.insertions, 0u);
 }
 
 TEST(ServeAllocation, WarmPredictHitAllocatesNothing) {

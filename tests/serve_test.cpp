@@ -13,13 +13,16 @@
 #include <future>
 #include <limits>
 #include <mutex>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/coeff_io.hpp"
 #include "core/planner.hpp"
 #include "obs/clock.hpp"
+#include "obs/metrics.hpp"
 #include "serve/coeff_store.hpp"
 #include "serve/lru_cache.hpp"
 #include "serve/metrics.hpp"
@@ -89,6 +92,30 @@ void expect_forecast_eq(const core::MigrationForecast& a, const core::MigrationF
     EXPECT_EQ(a.source_phase_energy[p], b.source_phase_energy[p]);
     EXPECT_EQ(a.target_phase_energy[p], b.target_phase_energy[p]);
   }
+}
+
+/// Field-by-field bit equality, as a value (expect_forecast_eq reports
+/// each mismatching field instead).
+bool forecast_bits_equal(const core::MigrationForecast& a, const core::MigrationForecast& b) {
+  bool same = a.times.ms == b.times.ms && a.times.ts == b.times.ts &&
+              a.times.te == b.times.te && a.times.me == b.times.me &&
+              a.bandwidth == b.bandwidth && a.total_bytes == b.total_bytes &&
+              a.precopy_rounds == b.precopy_rounds && a.downtime == b.downtime &&
+              a.degenerated_to_nonlive == b.degenerated_to_nonlive &&
+              a.source_energy == b.source_energy && a.target_energy == b.target_energy;
+  for (int p = 0; p < 3; ++p) {
+    same = same && a.source_phase_energy[p] == b.source_phase_energy[p] &&
+           a.target_phase_energy[p] == b.target_phase_energy[p];
+  }
+  return same;
+}
+
+/// The service-registry histogram `name` (empty snapshot when absent).
+obs::HistogramSnapshot service_histogram(PredictionService& service, const std::string& name) {
+  for (const obs::MetricSnapshot& m : service.obs_registry().snapshot().metrics) {
+    if (m.name == name) return m.histogram;
+  }
+  return {};
 }
 
 // ---------------------------------------------------------------- queue
@@ -623,6 +650,58 @@ TEST(PredictionService, HotSwapWhileQueryingIsConsistent) {
   EXPECT_GE(service.model_version(), 51u);
 }
 
+TEST(PredictionService, HotSwapDuringClosedFormBatchesUsesOneSnapshotPerBatch) {
+  const core::Wavm3Model model_a = make_model(1.0);
+  const core::Wavm3Model model_b = make_model(2.0);
+  constexpr std::size_t kBatch = 64;
+  std::vector<core::MigrationScenario> batch;
+  std::vector<core::MigrationForecast> expect_a;
+  std::vector<core::MigrationForecast> expect_b;
+  for (std::size_t i = 0; i < kBatch; ++i) {
+    batch.push_back(make_scenario(static_cast<int>(i)));
+    expect_a.push_back(core::MigrationPlanner(model_a).forecast(batch.back()));
+    expect_b.push_back(core::MigrationPlanner(model_b).forecast(batch.back()));
+  }
+
+  PredictionService service(model_a, ServiceConfig{.threads = 2});
+  std::atomic<bool> readers_done{false};
+  // Swaps keep landing for as long as any reader is still pricing.
+  std::thread swapper([&] {
+    for (int i = 0; i < 50 || !readers_done.load(std::memory_order_relaxed); ++i) {
+      service.swap_model(std::make_shared<const core::Wavm3Model>(
+          i % 2 == 0 ? model_b : model_a));
+      std::this_thread::yield();
+    }
+  });
+  std::vector<std::thread> readers;
+  readers.reserve(4);
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&] {
+      std::vector<PredictionService::BatchItem> results(kBatch);
+      for (int round = 0; round < 200; ++round) {
+        service.predict_batch_results(std::span<const core::MigrationScenario>(batch),
+                                      std::span<PredictionService::BatchItem>(results));
+        // Slot 0 names the snapshot; every other slot must agree with
+        // it — one coefficient set per batch, never a mix.
+        ASSERT_TRUE(results[0].ok());
+        const bool batch_is_a = forecast_bits_equal(*results[0].forecast, expect_a[0]);
+        ASSERT_TRUE(batch_is_a || forecast_bits_equal(*results[0].forecast, expect_b[0]));
+        const std::vector<core::MigrationForecast>& expected = batch_is_a ? expect_a : expect_b;
+        for (std::size_t i = 0; i < kBatch; ++i) {
+          ASSERT_TRUE(results[i].ok());
+          ASSERT_TRUE(forecast_bits_equal(*results[i].forecast, expected[i]))
+              << "slot " << i << " priced under the other model";
+        }
+      }
+    });
+  }
+  for (auto& r : readers) r.join();
+  readers_done.store(true);
+  swapper.join();
+  EXPECT_GE(service.model_version(), 51u);
+  EXPECT_EQ(service.stats().cache.misses, 0u);  // batches never touched the cache
+}
+
 TEST(PredictionService, ReloadFromCsvSwapsCoefficients) {
   const core::Wavm3Model model = make_model(1.0);
   const core::Wavm3Model recalibrated = make_model(3.0);
@@ -987,12 +1066,67 @@ TEST(PredictionService, BatchAfterShutdownFailsEverySlotTyped) {
   }
 }
 
+TEST(PredictionService, ClosedFormBatchFailsAnInvalidScenarioInItsSlotsOnly) {
+  const core::Wavm3Model model = make_model();
+  const core::MigrationPlanner planner(model);
+  PredictionService service(model, ServiceConfig{.threads = 1});
+  core::MigrationScenario invalid = make_scenario(1);
+  invalid.vm_mem_bytes = 0.0;  // the planner rejects a VM without memory
+  const std::vector<core::MigrationScenario> batch = {make_scenario(0), invalid,
+                                                      make_scenario(2), invalid};
+  const std::vector<PredictionService::BatchItem> results = service.predict_batch_results(batch);
+  ASSERT_EQ(results.size(), batch.size());
+  for (const std::size_t i : {std::size_t{1}, std::size_t{3}}) {
+    ASSERT_FALSE(results[i].ok()) << "slot " << i;
+    ASSERT_TRUE(results[i].error.has_value());
+    EXPECT_EQ(results[i].error->code(), PredictErrorCode::kBackendFailure);
+  }
+  for (const std::size_t i : {std::size_t{0}, std::size_t{2}}) {
+    ASSERT_TRUE(results[i].ok()) << "slot " << i;
+    expect_forecast_eq(*results[i].forecast, planner.forecast(batch[i]));
+  }
+}
+
 TEST(PredictionService, BatchDedupsRepeatsAndObservesBatchMetrics) {
+  // Closed form: the distinct scenarios are priced inline, outside the
+  // result cache, and the duplicates copy their first occurrence.
   const core::Wavm3Model model = make_model();
   const core::MigrationPlanner planner(model);
   ServiceConfig cfg;
   cfg.threads = 2;
   cfg.batch_max_size = 8;
+  PredictionService service(model, cfg);
+  std::vector<core::MigrationScenario> batch;
+  for (int i = 0; i < 30; ++i) batch.push_back(make_scenario(i % 5));  // heavy repeats
+  for (int pass = 0; pass < 2; ++pass) {
+    const std::vector<PredictionService::BatchItem> results =
+        service.predict_batch_results(batch);
+    ASSERT_EQ(results.size(), batch.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      ASSERT_TRUE(results[i].ok()) << "pass " << pass << " slot " << i;
+      expect_forecast_eq(*results[i].forecast, planner.forecast(batch[i]));
+    }
+  }
+  const CacheStats cache = service.stats().cache;
+  EXPECT_EQ(cache.hits, 0u);
+  EXPECT_EQ(cache.misses, 0u);
+  EXPECT_EQ(cache.insertions, 0u);
+  EXPECT_EQ(cache.evictions, 0u);
+  // One observation per call, of the distinct count.
+  const obs::HistogramSnapshot sizes = service_histogram(service, "serve_batch_size");
+  EXPECT_EQ(sizes.count, 2u);
+  EXPECT_EQ(sizes.sum, 10.0);
+}
+
+TEST(PredictionService, SimulatedBatchDedupsRepeatsThroughTheCache) {
+  const core::Wavm3Model model = make_model();
+  const core::MigrationPlanner planner(model);
+  const FlakyBackend backend(0);  // never fails; counts its calls
+  ServiceConfig cfg;
+  cfg.threads = 2;
+  cfg.batch_max_size = 8;
+  cfg.fidelity = Fidelity::kSimulated;
+  cfg.simulated_backend = backend;
   PredictionService service(model, cfg);
   std::vector<core::MigrationScenario> batch;
   for (int i = 0; i < 30; ++i) batch.push_back(make_scenario(i % 5));  // heavy repeats
@@ -1004,6 +1138,7 @@ TEST(PredictionService, BatchDedupsRepeatsAndObservesBatchMetrics) {
   }
   // Repeats were deduplicated before hitting the backend: only the five
   // distinct scenarios were computed (and cached), the rest fanned out.
+  EXPECT_EQ(backend.calls->load(), 5);
   EXPECT_EQ(service.stats().cache.misses, 5u);
   EXPECT_EQ(service.stats().cache.insertions, 5u);
   // A second pass is answered inline from the cache.
@@ -1012,6 +1147,7 @@ TEST(PredictionService, BatchDedupsRepeatsAndObservesBatchMetrics) {
     ASSERT_TRUE(again[i].ok());
     expect_forecast_eq(*again[i].forecast, planner.forecast(batch[i]));
   }
+  EXPECT_EQ(backend.calls->load(), 5);
   EXPECT_EQ(service.stats().cache.hits, 30u);
 }
 
