@@ -67,17 +67,14 @@ Histogram::Histogram(double first_bound, double growth, int buckets) {
   for (int i = 0; i + 1 < buckets; ++i) {
     bounds_.push_back(first_bound * std::pow(growth, static_cast<double>(i)));
   }
-  // The overflow bucket reports one more growth step, matching the
-  // historical serve histogram's top bucket.
   overflow_bound_ = first_bound * std::pow(growth, static_cast<double>(buckets - 1));
   buckets_ = std::make_unique<std::atomic<std::uint64_t>[]>(bounds_.size() + 1);
 }
 
 std::size_t Histogram::bucket_index(double v) const {
   if (exponential_) {
-    // Same log-grid arithmetic (and therefore the same edge rounding)
-    // as the original serve::LatencyHistogram, so the bridged serve
-    // metrics stay bit-compatible.
+    // One log() instead of a binary search; a value within rounding
+    // of an edge may land in the neighbouring bucket.
     if (v <= first_bound_) return 0;
     const auto idx = static_cast<std::size_t>(std::log(v / first_bound_) * inv_log_growth_) + 1;
     return std::min(idx, bounds_.size());

@@ -11,7 +11,8 @@
 //     domain-shaped grids;
 //   * exponential (first_bound * growth^i), whose bucket index is a
 //     single log() instead of a binary search — the latency-histogram
-//     hot path, bit-compatible with the grid serve/ has always used.
+//     hot path (serve/ times its endpoints on a 1 us x 1.046 x 400
+//     grid, ~4.6% relative resolution).
 #pragma once
 
 #include <atomic>
@@ -74,7 +75,7 @@ struct HistogramSnapshot {
 
   /// Conservative quantile: the upper edge of the bucket holding the
   /// ceil(q * count)-th recording — errs high, never interpolates.
-  /// This is the rule serve/ has always reported.
+  /// serve/ reports its endpoint percentiles with this rule.
   double quantile_upper_bound(double q) const;
 };
 

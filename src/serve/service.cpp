@@ -16,6 +16,31 @@
 
 namespace wavm3::serve {
 
+namespace {
+
+/// Endpoint label of each PredictionService::Endpoint.
+constexpr const char* kEndpointNames[] = {"predict", "submit", "predict_batch"};
+
+/// Records the enclosing call's latency into an endpoint histogram on
+/// scope exit, so a call that throws is still counted.
+class EndpointTimer {
+ public:
+  explicit EndpointTimer(obs::Histogram* latency)
+      : latency_(latency), start_ns_(obs::now_ns()) {}
+  ~EndpointTimer() {
+    const std::uint64_t end_ns = obs::now_ns();
+    latency_->observe(static_cast<double>(end_ns > start_ns_ ? end_ns - start_ns_ : 0));
+  }
+  EndpointTimer(const EndpointTimer&) = delete;
+  EndpointTimer& operator=(const EndpointTimer&) = delete;
+
+ private:
+  obs::Histogram* latency_;
+  std::uint64_t start_ns_;
+};
+
+}  // namespace
+
 PredictionService::PredictionService(const core::Wavm3Model& model, ServiceConfig config)
     : PredictionService(std::make_shared<const core::Wavm3Model>(model), config) {}
 
@@ -23,7 +48,6 @@ PredictionService::PredictionService(std::shared_ptr<const core::Wavm3Model> mod
                                      ServiceConfig config)
     : config_(config),
       store_(std::move(model)),
-      metrics_(&obs_metrics_),
       breaker_(config.breaker),
       deadline_expired_(obs_metrics_.counter("serve_deadline_expired_total",
                                              "Requests that spent their deadline queued")),
@@ -75,6 +99,7 @@ PredictionService::PredictionService(std::shared_ptr<const core::Wavm3Model> mod
           "stream_revision_delta_watts",
           "Per-revision live-forecast change, as mean watts over the expected span",
           0.01, 1.6, 44)),
+      started_ns_(obs::now_ns()),
       stream_registry_(config.stream),
       pool_(ThreadPoolConfig{config.threads, config.queue_capacity}) {
   WAVM3_REQUIRE(config_.batch_max_size > 0, "batch_max_size must be positive");
@@ -89,9 +114,13 @@ PredictionService::PredictionService(std::shared_ptr<const core::Wavm3Model> mod
         ShardedLruCache<ScenarioKey, core::MigrationForecast, ScenarioKeyHash>>(
         config_.cache_capacity, std::max<std::size_t>(1, config_.cache_shards));
   }
-  ep_predict_ = metrics_.register_endpoint("predict");
-  ep_submit_ = metrics_.register_endpoint("submit");
-  ep_batch_ = metrics_.register_endpoint("predict_batch");
+  // Latency grid: 400 buckets growing by 1.046 from 1 us, ~4.6%
+  // relative resolution over [1 us, ~88 s).
+  for (int e = 0; e < kEndpointCount; ++e) {
+    endpoint_latency_[e] = &obs_metrics_.exponential_histogram(
+        "serve_endpoint_latency_ns", "End-to-end request latency per endpoint", 1000.0,
+        1.046, 400, {{"endpoint", kEndpointNames[e]}});
+  }
 }
 
 PredictionService::~PredictionService() { shutdown(DrainMode::kDrain); }
@@ -170,21 +199,17 @@ core::MigrationForecast PredictionService::evaluate(const core::MigrationScenari
   WAVM3_OBS_SPAN(span, "serve", "evaluate");
   const core::MigrationScenario canonical = canonicalize(sc, config_.quantization_step);
   const CoefficientStore::Snapshot snap = store_.snapshot();
-  const char* computed_source =
-      config_.fidelity == Fidelity::kSimulated ? "backend" : "planner";
+  const ScenarioKey key(snap.version, canonical);
   if (cache_ != nullptr) {
-    const ScenarioKey key(snap.version, canonical);
     if (std::optional<core::MigrationForecast> hit = cache_->get(key)) {
       span.note("source", "cache");
       return *hit;
     }
-    EvalResult result = compute(*snap.model, canonical);
-    span.note("source", result.cacheable ? computed_source : "fallback");
-    if (result.cacheable) cache_->put(key, result.forecast);
-    return result.forecast;
   }
   EvalResult result = compute(*snap.model, canonical);
-  span.note("source", result.cacheable ? computed_source : "fallback");
+  const char* computed = config_.fidelity == Fidelity::kSimulated ? "backend" : "planner";
+  span.note("source", result.cacheable ? computed : "fallback");
+  if (result.cacheable && cache_ != nullptr) cache_->put(key, result.forecast);
   return result.forecast;
 }
 
@@ -192,15 +217,30 @@ core::MigrationForecast PredictionService::predict(const core::MigrationScenario
   // No span of its own: "evaluate" covers the whole call and carries
   // the source annotation, so a second span would only double the
   // hot-path tracing cost.
-  const LatencyTimer timer(metrics_, ep_predict_);
+  const EndpointTimer timer(endpoint_latency_[kPredictEndpoint]);
   return evaluate(sc);
+}
+
+void PredictionService::check_deadline(std::chrono::steady_clock::time_point enqueued,
+                                       double deadline_s, const char* waited_how) {
+  if (deadline_s <= 0.0) return;
+  const double waited =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - enqueued).count();
+  if (waited <= deadline_s) return;
+  // The request spent its whole budget waiting; answering it now would
+  // only delay live requests behind it.
+  deadline_expired_.inc();
+  WAVM3_OBS_INSTANT("serve", "deadline_expired");
+  throw PredictError(PredictErrorCode::kDeadlineExceeded,
+                     util::format("%s %.1f ms past a %.1f ms deadline", waited_how,
+                                  waited * 1e3, deadline_s * 1e3));
 }
 
 void PredictionService::run_job(const core::MigrationScenario& scenario, double deadline_s,
                                 std::chrono::steady_clock::time_point enqueued,
                                 std::uint64_t enqueued_ns,
                                 std::promise<core::MigrationForecast>& promise) {
-  const LatencyTimer timer(metrics_, ep_submit_);
+  const EndpointTimer timer(endpoint_latency_[kSubmitEndpoint]);
   {
     obs::Tracer& tr = obs::tracer();
     if (tr.enabled()) {
@@ -210,34 +250,15 @@ void PredictionService::run_job(const core::MigrationScenario& scenario, double 
     }
   }
   try {
-    if (deadline_s > 0.0) {
-      const double waited =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - enqueued)
-              .count();
-      if (waited > deadline_s) {
-        // The request spent its whole budget queued; answering it now
-        // would only delay live requests behind it.
-        deadline_expired_.inc();
-        WAVM3_OBS_INSTANT("serve", "deadline_expired");
-        throw PredictError(
-            PredictErrorCode::kDeadlineExceeded,
-            util::format("queued %.1f ms past a %.1f ms deadline", waited * 1e3,
-                         deadline_s * 1e3));
-      }
-    }
+    check_deadline(enqueued, deadline_s, "queued");
     promise.set_value(evaluate(scenario));
   } catch (...) {
     promise.set_exception(std::current_exception());
   }
 }
 
-std::future<core::MigrationForecast> PredictionService::submit(
-    const core::MigrationScenario& sc) {
-  return submit(sc, config_.default_deadline_s);
-}
-
-std::future<core::MigrationForecast> PredictionService::submit(
-    const core::MigrationScenario& sc, double deadline_s) {
+std::optional<std::future<core::MigrationForecast>> PredictionService::enqueue(
+    const core::MigrationScenario& sc, double deadline_s, bool block) {
   // Fast path: a cache hit is answered on the caller's thread,
   // skipping the queue round trip entirely (hits also dodge
   // backpressure, which is the point — only real work queues). A
@@ -251,7 +272,7 @@ std::future<core::MigrationForecast> PredictionService::submit(
     const CoefficientStore::Snapshot snap = store_.snapshot();
     if (std::optional<core::MigrationForecast> hit =
             cache_->peek(ScenarioKey(snap.version, canonical))) {
-      const LatencyTimer timer(metrics_, ep_submit_);
+      const EndpointTimer timer(endpoint_latency_[kSubmitEndpoint]);
       std::promise<core::MigrationForecast> ready;
       ready.set_value(*hit);
       return ready.get_future();
@@ -262,54 +283,43 @@ std::future<core::MigrationForecast> PredictionService::submit(
   const std::uint64_t enqueued_ns = obs::now_ns();
   std::promise<core::MigrationForecast> promise;
   std::future<core::MigrationForecast> future = promise.get_future();
-  const bool queued = pool_.submit(
-      [this, sc, deadline_s, enqueued, enqueued_ns, promise = std::move(promise)]() mutable {
-        run_job(sc, deadline_s, enqueued, enqueued_ns, promise);
-      });
-  if (!queued) {
-    // Pool already shut down: fail the request instead of hanging.
+  UniqueFunction job([this, sc, deadline_s, enqueued, enqueued_ns,
+                      promise = std::move(promise)]() mutable {
+    run_job(sc, deadline_s, enqueued, enqueued_ns, promise);
+  });
+  if (block ? pool_.submit(std::move(job)) : pool_.try_submit(std::move(job))) return future;
+  // A blocking submit only fails once the pool is shut down; a
+  // non-blocking one also fails on a full queue, which is load shed.
+  if (pool_.accepting()) {
+    shed_.inc();
+    WAVM3_OBS_INSTANT("serve", "shed");
+  } else {
     rejected_after_shutdown_.inc();
-    std::promise<core::MigrationForecast> failed;
-    failed.set_exception(std::make_exception_ptr(PredictError(
-        PredictErrorCode::kShutdown, "prediction service is shut down")));
-    return failed.get_future();
   }
-  return future;
+  return std::nullopt;
+}
+
+std::future<core::MigrationForecast> PredictionService::submit(
+    const core::MigrationScenario& sc) {
+  return submit(sc, config_.default_deadline_s);
+}
+
+std::future<core::MigrationForecast> PredictionService::submit(
+    const core::MigrationScenario& sc, double deadline_s) {
+  if (std::optional<std::future<core::MigrationForecast>> queued =
+          enqueue(sc, deadline_s, /*block=*/true)) {
+    return std::move(*queued);
+  }
+  // Pool already shut down: fail the request instead of hanging.
+  std::promise<core::MigrationForecast> failed;
+  failed.set_exception(std::make_exception_ptr(
+      PredictError(PredictErrorCode::kShutdown, "prediction service is shut down")));
+  return failed.get_future();
 }
 
 std::optional<std::future<core::MigrationForecast>> PredictionService::try_submit(
     const core::MigrationScenario& sc) {
-  if (cache_ != nullptr && pool_.accepting()) {
-    const core::MigrationScenario canonical = canonicalize(sc, config_.quantization_step);
-    const CoefficientStore::Snapshot snap = store_.snapshot();
-    if (std::optional<core::MigrationForecast> hit =
-            cache_->peek(ScenarioKey(snap.version, canonical))) {
-      const LatencyTimer timer(metrics_, ep_submit_);
-      std::promise<core::MigrationForecast> ready;
-      ready.set_value(*hit);
-      return ready.get_future();
-    }
-  }
-  WAVM3_OBS_INSTANT("serve", "submit");
-  const std::chrono::steady_clock::time_point enqueued = std::chrono::steady_clock::now();
-  const std::uint64_t enqueued_ns = obs::now_ns();
-  const double deadline_s = config_.default_deadline_s;
-  std::promise<core::MigrationForecast> promise;
-  std::future<core::MigrationForecast> future = promise.get_future();
-  const bool queued = pool_.try_submit(
-      [this, sc, deadline_s, enqueued, enqueued_ns, promise = std::move(promise)]() mutable {
-        run_job(sc, deadline_s, enqueued, enqueued_ns, promise);
-      });
-  if (!queued) {
-    if (pool_.accepting()) {
-      shed_.inc();  // queue full: load shed
-      WAVM3_OBS_INSTANT("serve", "shed");
-    } else {
-      rejected_after_shutdown_.inc();
-    }
-    return std::nullopt;
-  }
-  return future;
+  return enqueue(sc, config_.default_deadline_s, /*block=*/false);
 }
 
 void PredictionService::run_batch_chunk(const CoefficientStore::Snapshot& snap,
@@ -324,19 +334,7 @@ void PredictionService::run_batch_chunk(const CoefficientStore::Snapshot& snap,
     BatchItem& slot = results[item.slot];
     slot = BatchItem{};
     try {
-      if (deadline_s > 0.0) {
-        const double waited =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - enqueued)
-                .count();
-        if (waited > deadline_s) {
-          deadline_expired_.inc();
-          WAVM3_OBS_INSTANT("serve", "deadline_expired");
-          throw PredictError(
-              PredictErrorCode::kDeadlineExceeded,
-              util::format("batched %.1f ms past a %.1f ms deadline", waited * 1e3,
-                           deadline_s * 1e3));
-        }
-      }
+      check_deadline(enqueued, deadline_s, "batched");
       EvalResult computed = compute(*snap.model, *item.canonical);
       if (computed.cacheable && cache_ != nullptr) cache_->put(item.key, computed.forecast);
       slot.forecast = std::move(computed.forecast);
@@ -388,7 +386,7 @@ void PredictionService::predict_batch_results(
     std::span<const core::MigrationScenario> scenarios, std::span<BatchItem> results) {
   WAVM3_REQUIRE(results.size() == scenarios.size(),
                 "predict_batch: results size mismatch");
-  const LatencyTimer timer(metrics_, ep_batch_);
+  const EndpointTimer timer(endpoint_latency_[kBatchEndpoint]);
   if (scenarios.empty()) return;
 
   // One snapshot for the whole batch: every scenario is priced — and,
@@ -689,13 +687,28 @@ ServiceStats PredictionService::stats() const {
   s.resilience.breaker_open_transitions = breaker_.open_transitions();
   s.resilience.breaker_rejections = breaker_.rejections();
   s.resilience.breaker_state = to_string(breaker_.state());
-  s.endpoints = metrics_.reports();
   return s;
 }
 
 std::string PredictionService::metrics_table() const {
+  const std::uint64_t now_ns = obs::now_ns();
+  const double elapsed_s =
+      now_ns > started_ns_ ? static_cast<double>(now_ns - started_ns_) / 1e9 : 0.0;
+  std::string out = util::format("%-24s %10s %12s %10s %10s %10s %10s\n", "endpoint",
+                                 "requests", "qps", "mean[us]", "p50[us]", "p95[us]",
+                                 "p99[us]");
+  for (int e = 0; e < kEndpointCount; ++e) {
+    const obs::HistogramSnapshot snap = endpoint_latency_[e]->snapshot();
+    const double n = static_cast<double>(snap.count);
+    out += util::format("%-24s %10llu %12.1f %10.1f %10.1f %10.1f %10.1f\n",
+                        kEndpointNames[e], static_cast<unsigned long long>(snap.count),
+                        elapsed_s > 0.0 ? n / elapsed_s : 0.0,
+                        snap.count == 0 ? 0.0 : snap.sum / n / 1e3,
+                        snap.quantile_upper_bound(0.50) / 1e3,
+                        snap.quantile_upper_bound(0.95) / 1e3,
+                        snap.quantile_upper_bound(0.99) / 1e3);
+  }
   const ServiceStats s = stats();
-  std::string out = metrics_.render_table();
   out += util::format(
       "\ncache    : %llu hits, %llu misses (%.1f%% hit rate), %llu insertions, "
       "%llu evictions\n",
@@ -720,40 +733,6 @@ std::string PredictionService::metrics_table() const {
       static_cast<unsigned long long>(r.deadline_expired),
       static_cast<unsigned long long>(r.shed),
       static_cast<unsigned long long>(r.rejected_after_shutdown));
-  return out;
-}
-
-std::string PredictionService::metrics_csv() const {
-  const ServiceStats s = stats();
-  std::string out = metrics_.render_csv();
-  out += "gauge,value\n";
-  out += util::format("cache_hits,%llu\n", static_cast<unsigned long long>(s.cache.hits));
-  out += util::format("cache_misses,%llu\n",
-                      static_cast<unsigned long long>(s.cache.misses));
-  out += util::format("cache_hit_rate,%.6f\n", s.cache.hit_rate());
-  out += util::format("cache_evictions,%llu\n",
-                      static_cast<unsigned long long>(s.cache.evictions));
-  out += util::format("queue_depth,%zu\n", s.queue_depth);
-  out += util::format("threads,%d\n", s.threads);
-  out += util::format("coefficient_version,%llu\n",
-                      static_cast<unsigned long long>(s.model_version));
-  const ResilienceStats& r = s.resilience;
-  out += util::format("backend_failures,%llu\n",
-                      static_cast<unsigned long long>(r.backend_failures));
-  out += util::format("backend_retries,%llu\n",
-                      static_cast<unsigned long long>(r.backend_retries));
-  out += util::format("degraded_to_closed_form,%llu\n",
-                      static_cast<unsigned long long>(r.degraded_to_closed_form));
-  out += util::format("deadline_expired,%llu\n",
-                      static_cast<unsigned long long>(r.deadline_expired));
-  out += util::format("shed,%llu\n", static_cast<unsigned long long>(r.shed));
-  out += util::format("rejected_after_shutdown,%llu\n",
-                      static_cast<unsigned long long>(r.rejected_after_shutdown));
-  out += util::format("breaker_open_transitions,%llu\n",
-                      static_cast<unsigned long long>(r.breaker_open_transitions));
-  out += util::format("breaker_rejections,%llu\n",
-                      static_cast<unsigned long long>(r.breaker_rejections));
-  out += std::string("breaker_state,") + r.breaker_state + "\n";
   return out;
 }
 

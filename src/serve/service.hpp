@@ -21,6 +21,7 @@
 // baked into every cache key retires stale results automatically.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -40,7 +41,6 @@
 #include "serve/coeff_store.hpp"
 #include "serve/errors.hpp"
 #include "serve/lru_cache.hpp"
-#include "serve/metrics.hpp"
 #include "serve/scenario_key.hpp"
 #include "serve/thread_pool.hpp"
 #include "stream/session.hpp"
@@ -156,7 +156,6 @@ struct ServiceStats {
   int threads = 0;
   std::uint64_t model_version = 0;
   ResilienceStats resilience;
-  std::vector<EndpointReport> endpoints;
 };
 
 class PredictionService {
@@ -336,12 +335,10 @@ class PredictionService {
 
   ServiceStats stats() const;
 
-  /// Text report: per-endpoint latency/QPS table plus cache and queue
-  /// gauges.
+  /// Text report: per-endpoint latency/QPS table (QPS since
+  /// construction, read through the obs clock) plus cache, queue and
+  /// resilience gauges.
   std::string metrics_table() const;
-
-  /// Machine-readable CSV of the same report.
-  std::string metrics_csv() const;
 
   /// Prometheus text exposition of the service's metric registry
   /// (endpoint latency histograms, resilience counters, cache/queue
@@ -419,12 +416,23 @@ class PredictionService {
   /// seeded stream.
   double backoff_delay(int attempt);
 
+  /// submit()/try_submit(): a cache hit is answered inline, a miss
+  /// queues run_job(), waiting for room when `block`. Returns nullopt,
+  /// counted as shed (queue full) or rejected (shut down), on refusal.
+  std::optional<std::future<core::MigrationForecast>> enqueue(
+      const core::MigrationScenario& scenario, double deadline_s, bool block);
+
   /// Worker-side body of submit/try_submit jobs (deadline check, then
   /// evaluate into the promise). `enqueued_ns` is the obs-clock
   /// submission timestamp used for the queue-wait trace span.
   void run_job(const core::MigrationScenario& scenario, double deadline_s,
                std::chrono::steady_clock::time_point enqueued, std::uint64_t enqueued_ns,
                std::promise<core::MigrationForecast>& promise);
+
+  /// Counts and throws PredictError(kDeadlineExceeded) once work
+  /// enqueued at `enqueued` has waited past `deadline_s` (> 0).
+  void check_deadline(std::chrono::steady_clock::time_point enqueued, double deadline_s,
+                      const char* waited_how);
 
   /// Copies cache/queue/breaker state into the registered gauges so an
   /// export reflects the moment it was taken.
@@ -434,15 +442,10 @@ class PredictionService {
   CoefficientStore store_;
   std::unique_ptr<ShardedLruCache<ScenarioKey, core::MigrationForecast, ScenarioKeyHash>>
       cache_;  ///< null when cache_capacity == 0
-  obs::MetricRegistry obs_metrics_;  ///< backs metrics_ and the counters below
-  MetricsRegistry metrics_;
-  int ep_predict_ = -1;
-  int ep_submit_ = -1;
-  int ep_batch_ = -1;
+  obs::MetricRegistry obs_metrics_;  ///< backs every metric below
   CircuitBreaker breaker_;
   // Resilience counters, registered in obs_metrics_ so they show up in
-  // the Prometheus/JSON exports; stats()/metrics_csv() read the same
-  // storage, keeping the legacy schema.
+  // the Prometheus/JSON exports; stats() reads the same storage.
   obs::Counter& deadline_expired_;
   obs::Counter& shed_;
   obs::Counter& rejected_after_shutdown_;
@@ -467,6 +470,11 @@ class PredictionService {
   obs::Gauge& g_stream_sessions_;    ///< open stream sessions
   obs::Counter& stream_samples_;     ///< samples accepted by submit_sample()
   obs::Histogram& h_stream_revision_delta_;  ///< per-revision forecast change, watts
+  /// serve_endpoint_latency_ns{endpoint=...}: end-to-end latency of
+  /// each public entry point, indexed by Endpoint.
+  enum Endpoint { kPredictEndpoint, kSubmitEndpoint, kBatchEndpoint, kEndpointCount };
+  std::array<obs::Histogram*, kEndpointCount> endpoint_latency_{};
+  std::uint64_t started_ns_;  ///< obs-clock construction time, the QPS origin
   std::mutex feedback_mutex_;
   std::shared_ptr<const FeedbackSink> feedback_sink_;  ///< null = no consumer
   std::atomic<std::uint64_t> backoff_ticket_{0};

@@ -13,6 +13,7 @@
 #include <future>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -25,7 +26,6 @@
 #include "obs/metrics.hpp"
 #include "serve/coeff_store.hpp"
 #include "serve/lru_cache.hpp"
-#include "serve/metrics.hpp"
 #include "serve/mpmc_queue.hpp"
 #include "serve/query_stream.hpp"
 #include "serve/scenario_key.hpp"
@@ -396,115 +396,6 @@ TEST(CoefficientStore, RejectsUnfittedModels) {
   EXPECT_EQ(store.version(), 1u);  // failed reload left the store untouched
 }
 
-// -------------------------------------------------------------- metrics
-
-TEST(Metrics, HistogramQuantilesAreOrderedAndConservative) {
-  LatencyHistogram h;
-  for (int i = 1; i <= 1000; ++i) h.record_ns(i * 1e3);  // 1us..1ms uniform
-  EXPECT_EQ(h.count(), 1000u);
-  const double p50 = h.quantile_ns(0.50);
-  const double p95 = h.quantile_ns(0.95);
-  const double p99 = h.quantile_ns(0.99);
-  EXPECT_LE(p50, p95);
-  EXPECT_LE(p95, p99);
-  EXPECT_GE(p50, 500e3 * 0.95);  // within bucket resolution of the true median
-  EXPECT_LE(p50, 500e3 * 1.10);
-  EXPECT_NEAR(h.mean_ns(), 500.5e3, 5e3);
-}
-
-TEST(Metrics, RegistryRendersTableAndCsv) {
-  MetricsRegistry registry;
-  const int ep = registry.register_endpoint("predict");
-  registry.record(ep, 2e6);
-  registry.record(ep, 4e6);
-  const std::string table = registry.render_table();
-  EXPECT_NE(table.find("predict"), std::string::npos);
-  const std::string csv = registry.render_csv();
-  EXPECT_NE(csv.find("endpoint,requests,qps,mean_us,p50_us,p95_us,p99_us"),
-            std::string::npos);
-  EXPECT_NE(csv.find("predict,2,"), std::string::npos);
-}
-
-// Byte-compatibility regression: metrics_csv() must render exactly
-// what the pre-obs MetricsRegistry rendered. The reference below is a
-// literal reimplementation of the retired algorithm (log-indexed
-// 400-bucket grid, truncating ns total, ceil-rank upper-edge
-// quantiles, epoch-based qps); the registry now computes the same
-// numbers through obs::Histogram, and ManualClock pins the qps
-// denominator so the comparison is exact.
-TEST(Metrics, CsvByteIdenticalToLegacyAlgorithm) {
-  struct LegacyReference {
-    std::uint64_t counts[LatencyHistogram::kBuckets] = {};
-    std::uint64_t n = 0;
-    std::uint64_t total_ns = 0;
-
-    static int bucket_index(double ns) {
-      if (ns <= LatencyHistogram::kFirstBucketNs) return 0;
-      static const double inv_log_growth = 1.0 / std::log(LatencyHistogram::kGrowth);
-      const int idx = static_cast<int>(std::log(ns / LatencyHistogram::kFirstBucketNs) *
-                                       inv_log_growth) + 1;
-      return std::min(idx, LatencyHistogram::kBuckets - 1);
-    }
-    static double bucket_upper_ns(int idx) {
-      return LatencyHistogram::kFirstBucketNs *
-             std::pow(LatencyHistogram::kGrowth, static_cast<double>(idx));
-    }
-    void record(double ns) {
-      ++counts[bucket_index(ns)];
-      ++n;
-      total_ns += static_cast<std::uint64_t>(ns);
-    }
-    double quantile_ns(double q) const {
-      if (n == 0) return 0.0;
-      const auto rank = static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(n)));
-      std::uint64_t seen = 0;
-      for (int i = 0; i < LatencyHistogram::kBuckets; ++i) {
-        seen += counts[i];
-        if (seen >= rank) return bucket_upper_ns(i);
-      }
-      return bucket_upper_ns(LatencyHistogram::kBuckets - 1);
-    }
-  };
-
-  obs::ManualClock::install(7'000'000);
-  MetricsRegistry registry;
-  const int ep_predict = registry.register_endpoint("predict");
-  const int ep_submit = registry.register_endpoint("submit");
-
-  LegacyReference ref_predict;
-  LegacyReference ref_submit;
-  std::uint64_t x = 0x9e3779b97f4a7c15ull;  // seeded latency stream
-  for (int i = 0; i < 4000; ++i) {
-    x ^= x << 13; x ^= x >> 7; x ^= x << 17;
-    // Integral ns like real timers produce; span five decades so every
-    // part of the grid including bucket 0 and deep buckets is hit.
-    const double ns = static_cast<double>(x % 100'000'000ull);
-    registry.record(ep_predict, ns);
-    ref_predict.record(ns);
-    if (i % 3 == 0) {
-      registry.record(ep_submit, std::floor(ns / 2.0));
-      ref_submit.record(std::floor(ns / 2.0));
-    }
-  }
-  obs::ManualClock::advance(2'500'000'000);  // 2.5 s on the books
-
-  std::string expected = "endpoint,requests,qps,mean_us,p50_us,p95_us,p99_us\n";
-  for (const auto& [name, ref] : {std::pair<const char*, const LegacyReference&>{
-                                      "predict", ref_predict},
-                                  {"submit", ref_submit}}) {
-    const double qps = static_cast<double>(ref.n) / 2.5;
-    const double mean_us =
-        static_cast<double>(ref.total_ns) / static_cast<double>(ref.n) / 1e3;
-    expected += util::format("%s,%llu,%.3f,%.3f,%.3f,%.3f,%.3f\n", name,
-                             static_cast<unsigned long long>(ref.n), qps, mean_us,
-                             ref.quantile_ns(0.50) / 1e3, ref.quantile_ns(0.95) / 1e3,
-                             ref.quantile_ns(0.99) / 1e3);
-  }
-  const std::string csv = registry.render_csv();
-  obs::ManualClock::uninstall();
-  EXPECT_EQ(csv, expected);
-}
-
 // -------------------------------------------------------------- service
 
 TEST(PredictionService, MatchesDirectPlannerBitwise) {
@@ -763,8 +654,64 @@ TEST(PredictionService, SubmitFastPathServesHitsWithoutQueueing) {
   ASSERT_EQ(fut.wait_for(std::chrono::seconds(0)), std::future_status::ready);
   expect_forecast_eq(fut.get(), first);
   EXPECT_EQ(service.stats().cache.hits, hits_before + 1);
-  // One predict + one submit of the same scenario: exactly one miss.
+  // try_submit shares the fast path: ready at once, one more hit.
+  std::optional<std::future<core::MigrationForecast>> tried = service.try_submit(sc);
+  ASSERT_TRUE(tried.has_value());
+  ASSERT_EQ(tried->wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  expect_forecast_eq(tried->get(), first);
+  EXPECT_EQ(service.stats().cache.hits, hits_before + 2);
+  // One predict + two submits of the same scenario: exactly one miss.
   EXPECT_EQ(service.stats().cache.misses, 1u);
+}
+
+// Every public entry point feeds its serve_endpoint_latency_ns row from
+// real calls: predict (one of which throws), submit (a cache hit
+// answered inline and a queued miss), try_submit and batches. The
+// manual clock never moves during the calls, so every latency lands in
+// the first 1 us bucket and the table's QPS is the count over the 2 s
+// the clock advances after construction.
+TEST(PredictionService, EndpointMetricsCountRealCalls) {
+  obs::ManualClock::install(1'000'000);
+  std::string prom;
+  std::string table;
+  {
+    const core::Wavm3Model model = make_model();
+    PredictionService service(model, ServiceConfig{.threads = 1});
+    for (int i = 0; i < 4; ++i) service.predict(make_scenario(i));
+    core::MigrationScenario invalid = make_scenario(5);
+    invalid.vm_mem_bytes = 0.0;  // the planner rejects a VM without memory
+    EXPECT_ANY_THROW(service.predict(invalid));
+    EXPECT_GT(service.submit(make_scenario(0)).get().total_energy(), 0.0);  // cache hit
+    EXPECT_GT(service.submit(make_scenario(100)).get().total_energy(), 0.0);  // queued
+    std::optional<std::future<core::MigrationForecast>> tried =
+        service.try_submit(make_scenario(101));
+    ASSERT_TRUE(tried.has_value());
+    EXPECT_GT(tried->get().total_energy(), 0.0);
+    for (int b = 0; b < 2; ++b) service.predict_batch({make_scenario(b), make_scenario(7)});
+    EXPECT_EQ(service.stats().cache.hits, 1u);
+    // Join the worker so its timers have recorded before the export.
+    service.shutdown();
+    obs::ManualClock::advance(2'000'000'000);
+    prom = service.metrics_prometheus();
+    table = service.metrics_table();
+  }
+  obs::ManualClock::uninstall();
+
+  for (const auto& [endpoint, count] : {std::pair<std::string, int>{"predict", 5},
+                                        {"submit", 3},
+                                        {"predict_batch", 2}}) {
+    EXPECT_NE(prom.find("serve_endpoint_latency_ns_count{endpoint=\"" + endpoint + "\"} " +
+                        std::to_string(count) + "\n"),
+              std::string::npos)
+        << endpoint << "\n"
+        << prom;
+    EXPECT_NE(table.find(util::format("%-24s %10d %12.1f %10.1f %10.1f %10.1f %10.1f\n",
+                                      endpoint.c_str(), count, count / 2.0, 0.0, 1.0, 1.0,
+                                      1.0)),
+              std::string::npos)
+        << endpoint << "\n"
+        << table;
+  }
 }
 
 // ---------------------------------------------------- simulated fidelity
@@ -950,6 +897,9 @@ TEST(PredictionService, SubmitAfterShutdownCarriesTypedError) {
   }
   EXPECT_GE(service.stats().resilience.rejected_after_shutdown, 1u);
   EXPECT_FALSE(service.try_submit(make_scenario(1)).has_value());
+  // A refused try_submit after shutdown is a rejection, never a shed.
+  EXPECT_EQ(service.stats().resilience.rejected_after_shutdown, 2u);
+  EXPECT_EQ(service.stats().resilience.shed, 0u);
 }
 
 TEST(PredictionService, FailingBackendDegradesToClosedForm) {

@@ -25,7 +25,7 @@
 //   wavm3 tables
 //       Reproduce every table of the paper in one run.
 //
-// Run `wavm3 help` or any subcommand with --help for details.
+// Run `wavm3 help` for every subcommand and its flags.
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
@@ -41,6 +41,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -113,6 +114,9 @@ class Args {
       }
     }
   }
+
+  /// Every flag given, keyed by name without the leading "--".
+  const std::map<std::string, std::string>& flags() const { return values_; }
 
   bool has(const std::string& key) const { return values_.count(key) != 0; }
   std::string get(const std::string& key, const std::string& fallback) const {
@@ -1087,13 +1091,7 @@ int cmd_serve_bench(const Args& args) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 
   std::puts("");
-  if (args.has("csv")) {
-    // Deprecated: interleaves machine-readable rows with the human
-    // report on stdout. Prefer --metrics-out FILE.
-    std::fputs(service.metrics_csv().c_str(), stdout);
-  } else {
-    std::fputs(service.metrics_table().c_str(), stdout);
-  }
+  std::fputs(service.metrics_table().c_str(), stdout);
   std::printf("\nstream   : %ld requests in %.2f s -> %.0f predictions/s\n", total, elapsed,
               static_cast<double>(total) / std::max(1e-9, elapsed));
   std::printf("checksum : total predicted energy %.3f MJ\n", energy_checksum / 1e6);
@@ -1112,18 +1110,12 @@ int cmd_serve_bench(const Args& args) {
                 static_cast<unsigned long long>(service.model_version()));
   }
   // Machine-readable output goes to files so stdout stays human-only.
-  // Format follows the extension: .json -> JSON snapshot, .csv -> the
-  // legacy per-endpoint CSV, anything else -> Prometheus text.
+  // Format follows the extension: .json -> JSON snapshot, anything
+  // else -> Prometheus text.
   const std::string metrics_path = args.get("metrics-out", "");
   if (!metrics_path.empty()) {
-    std::string body;
-    if (metrics_path.ends_with(".json")) {
-      body = service.metrics_json();
-    } else if (metrics_path.ends_with(".csv")) {
-      body = service.metrics_csv();
-    } else {
-      body = service.metrics_prometheus();
-    }
+    const std::string body = metrics_path.ends_with(".json") ? service.metrics_json()
+                                                             : service.metrics_prometheus();
     if (!write_text_file(metrics_path, body)) return 1;
     std::fprintf(stderr, "wrote %s\n", metrics_path.c_str());
   }
@@ -1569,12 +1561,12 @@ int cmd_help() {
       "  serve-bench [--coeffs FILE | --testbed m|o] [--threads N] [--requests N]\n"
       "            [--batch N] [--cache-capacity N] [--cache-shards N]\n"
       "            [--quantization F] [--repeat-fraction F] [--queue N]\n"
-      "            [--reloads N] [--fidelity closed|sim] [--csv] [--seed N]\n"
+      "            [--reloads N] [--fidelity closed|sim] [--seed N]\n"
       "            [--fail-backend] [--no-degrade] [--deadline-ms T] [--retries N]\n"
       "            [--breaker-threshold N] [--breaker-open-ms T]\n"
       "            [--recalibrate] [--feedback-bias W] [--pass-interval N]\n"
       "            [--bias-threshold W]\n"
-      "            [--trace-out FILE] [--metrics-out FILE (.json|.csv|.prom)]\n"
+      "            [--trace-out FILE] [--metrics-out FILE (.json|.prom)]\n"
       "  fleet-bench [--coeffs FILE | --testbed m|o] [--nodes N] [--replicas N]\n"
       "            [--requests N] [--threads N] [--publishes N] [--node-loss]\n"
       "            [--seed N] [--metrics-out FILE]\n"
@@ -1588,33 +1580,103 @@ int cmd_help() {
   return 0;
 }
 
+/// Flag sets shared by several subcommands.
+enum FlagGroup : unsigned {
+  kScenarioFlags = 1u << 0,  ///< scenario_from_args
+  kFaultFlags = 1u << 1,     ///< fault_plan_from_args
+  kTraceOutFlags = 1u << 2,  ///< trace_out_path
+};
+
+/// One subcommand: its handler and every flag it reads, as listed in
+/// cmd_help(). main() refuses any other flag, so a typo fails loudly
+/// instead of silently running with the default.
+struct Subcommand {
+  const char* name;
+  int (*run)(const Args&);
+  unsigned groups;
+  std::vector<std::string_view> flags;
+
+  bool accepts(std::string_view flag) const {
+    static constexpr std::string_view kScenario[] = {
+        "type", "mem-gb", "vm-cpu", "dirty-pages-per-s", "working-set-fraction",
+        "source-load", "target-load", "capacity", "link-mbs"};
+    static constexpr std::string_view kFaults[] = {
+        "degrade-at", "degrade-until", "degrade-factor", "stall-at", "stall-duration",
+        "flap-at", "flap-until", "overload-host", "overload-at", "overload-until",
+        "overload-vcpus", "loss-at", "loss-phase", "loss-offset", "fault-random",
+        "fault-seed", "fault-horizon", "loss-probability"};
+    static constexpr std::string_view kTraceOut[] = {"trace-out", "chrome-trace"};
+    const auto in = [flag](const auto& list) {
+      return std::find(std::begin(list), std::end(list), flag) != std::end(list);
+    };
+    return in(flags) || ((groups & kScenarioFlags) && in(kScenario)) ||
+           ((groups & kFaultFlags) && in(kFaults)) ||
+           ((groups & kTraceOutFlags) && in(kTraceOut));
+  }
+};
+
+const Subcommand kSubcommands[] = {
+    {"campaign", cmd_campaign, 0, {"testbed", "out", "fast", "seed"}},
+    {"fit", cmd_fit, 0, {"dataset", "out", "train-fraction", "seed"}},
+    {"evaluate", cmd_evaluate, 0, {"dataset", "coeffs", "train-fraction", "seed"}},
+    {"predict", cmd_predict, kScenarioFlags, {"coeffs"}},
+    {"trace", cmd_trace, kScenarioFlags | kFaultFlags | kTraceOutFlags,
+     {"coeffs", "metrics-out", "emit-samples"}},
+    {"stream-replay", cmd_stream_replay, 0,
+     {"dataset", "coeffs", "train-fraction", "seed", "observation", "predict-every",
+      "speedup", "max-gap"}},
+    {"tables", cmd_tables, 0, {"fast", "seed"}},
+    {"simulate", cmd_simulate, kTraceOutFlags,
+     {"testbed", "hosts", "vms", "hours", "horizon", "seed", "metrics-out"}},
+    {"plan", cmd_plan, kTraceOutFlags,
+     {"coeffs", "testbed", "hosts", "vms", "fleet-hosts", "fleet-vms", "strategy", "waves",
+      "beam-width", "candidate-targets", "max-donors", "no-cycles", "horizon",
+      "wave-horizon", "verbose", "seed", "metrics-out"}},
+    {"chaos", cmd_chaos, kTraceOutFlags,
+     {"coeffs", "testbed", "hosts", "vms", "fleet-hosts", "fleet-vms", "storm", "seed",
+      "waves", "retry-budget", "strategy", "beam-width", "wave-gap", "no-relief",
+      "no-faults", "verbose", "metrics-out"}},
+    {"serve-bench", cmd_serve_bench, kTraceOutFlags,
+     {"coeffs", "testbed", "threads", "requests", "batch", "cache-capacity", "cache-shards",
+      "quantization", "repeat-fraction", "queue", "reloads", "fidelity", "seed",
+      "fail-backend", "no-degrade", "deadline-ms", "retries", "breaker-threshold",
+      "breaker-open-ms", "recalibrate", "feedback-bias", "pass-interval",
+      "bias-threshold", "metrics-out"}},
+    {"fleet-bench", cmd_fleet_bench, 0,
+     {"coeffs", "testbed", "nodes", "replicas", "requests", "threads", "publishes",
+      "node-loss", "seed", "metrics-out"}},
+    {"recalibrate", cmd_recalibrate, 0,
+     {"coeffs", "testbed", "samples", "shift-at", "bias-watts", "noise", "window",
+      "pass-interval", "nrmse-threshold", "bias-threshold", "drift-min-samples",
+      "min-improvement", "cooldown", "seed", "out", "metrics-out"}},
+    {"report", cmd_report, 0, {"out", "fast", "seed"}},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return cmd_help();
   const std::string cmd = argv[1];
+  if (cmd == "help" || cmd == "--help") return cmd_help();
+  const auto sub = std::find_if(std::begin(kSubcommands), std::end(kSubcommands),
+                                [&cmd](const Subcommand& s) { return cmd == s.name; });
+  if (sub == std::end(kSubcommands)) {
+    std::fprintf(stderr, "unknown subcommand: %s\n", cmd.c_str());
+    cmd_help();
+    return 2;
+  }
   const Args args(argc, argv, 2);
+  for (const auto& [flag, value] : args.flags()) {
+    if (!sub->accepts(flag)) {
+      std::fprintf(stderr, "%s: unknown flag --%s (see `wavm3 help`)\n", sub->name,
+                   flag.c_str());
+      return 2;
+    }
+  }
   try {
-    if (cmd == "campaign") return cmd_campaign(args);
-    if (cmd == "fit") return cmd_fit(args);
-    if (cmd == "evaluate") return cmd_evaluate(args);
-    if (cmd == "predict") return cmd_predict(args);
-    if (cmd == "trace") return cmd_trace(args);
-    if (cmd == "stream-replay") return cmd_stream_replay(args);
-    if (cmd == "tables") return cmd_tables(args);
-    if (cmd == "simulate") return cmd_simulate(args);
-    if (cmd == "plan") return cmd_plan(args);
-    if (cmd == "chaos") return cmd_chaos(args);
-    if (cmd == "serve-bench") return cmd_serve_bench(args);
-    if (cmd == "fleet-bench") return cmd_fleet_bench(args);
-    if (cmd == "recalibrate") return cmd_recalibrate(args);
-    if (cmd == "report") return cmd_report(args);
-    if (cmd == "help" || cmd == "--help") return cmd_help();
+    return sub->run(args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  std::fprintf(stderr, "unknown subcommand: %s\n", cmd.c_str());
-  cmd_help();
-  return 2;
 }
