@@ -14,12 +14,20 @@ bin=$1
 mode=${2:-check}
 here=$(cd "$(dirname "$0")" && pwd)
 
-# name|wavm3 arguments; the recorded stdout lives in <name>.txt.
+# name|wavm3 arguments; the recorded stdout lives in <name>.txt. An
+# argument starting with @/ names a file next to this script.
 CASES=(
   "tables|tables --fast"
   "serve_bench|serve-bench --requests 4000 --threads 4 --repeat-fraction 0.9 --reloads 2 --seed 11"
   "plan|plan --hosts 256 --seed 3"
   "chaos|chaos --hosts 128 --seed 3"
+  # dcsim: both consolidating strategies power hosts off.
+  "simulate|simulate --seed 3"
+  # dcsim: a 30 s horizon repays no move, so cost-aware refuses every plan.
+  "simulate_short_horizon|simulate --horizon 30 --seed 3"
+  # chaos over a 6-host fleet with h0 at 18 of 16 vCPUs: overload relief
+  # sheds two VMs in wave 0.
+  "chaos_relief|chaos --fleet-hosts @/relief_hosts.csv --fleet-vms @/relief_vms.csv --seed 3"
 )
 
 # sed -E expressions, applied in order to every command's stdout.
@@ -43,6 +51,7 @@ status=0
 for case in "${CASES[@]}"; do
   name=${case%%|*}
   read -r -a argv <<<"${case#*|}"
+  argv=("${argv[@]/#@\//$here/}")
   if ! "$bin" "${argv[@]}" >"$scratch/raw" 2>"$scratch/err"; then
     echo "golden: '$name' ($bin ${argv[*]}) failed:" >&2
     cat "$scratch/err" >&2
