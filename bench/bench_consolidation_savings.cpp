@@ -29,7 +29,7 @@ dcsim::DcSimConfig scenario(dcsim::Strategy strategy, double horizon, bool memor
       vm.workload.dirty_pages_per_s_full = 300000.0;
       vm.workload.working_set_pages =
           static_cast<std::uint64_t>(0.9 * vm.spec.ram_bytes / 4096.0);
-      vm.workload.profile = dcsim::LoadProfile::constant(0.25);
+      vm.workload.profile = workloads::LoadProfile::constant(0.25);
     }
   }
   return cfg;

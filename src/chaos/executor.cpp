@@ -10,7 +10,7 @@
 #include <utility>
 
 #include "cloud/datacenter.hpp"
-#include "dcsim/traced_workload.hpp"
+#include "workloads/traced_workload.hpp"
 #include "migration/engine.hpp"
 #include "net/bandwidth_model.hpp"
 #include "obs/metrics.hpp"
@@ -182,13 +182,13 @@ ExecResult execute_attempt(const plan::Fleet& fleet, const plan::PlannerConfig& 
     spec.vcpus = host.spec().vcpus;
     spec.ram_bytes = 4096.0;  // aggregate CPU stand-in; nominal RAM footprint
     auto vm = std::make_shared<cloud::Vm>(id, spec);
-    dcsim::TracedWorkloadParams params;
+    workloads::TracedWorkloadParams params;
     params.vcpus = spec.vcpus;
-    params.profile = dcsim::LoadProfile::constant(
+    params.profile = workloads::LoadProfile::constant(
         std::clamp(load / std::max(1.0, static_cast<double>(spec.vcpus)), 0.0, 1.0));
     params.dirty_pages_per_s_full = 0.0;
     params.working_set_pages = 0;
-    vm->set_workload(std::make_shared<dcsim::TracedWorkload>(params));
+    vm->set_workload(std::make_shared<workloads::TracedWorkload>(params));
     vm->start();
     host.add_vm(std::move(vm));
   };
@@ -201,16 +201,16 @@ ExecResult execute_attempt(const plan::Fleet& fleet, const plan::PlannerConfig& 
     spec.vcpus = std::max(1, static_cast<int>(std::ceil(fv.vcpus)));
     spec.ram_bytes = fv.ram_bytes;
     auto vm = std::make_shared<cloud::Vm>(fv.id, spec);
-    dcsim::TracedWorkloadParams params;
+    workloads::TracedWorkloadParams params;
     params.vcpus = spec.vcpus;
     const double fraction =
         std::clamp(fv.cpu_now / static_cast<double>(spec.vcpus), 0.0, 1.0);
-    params.profile = dcsim::LoadProfile::constant(fraction);
+    params.profile = workloads::LoadProfile::constant(fraction);
     params.dirty_pages_per_s_full = fraction > 1e-9 ? fv.dirty_now / fraction : 0.0;
     params.working_set_pages = fv.working_set_pages;
     // The planner priced the full RAM allocation; move the same bytes.
     params.memory_used_fraction = 1.0;
-    vm->set_workload(std::make_shared<dcsim::TracedWorkload>(params));
+    vm->set_workload(std::make_shared<workloads::TracedWorkload>(params));
     vm->start();
     source.add_vm(std::move(vm));
   }

@@ -48,39 +48,6 @@ plan::PlannerConfig planner_config(const DcSimConfig& cfg) {
 
 }  // namespace
 
-void emit_fault_instants(const faults::FaultPlan& plan) {
-  obs::Tracer& tr = obs::tracer();
-  if (!tr.enabled()) return;
-  for (const faults::LinkDegradation& d : plan.degradations()) {
-    tr.emit_instant("faults", "link_degradation", sim_ns(d.start),
-                    {{"duration_s", d.end - d.start}, {"factor", d.factor}}, nullptr, nullptr,
-                    obs::kSimPid);
-  }
-  for (const faults::LinkFlap& f : plan.flaps()) {
-    tr.emit_instant("faults", "link_flap", sim_ns(f.start),
-                    {{"duration_s", f.end - f.start},
-                     {"down_factor", f.down_factor},
-                     {"period_s", f.up_duration + f.down_duration}},
-                    nullptr, nullptr, obs::kSimPid);
-  }
-  for (const faults::TransferStall& s : plan.stalls()) {
-    tr.emit_instant("faults", "transfer_stall", sim_ns(s.at), {{"duration_s", s.duration}},
-                    nullptr, nullptr, obs::kSimPid);
-  }
-  for (const faults::HostOverload& o : plan.overloads()) {
-    tr.emit_instant("faults", "host_overload", sim_ns(o.start),
-                    {{"duration_s", o.end - o.start}, {"extra_vcpus", o.extra_vcpus}}, nullptr,
-                    nullptr, obs::kSimPid);
-  }
-  for (const faults::ConnectionLoss& l : plan.connection_losses()) {
-    // Phase-bound losses have no absolute time until a migration runs;
-    // stamp them at 0 with their in-phase offset as an annotation.
-    const bool absolute = l.phase == faults::FaultPhase::kAny;
-    tr.emit_instant("faults", "connection_loss", absolute ? sim_ns(l.at) : 0,
-                    {{"offset_s", l.at}}, "phase", faults::to_string(l.phase), obs::kSimPid);
-  }
-}
-
 /// All mutable simulation state; lives only inside run().
 struct DataCenterSimulation::Runtime {
   const DcSimConfig& cfg;
@@ -346,7 +313,7 @@ DcSimReport DataCenterSimulation::run() {
     cloud::Host* host = rt.dc.host(placement.host);
     WAVM3_REQUIRE(host != nullptr, "placement names unknown host: " + placement.host);
     auto vm = std::make_shared<cloud::Vm>(placement.vm_id, placement.spec);
-    vm->set_workload(std::make_shared<TracedWorkload>(placement.workload));
+    vm->set_workload(std::make_shared<workloads::TracedWorkload>(placement.workload));
     vm->start();
     host->add_vm(std::move(vm));
   }
@@ -355,7 +322,7 @@ DcSimReport DataCenterSimulation::run() {
       rt.sim, rt.dc, net::BandwidthModel(config_.bandwidth), config_.migration);
   if (config_.faults != nullptr) {
     rt.engine->set_fault_plan(config_.faults);
-    emit_fault_instants(*config_.faults);
+    faults::emit_fault_instants(*config_.faults);
   }
   if (model_ != nullptr) {
     rt.planner = std::make_unique<plan::MigrationPlanner>(*model_, planner_config(config_));
@@ -437,7 +404,7 @@ DcSimConfig make_fleet_scenario(int n_hosts, int n_vms, std::uint64_t seed) {
     const double low = rng.uniform(0.05, 0.25);
     const double high = rng.uniform(0.5, 1.0);
     const double phase = rng.uniform(0.0, 86400.0);
-    p.workload.profile = LoadProfile::diurnal(low, high, 86400.0, phase);
+    p.workload.profile = workloads::LoadProfile::diurnal(low, high, 86400.0, phase);
     p.workload.vcpus = p.spec.vcpus;
     p.workload.dirty_pages_per_s_full = rng.uniform(500.0, 20000.0);
     p.workload.working_set_pages = static_cast<std::uint64_t>(

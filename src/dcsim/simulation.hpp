@@ -28,12 +28,12 @@
 
 #include "cloud/datacenter.hpp"
 #include "core/wavm3_model.hpp"
-#include "dcsim/traced_workload.hpp"
 #include "faults/fault_plan.hpp"
 #include "migration/engine.hpp"
 #include "net/bandwidth_model.hpp"
 #include "plan/planner.hpp"
 #include "power/host_power_model.hpp"
+#include "workloads/traced_workload.hpp"
 
 namespace wavm3::dcsim {
 
@@ -47,7 +47,7 @@ struct VmPlacement {
   std::string vm_id;
   std::string host;          ///< initial host name
   cloud::VmSpec spec;
-  TracedWorkloadParams workload;
+  workloads::TracedWorkloadParams workload;
 };
 
 /// Full simulation configuration.
@@ -124,12 +124,5 @@ class DataCenterSimulation {
 /// hosts and `n_vms` diurnal-profile VMs (deterministic in `seed`),
 /// suitable for strategy comparisons.
 DcSimConfig make_fleet_scenario(int n_hosts, int n_vms, std::uint64_t seed);
-
-/// Projects `plan` onto the tracer's simulated-time track as instant
-/// events (interval faults are stamped at their start with the
-/// duration as an annotation). run() calls this for its own plan;
-/// other fault-plan consumers (e.g. `wavm3 trace`) call it directly.
-/// No-op while the tracer is disabled.
-void emit_fault_instants(const faults::FaultPlan& plan);
 
 }  // namespace wavm3::dcsim

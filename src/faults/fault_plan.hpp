@@ -187,4 +187,11 @@ class FaultPlan final : public net::LinkConditioner {
   std::vector<ConnectionLoss> losses_;
 };
 
+/// Projects `plan` onto the tracer's simulated-time track as instant
+/// events (interval faults are stamped at their start with the
+/// duration as an annotation). dcsim calls this for its own plan;
+/// other fault-plan consumers (e.g. `wavm3 trace`) call it directly.
+/// No-op while the tracer is disabled.
+void emit_fault_instants(const FaultPlan& plan);
+
 }  // namespace wavm3::faults

@@ -22,8 +22,8 @@ constexpr InstanceShape kInstances[] = {
 
 }  // namespace
 
-QueryStreamGenerator::QueryStreamGenerator(dcsim::LoadProfile source_profile,
-                                           dcsim::LoadProfile target_profile,
+QueryStreamGenerator::QueryStreamGenerator(workloads::LoadProfile source_profile,
+                                           workloads::LoadProfile target_profile,
                                            QueryStreamOptions options, std::uint64_t seed)
     : source_profile_(std::move(source_profile)),
       target_profile_(std::move(target_profile)),
@@ -38,8 +38,8 @@ QueryStreamGenerator QueryStreamGenerator::diurnal(QueryStreamOptions options,
                                                    std::uint64_t seed) {
   // Source hosts peak during the day, targets half a cycle later — the
   // regime where consolidation keeps finding migration candidates.
-  return QueryStreamGenerator(dcsim::LoadProfile::diurnal(0.1, 0.8),
-                              dcsim::LoadProfile::diurnal(0.1, 0.8, 86400.0, 43200.0),
+  return QueryStreamGenerator(workloads::LoadProfile::diurnal(0.1, 0.8),
+                              workloads::LoadProfile::diurnal(0.1, 0.8, 86400.0, 43200.0),
                               options, seed);
 }
 

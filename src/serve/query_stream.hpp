@@ -5,7 +5,7 @@
 // loads follow the fleet's diurnal cycle, and consecutive rounds repeat
 // most of their questions (the fleet barely changes between rounds).
 // QueryStreamGenerator reproduces that shape: host loads are sampled
-// from dcsim::LoadProfile curves as simulated time advances, VM sizes
+// from workloads::LoadProfile curves as simulated time advances, VM sizes
 // and dirtying rates are drawn from a small instance catalogue, and a
 // configurable fraction of queries is an exact repeat of an earlier
 // one (the cacheable regime).
@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "core/planner.hpp"
-#include "dcsim/load_profile.hpp"
+#include "workloads/load_profile.hpp"
 #include "util/rng.hpp"
 
 namespace wavm3::serve {
@@ -37,7 +37,7 @@ class QueryStreamGenerator {
  public:
   /// `source_profile` / `target_profile` drive the two hosts' loads
   /// over simulated time.
-  QueryStreamGenerator(dcsim::LoadProfile source_profile, dcsim::LoadProfile target_profile,
+  QueryStreamGenerator(workloads::LoadProfile source_profile, workloads::LoadProfile target_profile,
                        QueryStreamOptions options, std::uint64_t seed);
 
   /// Convenience: offset diurnal profiles (day-shifted between source
@@ -53,8 +53,8 @@ class QueryStreamGenerator {
  private:
   core::MigrationScenario fresh_scenario();
 
-  dcsim::LoadProfile source_profile_;
-  dcsim::LoadProfile target_profile_;
+  workloads::LoadProfile source_profile_;
+  workloads::LoadProfile target_profile_;
   QueryStreamOptions options_;
   util::RngStream rng_;
   double clock_ = 0.0;

@@ -1,4 +1,4 @@
-#include "dcsim/load_profile.hpp"
+#include "workloads/load_profile.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -8,7 +8,7 @@
 #include "util/csv.hpp"
 #include "util/error.hpp"
 
-namespace wavm3::dcsim {
+namespace wavm3::workloads {
 
 LoadProfile LoadProfile::constant(double fraction) {
   WAVM3_REQUIRE(fraction >= 0.0 && fraction <= 1.0, "fraction must be in [0,1]");
@@ -92,4 +92,4 @@ double LoadProfile::mean_fraction() const {
   return sum / end;
 }
 
-}  // namespace wavm3::dcsim
+}  // namespace wavm3::workloads

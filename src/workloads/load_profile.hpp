@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-namespace wavm3::dcsim {
+namespace wavm3::workloads {
 
 /// One profile breakpoint.
 struct LoadPoint {
@@ -53,4 +53,4 @@ class LoadProfile {
   double period_ = 0.0;
 };
 
-}  // namespace wavm3::dcsim
+}  // namespace wavm3::workloads

@@ -1,8 +1,8 @@
-#include "dcsim/traced_workload.hpp"
+#include "workloads/traced_workload.hpp"
 
 #include "util/error.hpp"
 
-namespace wavm3::dcsim {
+namespace wavm3::workloads {
 
 TracedWorkload::TracedWorkload(TracedWorkloadParams params) : params_(std::move(params)) {
   WAVM3_REQUIRE(params_.vcpus >= 1, "need at least one vCPU");
@@ -19,4 +19,4 @@ double TracedWorkload::dirty_page_rate(double t) const {
   return params_.profile.fraction_at(t) * params_.dirty_pages_per_s_full;
 }
 
-}  // namespace wavm3::dcsim
+}  // namespace wavm3::workloads

@@ -2,10 +2,10 @@
 // follow recorded/synthetic utilisation traces over a long horizon.
 #pragma once
 
-#include "dcsim/load_profile.hpp"
+#include "workloads/load_profile.hpp"
 #include "workloads/workload.hpp"
 
-namespace wavm3::dcsim {
+namespace wavm3::workloads {
 
 /// Parameters of a trace-driven workload.
 struct TracedWorkloadParams {
@@ -14,16 +14,16 @@ struct TracedWorkloadParams {
   double dirty_pages_per_s_full = 2000.0;  ///< dirtying at full load
   std::uint64_t working_set_pages = 65536;  ///< 256 MiB
   double memory_used_fraction = 0.4;
-  workloads::WorkloadClass clazz = workloads::WorkloadClass::kMixed;
+  WorkloadClass clazz = WorkloadClass::kMixed;
 };
 
 /// Workload whose CPU demand and dirtying follow a LoadProfile.
-class TracedWorkload final : public workloads::Workload {
+class TracedWorkload final : public Workload {
  public:
   explicit TracedWorkload(TracedWorkloadParams params);
 
   std::string name() const override { return "traced"; }
-  workloads::WorkloadClass workload_class() const override { return params_.clazz; }
+  WorkloadClass workload_class() const override { return params_.clazz; }
   double cpu_demand(double t) const override;
   double dirty_page_rate(double t) const override;
   std::uint64_t working_set_pages() const override { return params_.working_set_pages; }
@@ -35,4 +35,4 @@ class TracedWorkload final : public workloads::Workload {
   TracedWorkloadParams params_;
 };
 
-}  // namespace wavm3::dcsim
+}  // namespace wavm3::workloads

@@ -1,16 +1,10 @@
-// Tests for the data-centre simulation layer: load profiles, traced
-// workloads, the closed consolidation loop, and the headline claim that
-// model-driven consolidation saves fleet energy.
+// Tests for the data-centre simulation layer: the closed consolidation
+// loop and the headline claim that model-driven consolidation saves
+// fleet energy.
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <cstdio>
-#include <fstream>
-
 #include "core/wavm3_model.hpp"
-#include "dcsim/load_profile.hpp"
 #include "dcsim/simulation.hpp"
-#include "dcsim/traced_workload.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
@@ -25,80 +19,6 @@ const core::Wavm3Model& model() {
     return model;
   }();
   return m;
-}
-
-TEST(LoadProfile, ConstantHoldsForever) {
-  const LoadProfile p = LoadProfile::constant(0.4);
-  EXPECT_DOUBLE_EQ(p.fraction_at(0.0), 0.4);
-  EXPECT_DOUBLE_EQ(p.fraction_at(1e6), 0.4);
-  EXPECT_DOUBLE_EQ(p.mean_fraction(), 0.4);
-  EXPECT_FALSE(p.cyclic());
-}
-
-TEST(LoadProfile, StepsAndCyclicWrap) {
-  const LoadProfile p = LoadProfile::steps({{0.0, 0.1}, {10.0, 0.8}}, 20.0);
-  EXPECT_DOUBLE_EQ(p.fraction_at(5.0), 0.1);
-  EXPECT_DOUBLE_EQ(p.fraction_at(15.0), 0.8);
-  EXPECT_DOUBLE_EQ(p.fraction_at(25.0), 0.1);  // wrapped
-  EXPECT_DOUBLE_EQ(p.fraction_at(39.9), 0.8);
-  EXPECT_NEAR(p.mean_fraction(), 0.45, 1e-12);
-  EXPECT_TRUE(p.cyclic());
-}
-
-TEST(LoadProfile, NonCyclicHoldsLastValue) {
-  const LoadProfile p = LoadProfile::steps({{0.0, 0.2}, {10.0, 0.9}});
-  EXPECT_DOUBLE_EQ(p.fraction_at(1e9), 0.9);
-}
-
-TEST(LoadProfile, DiurnalOscillatesBetweenBounds) {
-  const LoadProfile p = LoadProfile::diurnal(0.1, 0.9, 86400.0);
-  double lo = 1.0;
-  double hi = 0.0;
-  for (double t = 0.0; t < 86400.0; t += 600.0) {
-    const double f = p.fraction_at(t);
-    lo = std::min(lo, f);
-    hi = std::max(hi, f);
-    EXPECT_GE(f, 0.1 - 1e-9);
-    EXPECT_LE(f, 0.9 + 1e-9);
-  }
-  EXPECT_LT(lo, 0.15);
-  EXPECT_GT(hi, 0.85);
-  // One full period later the pattern repeats.
-  EXPECT_DOUBLE_EQ(p.fraction_at(3600.0), p.fraction_at(3600.0 + 86400.0));
-}
-
-TEST(LoadProfile, CsvRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/wavm3_profile.csv";
-  {
-    std::ofstream out(path);
-    out << "time_s,fraction\n0,0.2\n600,0.8\n1200,0.4\n";
-  }
-  const LoadProfile p = LoadProfile::from_csv(path, 1800.0);
-  std::remove(path.c_str());
-  EXPECT_DOUBLE_EQ(p.fraction_at(100.0), 0.2);
-  EXPECT_DOUBLE_EQ(p.fraction_at(700.0), 0.8);
-  EXPECT_DOUBLE_EQ(p.fraction_at(1300.0), 0.4);
-  EXPECT_DOUBLE_EQ(p.fraction_at(1900.0), 0.2);  // wrapped
-  EXPECT_THROW(LoadProfile::from_csv("/nonexistent.csv"), util::ContractError);
-}
-
-TEST(LoadProfile, Validation) {
-  EXPECT_THROW(LoadProfile::constant(1.5), util::ContractError);
-  EXPECT_THROW(LoadProfile::steps({{1.0, 0.5}}), util::ContractError);   // must start at 0
-  EXPECT_THROW(LoadProfile::steps({{0.0, 0.5}, {0.0, 0.6}}), util::ContractError);
-  EXPECT_THROW(LoadProfile::steps({{0.0, 0.5}, {10.0, 0.6}}, 5.0), util::ContractError);
-}
-
-TEST(TracedWorkloadTest, FollowsProfile) {
-  TracedWorkloadParams params;
-  params.profile = LoadProfile::steps({{0.0, 0.25}, {100.0, 1.0}}, 200.0);
-  params.vcpus = 4;
-  params.dirty_pages_per_s_full = 1000.0;
-  const TracedWorkload w(params);
-  EXPECT_DOUBLE_EQ(w.cpu_demand(50.0), 1.0);
-  EXPECT_DOUBLE_EQ(w.cpu_demand(150.0), 4.0);
-  EXPECT_DOUBLE_EQ(w.dirty_page_rate(50.0), 250.0);
-  EXPECT_DOUBLE_EQ(w.dirty_page_rate(150.0), 1000.0);
 }
 
 TEST(FleetScenario, DeterministicAndWellFormed) {
@@ -125,7 +45,7 @@ DcSimConfig small_config(Strategy strategy) {
   cfg.policy.underload_fraction = 0.45;
   // Quiet overnight: every VM near its trough so consolidation is easy.
   for (auto& vm : cfg.vms) {
-    vm.workload.profile = LoadProfile::constant(0.1);
+    vm.workload.profile = workloads::LoadProfile::constant(0.1);
   }
   return cfg;
 }
@@ -165,7 +85,7 @@ TEST(Simulation, CostAwareRejectsUnprofitablePlans) {
     vm.workload.dirty_pages_per_s_full = 300000.0;
     vm.workload.working_set_pages =
         static_cast<std::uint64_t>(0.9 * vm.spec.ram_bytes / util::kPageSize);
-    vm.workload.profile = LoadProfile::constant(0.9);
+    vm.workload.profile = workloads::LoadProfile::constant(0.9);
   }
   DataCenterSimulation sim(cfg, &model());
   const DcSimReport report = sim.run();
@@ -239,7 +159,7 @@ TEST(Simulation, OverloadedHostShedsLoad) {
     p.spec.instance_type = "hot";
     p.spec.vcpus = 4;
     p.spec.ram_bytes = util::gib(2);
-    p.workload.profile = LoadProfile::constant(0.9);
+    p.workload.profile = workloads::LoadProfile::constant(0.9);
     p.workload.vcpus = 4;
     cfg.vms.push_back(std::move(p));
   }

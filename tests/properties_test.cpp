@@ -199,7 +199,7 @@ TEST(DcSimSla, PostCopyPolicyPreservesPerformance) {
     cfg.strategy = dcsim::Strategy::kCostAware;
     cfg.policy.migration_type = type;
     cfg.policy.underload_fraction = 0.45;
-    for (auto& vm : cfg.vms) vm.workload.profile = dcsim::LoadProfile::constant(0.1);
+    for (auto& vm : cfg.vms) vm.workload.profile = workloads::LoadProfile::constant(0.1);
     dcsim::DataCenterSimulation sim(cfg, &model);
     return sim.run();
   };

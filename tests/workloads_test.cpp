@@ -1,10 +1,15 @@
 // Unit tests for the workload models plus the real runnable kernels.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+
 #include "util/error.hpp"
 #include "util/units.hpp"
+#include "workloads/load_profile.hpp"
 #include "workloads/matrixmult.hpp"
 #include "workloads/pagedirtier.hpp"
+#include "workloads/traced_workload.hpp"
 #include "workloads/workload.hpp"
 
 namespace wavm3::workloads {
@@ -98,6 +103,80 @@ TEST(Composite, SumsDemands) {
 TEST(Composite, RejectsEmptyAndNull) {
   EXPECT_THROW(CompositeWorkload{std::vector<WorkloadPtr>{}}, util::ContractError);
   EXPECT_THROW(CompositeWorkload{std::vector<WorkloadPtr>{nullptr}}, util::ContractError);
+}
+
+TEST(LoadProfile, ConstantHoldsForever) {
+  const LoadProfile p = LoadProfile::constant(0.4);
+  EXPECT_DOUBLE_EQ(p.fraction_at(0.0), 0.4);
+  EXPECT_DOUBLE_EQ(p.fraction_at(1e6), 0.4);
+  EXPECT_DOUBLE_EQ(p.mean_fraction(), 0.4);
+  EXPECT_FALSE(p.cyclic());
+}
+
+TEST(LoadProfile, StepsAndCyclicWrap) {
+  const LoadProfile p = LoadProfile::steps({{0.0, 0.1}, {10.0, 0.8}}, 20.0);
+  EXPECT_DOUBLE_EQ(p.fraction_at(5.0), 0.1);
+  EXPECT_DOUBLE_EQ(p.fraction_at(15.0), 0.8);
+  EXPECT_DOUBLE_EQ(p.fraction_at(25.0), 0.1);  // wrapped
+  EXPECT_DOUBLE_EQ(p.fraction_at(39.9), 0.8);
+  EXPECT_NEAR(p.mean_fraction(), 0.45, 1e-12);
+  EXPECT_TRUE(p.cyclic());
+}
+
+TEST(LoadProfile, NonCyclicHoldsLastValue) {
+  const LoadProfile p = LoadProfile::steps({{0.0, 0.2}, {10.0, 0.9}});
+  EXPECT_DOUBLE_EQ(p.fraction_at(1e9), 0.9);
+}
+
+TEST(LoadProfile, DiurnalOscillatesBetweenBounds) {
+  const LoadProfile p = LoadProfile::diurnal(0.1, 0.9, 86400.0);
+  double lo = 1.0;
+  double hi = 0.0;
+  for (double t = 0.0; t < 86400.0; t += 600.0) {
+    const double f = p.fraction_at(t);
+    lo = std::min(lo, f);
+    hi = std::max(hi, f);
+    EXPECT_GE(f, 0.1 - 1e-9);
+    EXPECT_LE(f, 0.9 + 1e-9);
+  }
+  EXPECT_LT(lo, 0.15);
+  EXPECT_GT(hi, 0.85);
+  // One full period later the pattern repeats.
+  EXPECT_DOUBLE_EQ(p.fraction_at(3600.0), p.fraction_at(3600.0 + 86400.0));
+}
+
+TEST(LoadProfile, CsvRoundTrip) {
+  const std::string path = ::testing::TempDir() + "/wavm3_profile.csv";
+  {
+    std::ofstream out(path);
+    out << "time_s,fraction\n0,0.2\n600,0.8\n1200,0.4\n";
+  }
+  const LoadProfile p = LoadProfile::from_csv(path, 1800.0);
+  std::remove(path.c_str());
+  EXPECT_DOUBLE_EQ(p.fraction_at(100.0), 0.2);
+  EXPECT_DOUBLE_EQ(p.fraction_at(700.0), 0.8);
+  EXPECT_DOUBLE_EQ(p.fraction_at(1300.0), 0.4);
+  EXPECT_DOUBLE_EQ(p.fraction_at(1900.0), 0.2);  // wrapped
+  EXPECT_THROW(LoadProfile::from_csv("/nonexistent.csv"), util::ContractError);
+}
+
+TEST(LoadProfile, Validation) {
+  EXPECT_THROW(LoadProfile::constant(1.5), util::ContractError);
+  EXPECT_THROW(LoadProfile::steps({{1.0, 0.5}}), util::ContractError);   // must start at 0
+  EXPECT_THROW(LoadProfile::steps({{0.0, 0.5}, {0.0, 0.6}}), util::ContractError);
+  EXPECT_THROW(LoadProfile::steps({{0.0, 0.5}, {10.0, 0.6}}, 5.0), util::ContractError);
+}
+
+TEST(TracedWorkloadTest, FollowsProfile) {
+  TracedWorkloadParams params;
+  params.profile = LoadProfile::steps({{0.0, 0.25}, {100.0, 1.0}}, 200.0);
+  params.vcpus = 4;
+  params.dirty_pages_per_s_full = 1000.0;
+  const TracedWorkload w(params);
+  EXPECT_DOUBLE_EQ(w.cpu_demand(50.0), 1.0);
+  EXPECT_DOUBLE_EQ(w.cpu_demand(150.0), 4.0);
+  EXPECT_DOUBLE_EQ(w.dirty_page_rate(50.0), 250.0);
+  EXPECT_DOUBLE_EQ(w.dirty_page_rate(150.0), 1000.0);
 }
 
 }  // namespace

@@ -528,7 +528,7 @@ int cmd_trace(const Args& args) {
   if (!trace_path.empty()) obs::tracer().set_enabled(true);
   const core::MigrationScenario sc = scenario_from_args(args);
   const std::shared_ptr<const faults::FaultPlan> plan = fault_plan_from_args(args);
-  if (plan != nullptr) dcsim::emit_fault_instants(*plan);
+  if (plan != nullptr) faults::emit_fault_instants(*plan);
 
   const migration::MigrationRecord rec = serve::simulate_record(sc, plan);
 
