@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
 #include <unordered_map>
 #include <utility>
 
@@ -70,7 +71,7 @@ std::vector<InvariantViolation> FleetInvariantChecker::check(
   // both lost and placed" contradiction. Across waves a shed VM may
   // legitimately re-enter a later plan and land.
   std::unordered_map<int, int> pending_per_vm;
-  std::unordered_map<int, std::vector<std::pair<MoveResolution, int>>> resolved_per_vm;
+  std::set<std::pair<int, int>> shed_at, placed_at;  ///< (VM, resolved wave)
   for (const TrackedMove& mv : ledger) {
     if (mv.resolution == MoveResolution::kPending) {
       if (++pending_per_vm[mv.move.vm] > 1) {
@@ -84,22 +85,16 @@ std::vector<InvariantViolation> FleetInvariantChecker::check(
                           fleet.vm(mv.move.vm).id.c_str(), mv.move.source,
                           fleet.vm(mv.move.vm).host));
       }
-    } else if (mv.resolution == MoveResolution::kShed || is_placed(mv.resolution)) {
-      resolved_per_vm[mv.move.vm].emplace_back(mv.resolution, mv.resolved_wave);
+    } else if (mv.resolution == MoveResolution::kShed) {
+      shed_at.emplace(mv.move.vm, mv.resolved_wave);
+    } else if (is_placed(mv.resolution)) {
+      placed_at.emplace(mv.move.vm, mv.resolved_wave);
     }
   }
-  for (const auto& [vm, entries] : resolved_per_vm) {
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      for (std::size_t j = i + 1; j < entries.size(); ++j) {
-        if (entries[i].second != entries[j].second) continue;
-        const bool one_shed = entries[i].first == MoveResolution::kShed ||
-                              entries[j].first == MoveResolution::kShed;
-        const bool one_placed = is_placed(entries[i].first) || is_placed(entries[j].first);
-        if (one_shed && one_placed) {
-          fail("ownership", util::format("VM %s both shed and placed in wave %d",
-                                         fleet.vm(vm).id.c_str(), entries[i].second));
-        }
-      }
+  for (const auto& [vm, wave] : shed_at) {
+    if (placed_at.count({vm, wave}) != 0) {
+      fail("ownership", util::format("VM %s both shed and placed in wave %d",
+                                     fleet.vm(vm).id.c_str(), wave));
     }
   }
 

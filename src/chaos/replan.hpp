@@ -1,24 +1,17 @@
-// Replan policy of the chaos wave executor: the part that decides what
-// happens to a planned migration after reality disagrees with the plan.
-//
-// Three mechanisms, mirroring the serve degradation ladder from the
-// prediction service (deadline -> retry/backoff -> degraded mode):
+// Replan policy of the closed loop (chaos::ClosedLoop): what happens to
+// a planned migration after reality disagrees with the plan. Three
+// mechanisms, like the serve degradation ladder:
 //
 //   * wave deadlines — a move that cannot *start* within
-//     ReplanConfig::wave_deadline_s of its wave's opening is not
-//     executed late; it is refunded and handed back to the planner,
-//     which re-prices it against the fleet state it will actually run
-//     under.
+//     ReplanConfig::wave_deadline_s of its wave's opening is refunded
+//     and re-priced by the planner instead of executed late;
 //   * bounded retries with backoff — a rolled-back migration keeps the
-//     VM on its source, so the same move can be re-attempted. Each
-//     tracked move carries a retry budget; every failure pushes the
-//     next attempt further out (exponentially, in waves), and an
-//     exhausted budget sheds the move.
-//   * degraded mode — when the rolling failure rate of recent
-//     executions crosses a threshold, the executor stops trusting the
-//     network and shrinks the admitted wave width until the rate
-//     recovers (fewer in-flight migrations, less wasted energy per
-//     storm).
+//     VM on its source, so the move can be re-attempted; every failure
+//     pushes the next attempt further out (exponentially, in waves),
+//     and an exhausted budget sheds the move;
+//   * degraded mode — while the rolling failure rate of recent
+//     executions is high, the admitted wave width shrinks (fewer
+//     in-flight migrations, less wasted energy per storm).
 #pragma once
 
 #include <cstddef>

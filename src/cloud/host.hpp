@@ -88,9 +88,6 @@ class Host {
   /// vCPUs.
   double cpu_used(double t) const;
 
-  /// CPU utilisation fraction in [0,1].
-  double cpu_utilisation(double t) const { return cpu_used(t) / cpu_capacity(); }
-
   /// CPU actually granted to one VM after proportional multiplexing
   /// (CPU(v,t)); zero when the VM is not running here.
   double cpu_granted_to(const std::string& vm_id, double t) const;

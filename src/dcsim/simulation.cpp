@@ -1,10 +1,11 @@
 #include "dcsim/simulation.hpp"
 
-#include <algorithm>
 #include <deque>
 #include <memory>
+#include <unordered_map>
 #include <utility>
 
+#include "chaos/closed_loop.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "plan/strategy.hpp"
@@ -26,10 +27,6 @@ const char* to_string(Strategy s) {
 }
 
 namespace {
-
-std::uint64_t sim_ns(double seconds) {
-  return seconds <= 0.0 ? 0 : static_cast<std::uint64_t>(seconds * 1e9);
-}
 
 /// The planner's view of the simulated fleet: its policy, the
 /// machine class's power estimate, and the default link's payload rate
@@ -57,17 +54,18 @@ struct DataCenterSimulation::Runtime {
   power::HostPowerModel power_model;
   std::unique_ptr<migration::MigrationEngine> engine;
   std::unique_ptr<plan::MigrationPlanner> planner;
+  std::unique_ptr<chaos::ClosedLoop> loop;  ///< relief, retry, ledger and audit rules
   const plan::BeamSearchStrategy beam;
 
   std::set<std::string> powered_off;
-  /// One queued move of the wave being executed, with its retry count.
-  struct PendingMove {
-    std::string vm;
-    std::string source;
-    std::string target;
-    int attempts = 0;
-  };
-  std::deque<PendingMove> pending;  ///< wave being executed
+
+  // The open wave: its snapshot (kept in step with the moves that land),
+  // counters, ledger ids still to run and the attempts run so far.
+  plan::Fleet fleet;
+  chaos::WaveOutcome wave;
+  int next_wave = 0;  ///< waves opened so far; the last one is open
+  std::deque<int> queue;
+  std::vector<chaos::ExecutedInterval> intervals;
 
   // Trapezoidal energy accounting.
   std::map<std::string, double> energy;
@@ -103,7 +101,7 @@ struct DataCenterSimulation::Runtime {
     last_sample_time = t;
   }
 
-  /// Outcome bookkeeping shared by plan and overload-relief moves.
+  /// Ground-truth bookkeeping of one finished migration.
   void account_migration(const migration::MigrationRecord& r) {
     if (r.completed) {
       ++report.migrations_executed;
@@ -123,108 +121,42 @@ struct DataCenterSimulation::Runtime {
   }
 
   /// Powers a donor off once its last VM has left.
-  void power_off_if_empty(const std::string& host_name) {
-    const cloud::Host* host = dc.host(host_name);
-    if (host != nullptr && host->vm_count() == 0 && powered_off.insert(host_name).second) {
+  void power_off_if_empty(int h) {
+    const std::string& name = fleet.host(h).spec.name;
+    const cloud::Host* host = dc.host(name);
+    if (host != nullptr && host->vm_count() == 0 && powered_off.insert(name).second) {
+      fleet.set_powered(h, false);
       ++report.power_off_events;
     }
   }
 
-  /// Starts the next queued migration of the active wave.
+  /// Starts the next queued attempt of the open wave. Its completion
+  /// resolves the ledger entry and starts the one after: one migration
+  /// at a time.
   void execute_next_migration() {
-    while (!pending.empty()) {
-      const PendingMove move = pending.front();
-      pending.pop_front();
-      cloud::Host* source = dc.host(move.source);
-      if (source == nullptr || !source->has_vm(move.vm)) continue;
+    while (!queue.empty()) {
+      const int id = queue.front();
+      queue.pop_front();
+      if (!loop->revalidate(fleet, id, wave)) continue;
+      const plan::ScheduledMove move = loop->entry(id).move;
+      const double start = sim.now();
+      loop->start_attempt(id, wave);
       try {
-        engine->migrate(move.vm, move.source, move.target, cfg.policy.migration_type, {},
-                        [this, move](const migration::MigrationRecord& r) {
+        engine->migrate(fleet.vm(move.vm).id, fleet.host(move.source).spec.name,
+                        fleet.host(move.target).spec.name, cfg.policy.migration_type, {},
+                        [this, id, move, start](const migration::MigrationRecord& r) {
                           account_migration(r);
-                          // A rolled-back move left the world as it was:
-                          // re-attempt in place, up to the policy's
-                          // bound. kVmLost must NEVER retry: the engine
-                          // already restarted the VM on the target, so
-                          // a re-attempt would migrate a VM that is no
-                          // longer on the source. Past the bound the
-                          // wave continues without this move; the next
-                          // controller tick replans around it.
-                          if (r.outcome == migration::MigrationOutcome::kRolledBack) {
-                            if (move.attempts < cfg.max_retries) {
-                              ++report.migrations_retried;
-                              obs::registry()
-                                  .counter("dcsim_migration_retries_total",
-                                           "Rolled-back fleet migrations re-attempted",
-                                           {{"strategy", to_string(cfg.strategy)}})
-                                  .inc();
-                              PendingMove retry = move;
-                              ++retry.attempts;
-                              pending.push_front(retry);
-                            } else {
-                              ++report.migration_retries_exhausted;
-                              obs::registry()
-                                  .counter("dcsim_migration_retries_exhausted_total",
-                                           "Rolled-back migrations dropped at the retry cap",
-                                           {{"strategy", to_string(cfg.strategy)}})
-                                  .inc();
-                            }
-                          }
-                          power_off_if_empty(move.source);
+                          intervals.push_back({move.source, start, sim.now()});
+                          intervals.push_back({move.target, start, sim.now()});
+                          loop->resolve(fleet, id, r.outcome, chaos::wasted_fraction(r), wave);
+                          if (!loop->entry(id).relief) power_off_if_empty(move.source);
                           execute_next_migration();
                         });
         return;  // one at a time; continue from the completion callback
       } catch (const util::ContractError& e) {
         util::log_warn(std::string("dcsim: dropping planned migration: ") + e.what());
+        loop->refund(id, wave.invalidated);
       }
-    }
-  }
-
-  /// Moves one VM off an overloaded host, powering a standby host on
-  /// when no powered-on target has room.
-  void relieve_overload(double now) {
-    for (cloud::Host* h : dc.hosts()) {
-      if (powered_off.count(h->name()) != 0) continue;
-      if (h->cpu_utilisation(now) <= cfg.policy.overload_fraction) continue;
-      const auto vms = h->vms();
-      if (vms.size() < 2) continue;  // nothing sensible to shed
-
-      // Shed the smallest VM (cheapest move).
-      const cloud::VmPtr vm = *std::min_element(
-          vms.begin(), vms.end(), [now](const cloud::VmPtr& a, const cloud::VmPtr& b) {
-            return a->cpu_demand(now) < b->cpu_demand(now);
-          });
-
-      // Least-loaded powered-on target with CPU and RAM room.
-      cloud::Host* best = nullptr;
-      for (cloud::Host* t : dc.hosts()) {
-        if (t == h || powered_off.count(t->name()) != 0) continue;
-        if (!t->can_fit(vm->spec())) continue;
-        const double after = t->cpu_used(now) + vm->cpu_demand(now);
-        if (after > cfg.policy.overload_fraction * t->cpu_capacity()) continue;
-        if (best == nullptr || t->cpu_utilisation(now) < best->cpu_utilisation(now)) best = t;
-      }
-      if (best == nullptr) {
-        // Wake a standby machine.
-        for (cloud::Host* t : dc.hosts()) {
-          if (powered_off.count(t->name()) != 0 && t->can_fit(vm->spec())) {
-            powered_off.erase(t->name());
-            ++report.power_on_events;
-            best = t;
-            break;
-          }
-        }
-      }
-      if (best == nullptr) continue;
-
-      try {
-        // Relief moves are not retried on failure: the next controller
-        // tick reassesses the (possibly changed) overload picture.
-        engine->migrate(vm->id(), h->name(), best->name(), cfg.policy.migration_type, {},
-                        [this](const migration::MigrationRecord& r) { account_migration(r); });
-      } catch (const util::ContractError& e) {
-        util::log_warn(std::string("dcsim: overload relief failed: ") + e.what());
-      }
-      return;  // at most one relief migration per tick
     }
   }
 
@@ -232,36 +164,91 @@ struct DataCenterSimulation::Runtime {
   /// its spec and power state, every VM as plan::fleet_vm sees it (no
   /// history, so no cycle scheduling).
   plan::Fleet snapshot(double now) const {
-    plan::Fleet fleet;
+    plan::Fleet snap;
     for (const cloud::Host* h : dc.hosts()) {
-      const int host = fleet.add_host(h->spec());
-      fleet.set_powered(host, powered_off.count(h->name()) == 0);
-      for (const cloud::VmPtr& vm : h->vms()) fleet.add_vm(plan::fleet_vm(*vm, now), host);
+      const int host = snap.add_host(h->spec());
+      snap.set_powered(host, powered_off.count(h->name()) == 0);
+      for (const cloud::VmPtr& vm : h->vms()) snap.add_vm(plan::fleet_vm(*vm, now), host);
     }
-    return fleet;
+    return snap;
   }
 
-  /// Plans one what-if wave and queues its moves. Cost-aware drops
-  /// every donor whose moves cost at least what vacating it saves.
-  void try_consolidate(double now) {
-    plan::Fleet fleet = snapshot(now);
-    const plan::WavePlan wave = planner->plan_wave(fleet, beam, now, /*commit=*/false);
-    std::map<int, double> donor_cost;
-    for (const plan::ScheduledMove& m : wave.moves) donor_cost[m.source] += m.energy_j;
-    std::set<int> rejected;
-    if (cfg.strategy == Strategy::kCostAware) {
-      const double saving = plan::donor_saving_j(planner->config());
-      for (const auto& [donor, cost] : donor_cost) {
-        if (cost >= saving) rejected.insert(donor);
-      }
-      report.plans_rejected_by_cost += static_cast<int>(rejected.size());
+  /// One what-if consolidation wave on `f`. Cost-aware drops every
+  /// donor whose moves cost at least what vacating it saves.
+  std::vector<plan::ScheduledMove> consolidation_moves(plan::Fleet& f, double now) {
+    plan::WavePlan wp = planner->plan_wave(f, beam, now, /*commit=*/false);
+    if (cfg.strategy != Strategy::kCostAware) return std::move(wp.moves);
+    std::map<int, double> donor_cost;  ///< kept for the rejected donors only
+    for (const plan::ScheduledMove& m : wp.moves) donor_cost[m.source] += m.energy_j;
+    const double saving = plan::donor_saving_j(planner->config());
+    std::erase_if(donor_cost, [saving](const auto& dc) { return dc.second < saving; });
+    report.plans_rejected_by_cost += static_cast<int>(donor_cost.size());
+    std::erase_if(wp.moves, [&](const plan::ScheduledMove& m) {
+      return donor_cost.count(m.source) != 0;
+    });
+    return std::move(wp.moves);
+  }
+
+  /// Closes the open wave on a fresh snapshot, then opens the next one
+  /// on it and starts running it: relief, due retries and the
+  /// consolidation moves, or only the due retries when not `consolidate`
+  /// (no wave at all when none is pending). Returns whether one opened.
+  bool roll_wave(double now, bool consolidate) {
+    if (loop == nullptr) return false;
+    plan::Fleet next = snapshot(now);
+    if (next_wave > 0) close_wave(next);
+    if (!consolidate && loop->pending().empty()) return false;
+    fleet = std::move(next);
+    wave = chaos::WaveOutcome{};
+    wave.wave = next_wave;
+    wave.started_at_s = now;
+    intervals.clear();
+    const std::vector<int> attempts = loop->open_wave(
+        fleet, next_wave++, now, /*relief=*/consolidate,
+        [this, now, consolidate](plan::Fleet& f) {
+          return consolidate ? consolidation_moves(f, now) : std::vector<plan::ScheduledMove>{};
+        },
+        wave);
+    // Relief powers a standby host on when no running host fits a VM.
+    for (const plan::FleetHost& h : fleet.hosts()) {
+      if (h.powered_on && powered_off.erase(h.spec.name) != 0) ++report.power_on_events;
     }
-    for (const plan::ScheduledMove& m : wave.moves) {
-      if (rejected.count(m.source) != 0) continue;
-      pending.push_back(PendingMove{fleet.vm(m.vm).id, fleet.host(m.source).spec.name,
-                                    fleet.host(m.target).spec.name});
-    }
+    queue.assign(attempts.begin(), attempts.end());
     execute_next_migration();
+    return true;
+  }
+
+  /// Closes the open wave on `next`: the ledger follows its VMs to their
+  /// indices there, the loop audits both, and the wave's retries, sheds
+  /// and violations land in the report.
+  void close_wave(const plan::Fleet& next) {
+    std::unordered_map<std::string, int> index_of;
+    for (std::size_t v = 0; v < next.vm_count(); ++v) {
+      index_of.emplace(next.vm(static_cast<int>(v)).id, static_cast<int>(v));
+    }
+    std::vector<int> new_index;
+    for (const plan::FleetVm& vm : fleet.vms()) new_index.push_back(index_of.at(vm.id));
+    loop->reindex_vms(new_index);
+    loop->close_wave(next, intervals, wave);
+
+    report.migrations_retried += wave.retries_attempted;
+    report.migration_retries_exhausted += wave.shed;
+    report.invariant_violations += static_cast<int>(wave.violations.size());
+    obs::MetricRegistry& r = obs::registry();
+    const obs::Labels labels = {{"strategy", to_string(cfg.strategy)}};
+    r.counter("dcsim_migration_retries_total", "Rolled-back fleet migrations re-attempted", labels)
+        .inc(static_cast<std::uint64_t>(wave.retries_attempted));
+    r.counter("dcsim_migration_retries_exhausted_total", "Moves shed at the retry budget", labels)
+        .inc(static_cast<std::uint64_t>(wave.shed));
+  }
+
+  /// Past the horizon: lets the open wave finish, then runs retry-only
+  /// waves until no move awaits a retry, so every accepted move
+  /// resolves before the final audit.
+  void drain() {
+    do {
+      sim.run_to_completion();
+    } while (roll_wave(sim.now(), /*consolidate=*/false));
   }
 
   void controller_tick() {
@@ -269,19 +256,17 @@ struct DataCenterSimulation::Runtime {
     const double now = sim.now();
     obs::Tracer& tr = obs::tracer();
     if (tr.enabled()) {
-      const std::uint64_t start = sim_ns(last_controller_tick);
-      tr.emit_complete("dcsim", "controller_round", start, sim_ns(now) - start,
-                       {{"queued_moves", static_cast<double>(pending.size())},
+      const std::uint64_t start = obs::sim_ns(last_controller_tick);
+      tr.emit_complete("dcsim", "controller_round", start, obs::sim_ns(now) - start,
+                       {{"queued_moves", static_cast<double>(queue.size())},
                         {"powered_off_hosts", static_cast<double>(powered_off.size())},
                         {"migration_active", engine->migration_active() ? 1.0 : 0.0}},
                        "strategy", to_string(cfg.strategy), obs::kSimPid);
     }
     last_controller_tick = now;
     rounds_counter.inc();
-    if (engine->migration_active() || !pending.empty()) return;
-    relieve_overload(now);
-    if (engine->migration_active()) return;
-    try_consolidate(now);
+    if (engine->migration_active() || !queue.empty()) return;
+    roll_wave(now, /*consolidate=*/true);
   }
 };
 
@@ -291,7 +276,6 @@ DataCenterSimulation::DataCenterSimulation(DcSimConfig config, const core::Wavm3
   WAVM3_REQUIRE(config_.duration > 0.0, "duration must be positive");
   WAVM3_REQUIRE(config_.controller_interval > 0.0, "controller interval must be positive");
   WAVM3_REQUIRE(config_.power_sample_period > 0.0, "sample period must be positive");
-  WAVM3_REQUIRE(config_.max_retries >= 0, "retry bound must be non-negative");
   WAVM3_REQUIRE(config_.strategy == Strategy::kNoConsolidation || model_ != nullptr,
                 "consolidating strategies need a model");
 }
@@ -326,6 +310,7 @@ DcSimReport DataCenterSimulation::run() {
   }
   if (model_ != nullptr) {
     rt.planner = std::make_unique<plan::MigrationPlanner>(*model_, planner_config(config_));
+    rt.loop = std::make_unique<chaos::ClosedLoop>(*model_, planner_config(config_));
   }
 
   // Initial power sample, then periodic accounting and control.
@@ -340,14 +325,18 @@ DcSimReport DataCenterSimulation::run() {
   rt.sim.run_until(config_.duration);
   sampler.cancel();
   controller.cancel();
-  // Let any in-flight migration finish so engine state unwinds cleanly,
-  // but account energy only up to `duration`.
-  rt.sim.run_to_completion();
+  // Let the open wave and its retries finish so engine state unwinds
+  // cleanly, but account energy only up to `duration`.
+  rt.drain();
 
   rt.report.host_energy = rt.energy;
   for (const auto& [name, joules] : rt.energy) rt.report.total_energy_joules += joules;
   rt.report.final_powered_on_hosts =
       static_cast<double>(config_.hosts.size() - rt.powered_off.size());
+  for (const cloud::Host* h : std::as_const(rt.dc).hosts()) {
+    double& load = rt.report.final_host_load[h->name()];
+    for (const cloud::VmPtr& vm : h->vms()) load += vm->cpu_demand(config_.duration);
+  }
   if (rt.report.migrations_executed > 0) {
     rt.report.mean_migration_performance =
         rt.performance_sum / rt.report.migrations_executed;

@@ -4,14 +4,13 @@
 // consumption in data centres").
 //
 // A fleet of homogeneous hosts runs VMs with time-varying load
-// profiles. A controller periodically (1) relieves overloaded hosts and
-// (2) consolidates underutilised ones: it snapshots the live data
-// centre into a plan::Fleet, plans one what-if wave with
-// plan::MigrationPlanner (beam search), executes the moves one at a
-// time through the migration engine, and powers each donor off as soon
-// as it is empty. Total energy is integrated from the ground-truth
-// power of every host, so different consolidation strategies can be
-// compared end to end:
+// profiles. On every idle tick a controller snapshots the data centre
+// into a plan::Fleet and runs one wave of chaos::ClosedLoop (the loop
+// chaos's executor runs): overload relief, due retries and one what-if
+// plan::MigrationPlanner wave. Moves run one at a time through the
+// migration engine; each donor powers off as soon as it is empty. Fleet
+// energy is integrated from every host's ground-truth power, so
+// consolidation strategies compare end to end:
 //
 //   kNoConsolidation  - never migrate (baseline)
 //   kCostBlind        - vacate every donor the wave plans, ignoring
@@ -65,13 +64,10 @@ struct DcSimConfig {
   double standby_watts = 0.0;              ///< draw of a powered-off host
   plan::ConsolidationPolicy policy;
   Strategy strategy = Strategy::kCostAware;
-  /// How often a rolled-back plan migration is re-attempted before the
-  /// executor gives up on it (failures waste energy, so retries are
-  /// bounded; the next controller tick replans from the new snapshot).
-  int max_retries = 2;
   /// Optional fault schedule injected into the migration engine (link
-  /// faults, overload spikes, connection losses). Failed plan moves
-  /// are retried up to max_retries each.
+  /// faults, overload spikes, connection losses). A rolled-back move is
+  /// retried in later controller rounds under chaos::ReplanConfig{}'s
+  /// budget and backoff, or shed.
   std::shared_ptr<const faults::FaultPlan> faults;
 };
 
@@ -84,7 +80,7 @@ struct DcSimReport {
   int migrations_executed = 0;               ///< completed migrations
   int migrations_failed = 0;                 ///< rolled back or VM lost
   int migrations_retried = 0;                ///< re-attempts after rollback
-  int migration_retries_exhausted = 0;       ///< rollbacks dropped at the retry cap
+  int migration_retries_exhausted = 0;       ///< moves shed at the retry budget
   /// Failed migrations keyed by cause ("rolled-back" / "vm-lost"); the
   /// per-cause split behind migrations_failed. Lost VMs never retry:
   /// the engine already restarted them on the target.
@@ -99,6 +95,10 @@ struct DcSimReport {
   /// slowdown column. 1.0 when no migration ran.
   double mean_migration_performance = 1.0;
   double final_powered_on_hosts = 0.0;
+  /// Summed VM CPU demand per host at the end of the horizon, vCPUs.
+  std::map<std::string, double> final_host_load;
+  /// FleetInvariantChecker failures over all controller waves.
+  int invariant_violations = 0;
 };
 
 /// Runs one configured simulation. The model is required for

@@ -237,35 +237,27 @@ FaultPlan FaultPlan::random(const FaultPlanOptions& opt, std::uint64_t seed) {
   return plan;
 }
 
-namespace {
-
-std::uint64_t sim_ns(double seconds) {
-  return seconds <= 0.0 ? 0 : static_cast<std::uint64_t>(seconds * 1e9);
-}
-
-}  // namespace
-
 void emit_fault_instants(const FaultPlan& plan) {
   obs::Tracer& tr = obs::tracer();
   if (!tr.enabled()) return;
   for (const LinkDegradation& d : plan.degradations()) {
-    tr.emit_instant("faults", "link_degradation", sim_ns(d.start),
+    tr.emit_instant("faults", "link_degradation", obs::sim_ns(d.start),
                     {{"duration_s", d.end - d.start}, {"factor", d.factor}}, nullptr, nullptr,
                     obs::kSimPid);
   }
   for (const LinkFlap& f : plan.flaps()) {
-    tr.emit_instant("faults", "link_flap", sim_ns(f.start),
+    tr.emit_instant("faults", "link_flap", obs::sim_ns(f.start),
                     {{"duration_s", f.end - f.start},
                      {"down_factor", f.down_factor},
                      {"period_s", f.up_duration + f.down_duration}},
                     nullptr, nullptr, obs::kSimPid);
   }
   for (const TransferStall& s : plan.stalls()) {
-    tr.emit_instant("faults", "transfer_stall", sim_ns(s.at), {{"duration_s", s.duration}},
+    tr.emit_instant("faults", "transfer_stall", obs::sim_ns(s.at), {{"duration_s", s.duration}},
                     nullptr, nullptr, obs::kSimPid);
   }
   for (const HostOverload& o : plan.overloads()) {
-    tr.emit_instant("faults", "host_overload", sim_ns(o.start),
+    tr.emit_instant("faults", "host_overload", obs::sim_ns(o.start),
                     {{"duration_s", o.end - o.start}, {"extra_vcpus", o.extra_vcpus}}, nullptr,
                     nullptr, obs::kSimPid);
   }
@@ -273,7 +265,7 @@ void emit_fault_instants(const FaultPlan& plan) {
     // Phase-bound losses have no absolute time until a migration runs;
     // stamp them at 0 with their in-phase offset as an annotation.
     const bool absolute = l.phase == FaultPhase::kAny;
-    tr.emit_instant("faults", "connection_loss", absolute ? sim_ns(l.at) : 0,
+    tr.emit_instant("faults", "connection_loss", absolute ? obs::sim_ns(l.at) : 0,
                     {{"offset_s", l.at}}, "phase", to_string(l.phase), obs::kSimPid);
   }
 }

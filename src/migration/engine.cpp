@@ -14,9 +14,7 @@ namespace {
 constexpr double kMinRoundSeconds = 1e-3;   // zero-byte rounds still take an instant
 constexpr double kMinBandwidth = 1e5;       // 100 kB/s floor; keeps durations finite
 
-std::uint64_t sim_ns(double seconds) {
-  return seconds <= 0.0 ? 0 : static_cast<std::uint64_t>(seconds * 1e9);
-}
+using obs::sim_ns;
 
 /// One complete trace event per migration phase on the simulated-time
 /// track, each annotated with the paper's regressor values (DR, BW,

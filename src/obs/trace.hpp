@@ -45,6 +45,11 @@ namespace wavm3::obs {
 inline constexpr std::uint32_t kWallPid = 1;  ///< wall-clock track
 inline constexpr std::uint32_t kSimPid = 2;   ///< simulated-time track
 
+/// Simulated seconds as a kSimPid timestamp in ns (negative -> 0).
+inline std::uint64_t sim_ns(double seconds) {
+  return seconds <= 0.0 ? 0 : static_cast<std::uint64_t>(seconds * 1e9);
+}
+
 /// One numeric span/instant annotation.
 struct TraceArg {
   const char* key = nullptr;

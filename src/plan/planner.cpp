@@ -62,52 +62,39 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
-/// Per-host scheduled migration intervals; feasibility is conservative
-/// (an interval overlapping the window anywhere occupies one slot for
-/// the whole window).
-struct BusyIntervals {
-  std::unordered_map<int, std::vector<std::pair<double, double>>> by_host;
+}  // namespace
 
-  int overlap(int host, double t0, double t1) const {
-    const auto it = by_host.find(host);
-    if (it == by_host.end()) return 0;
-    int n = 0;
-    for (const auto& [s, e] : it->second) {
-      if (s < t1 && e > t0) ++n;
-    }
-    return n;
+int BusyIntervals::overlap(int host, double t0, double t1) const {
+  const auto it = by_host.find(host);
+  if (it == by_host.end()) return 0;
+  int n = 0;
+  for (const auto& [s, e] : it->second) {
+    if (s < t1 && e > t0) ++n;
   }
+  return n;
+}
 
-  void add(int host, double t0, double t1) { by_host[host].emplace_back(t0, t1); }
-};
-
-/// Earliest start >= t_min at which both endpoints have a free
-/// migration slot for `duration`. Candidate instants are t_min and the
-/// ends of already-scheduled intervals; past the last end both hosts
-/// are idle, so the scan always succeeds.
-double earliest_feasible_start(const Fleet& fleet, const BusyIntervals& busy, int source,
-                               int target, double duration, double t_min) {
+double BusyIntervals::earliest_start(const Fleet& fleet, int source, int target,
+                                     double duration, double t_min) const {
   const int cap_src = std::max(1, fleet.host(source).spec.max_concurrent_migrations);
   const int cap_dst = std::max(1, fleet.host(target).spec.max_concurrent_migrations);
   std::vector<double> starts{t_min};
   for (const int h : {source, target}) {
-    const auto it = busy.by_host.find(h);
-    if (it == busy.by_host.end()) continue;
+    const auto it = by_host.find(h);
+    if (it == by_host.end()) continue;
     for (const auto& [s, e] : it->second) {
       if (e > t_min) starts.push_back(e);
     }
   }
   std::sort(starts.begin(), starts.end());
   for (const double t : starts) {
-    if (busy.overlap(source, t, t + duration) < cap_src &&
-        busy.overlap(target, t, t + duration) < cap_dst) {
+    if (overlap(source, t, t + duration) < cap_src &&
+        overlap(target, t, t + duration) < cap_dst) {
       return t;
     }
   }
   return starts.back();
 }
-
-}  // namespace
 
 double link_payload_rate(const PlannerConfig& config, const cloud::HostSpec& source,
                          const cloud::HostSpec& target) {
@@ -431,8 +418,7 @@ void schedule_moves(Fleet& fleet, const CandidateSet& candidates, const std::vec
       const double duration = move.aligned.duration_s;
       for (double w = CycleDetector::next_low_window_start(cycle, now);
            w <= now + config.wave_horizon_s; w += cycle.period_s) {
-        const double t =
-            earliest_feasible_start(fleet, busy, move.source, move.target, duration, w);
+        const double t = busy.earliest_start(fleet, move.source, move.target, duration, w);
         if (t <= w + cycle.low_duration_s) {
           start = t;
           aligned = true;
@@ -441,8 +427,7 @@ void schedule_moves(Fleet& fleet, const CandidateSet& candidates, const std::vec
       }
     }
     if (!aligned) {
-      start = earliest_feasible_start(fleet, busy, move.source, move.target,
-                                      move.blind.duration_s, now);
+      start = busy.earliest_start(fleet, move.source, move.target, move.blind.duration_s, now);
     }
     const MoveVariant& variant = aligned ? move.aligned : move.blind;
     busy.add(move.source, start, start + variant.duration_s);
@@ -529,6 +514,88 @@ WavePlan MigrationPlanner::plan_wave(Fleet& fleet, const PlacementStrategy& stra
   span.arg("moves", static_cast<double>(plan.moves.size()));
   span.arg("energy_j", plan.total_migration_energy_j);
   return plan;
+}
+
+ReliefPlan relief_moves(Fleet& fleet, const PlannerConfig& config,
+                        const core::Wavm3Model& model, double now,
+                        const std::unordered_set<int>& owned) {
+  const double line = config.policy.overload_fraction;
+  const std::size_t n_hosts = fleet.host_count();
+  // Raw demand, not the capped host_utilisation(): a host at 1.3x
+  // capacity must shed more than one at 1.01x.
+  const auto demand = [&](int h) { return fleet.host(h).cpu_load / fleet.host(h).spec.vcpus; };
+
+  ReliefPlan relief;
+  std::vector<int> overloaded;
+  std::vector<bool> is_overloaded(n_hosts, false);
+  for (std::size_t h = 0; h < n_hosts; ++h) {
+    const FleetHost& host = fleet.host(static_cast<int>(h));
+    if (host.powered_on && host.spec.vcpus > 0 && demand(static_cast<int>(h)) > line) {
+      overloaded.push_back(static_cast<int>(h));
+      is_overloaded[h] = true;
+    }
+  }
+  std::sort(overloaded.begin(), overloaded.end(), [&](int a, int b) {
+    return demand(a) != demand(b) ? demand(a) > demand(b) : a < b;
+  });
+  relief.overloaded_hosts = static_cast<int>(overloaded.size());
+  if (overloaded.empty()) return relief;
+
+  const core::MigrationPlanner forecaster(model);
+  std::vector<double> extra_cpu(n_hosts, 0.0);  ///< planned arrivals per receiver
+  std::vector<double> extra_ram(n_hosts, 0.0);
+  const auto has_room = [&](std::size_t r, const FleetVm& vm) {
+    const FleetHost& recv = fleet.host(static_cast<int>(r));
+    return !is_overloaded[r] && recv.spec.vcpus > 0 &&
+           recv.ram_committed + extra_ram[r] + vm.ram_bytes <= recv.spec.ram_bytes &&
+           recv.cpu_load + extra_cpu[r] + vm.cpu_now <= line * recv.spec.vcpus;
+  };
+
+  for (const int h : overloaded) {
+    double load = fleet.host(h).cpu_load;
+    const double cap = static_cast<double>(fleet.host(h).spec.vcpus);
+    std::vector<int> vms(fleet.host(h).vms);
+    std::sort(vms.begin(), vms.end(), [&](int a, int b) {
+      const double ca = fleet.vm(a).cpu_now;
+      const double cb = fleet.vm(b).cpu_now;
+      return ca != cb ? ca < cb : a < b;
+    });
+    for (const int v : vms) {
+      if (load <= line * cap) break;
+      if (static_cast<int>(relief.moves.size()) >= kMaxReliefMoves) break;
+      if (owned.count(v) != 0) continue;
+      const FleetVm& vm = fleet.vm(v);
+      if (vm.cpu_now <= 0.0) break;  // sorted ascending: nothing left to shed
+      int best = -1;
+      double best_load = std::numeric_limits<double>::infinity();
+      for (std::size_t r = 0; r < n_hosts; ++r) {
+        if (!fleet.host(static_cast<int>(r)).powered_on || !has_room(r, vm)) continue;
+        const double r_cpu = fleet.host(static_cast<int>(r)).cpu_load + extra_cpu[r];
+        if (r_cpu < best_load) {
+          best = static_cast<int>(r);
+          best_load = r_cpu;
+        }
+      }
+      // No running host fits: wake the first standby host that does.
+      for (std::size_t r = 0; r < n_hosts && best < 0; ++r) {
+        if (fleet.host(static_cast<int>(r)).powered_on || !has_room(r, vm)) continue;
+        best = static_cast<int>(r);
+        fleet.set_powered(best, true);
+      }
+      if (best < 0) {
+        ++relief.unplaced;
+        continue;
+      }
+      const core::MigrationForecast fc =
+          forecaster.forecast(move_scenario(fleet, v, h, best, config));
+      relief.moves.push_back(ScheduledMove{v, h, best, now, now + fc.times.me, false,
+                                           fc.total_energy(), fc.downtime});
+      extra_cpu[static_cast<std::size_t>(best)] += vm.cpu_now;
+      extra_ram[static_cast<std::size_t>(best)] += vm.ram_bytes;
+      load -= vm.cpu_now;
+    }
+  }
+  return relief;
 }
 
 }  // namespace wavm3::plan

@@ -34,6 +34,8 @@
 #pragma once
 
 #include <algorithm>
+#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -190,6 +192,22 @@ struct ScheduledMove {
   double downtime_s = 0.0;
 };
 
+/// Per-host migration intervals of a schedule, for placing moves under
+/// the hosts' max_concurrent_migrations caps. Feasibility is
+/// conservative: an interval overlapping a window anywhere occupies one
+/// slot for the whole window.
+struct BusyIntervals {
+  std::unordered_map<int, std::vector<std::pair<double, double>>> by_host;
+
+  int overlap(int host, double t0, double t1) const;
+  void add(int host, double t0, double t1) { by_host[host].emplace_back(t0, t1); }
+  /// Earliest start >= t_min at which both endpoints have a free slot
+  /// for `duration`. Candidates are t_min and the ends of the intervals;
+  /// past the last end both hosts are idle, so the scan always succeeds.
+  double earliest_start(const Fleet& fleet, int source, int target, double duration,
+                        double t_min) const;
+};
+
 /// What one wave produced.
 struct WavePlan {
   std::vector<ScheduledMove> moves;       ///< sorted by start time
@@ -227,5 +245,27 @@ class MigrationPlanner {
   core::MigrationPlanner forecaster_;
   PlannerConfig config_;
 };
+
+/// Relief moves planned per relief_moves() call.
+inline constexpr int kMaxReliefMoves = 64;
+
+/// What one relief call planned.
+struct ReliefPlan {
+  std::vector<ScheduledMove> moves;  ///< in pick order, each starting at `now`
+  int overloaded_hosts = 0;          ///< powered-on hosts over the overload fraction
+  int unplaced = 0;                  ///< VMs picked to shed with no feasible receiver
+};
+
+/// Overload relief, which both closed loops (chaos::ClosedLoop) open
+/// every wave with. Hosts over the overload fraction by raw demand go
+/// most-overloaded first; each sheds its smallest VMs not in `owned`
+/// until at or below the line. A VM goes to the least-loaded running
+/// host (not overloaded) with RAM and CPU room after the moves already
+/// planned, else to the first powered-off host with room, which is
+/// powered on. Each move is priced by forecast(move_scenario(...));
+/// placements are left to the caller.
+ReliefPlan relief_moves(Fleet& fleet, const PlannerConfig& config,
+                        const core::Wavm3Model& model, double now,
+                        const std::unordered_set<int>& owned);
 
 }  // namespace wavm3::plan

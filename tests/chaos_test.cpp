@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -431,10 +432,10 @@ TEST(WaveExecutor, StormFailuresAreRetriedWithinBudgetOrShed) {
     }
   }
   // Wasted energy was metered for the failed attempts.
-  EXPECT_GT(report.wasted_attempts_j, 0.0);
+  EXPECT_GT(report.ledger.wasted_j, 0.0);
 }
 
-TEST(WaveExecutor, ReliefShedsOverloadedHostsThroughBulkScoring) {
+TEST(WaveExecutor, ReliefShedsOverloadedHostsUnderTheLine) {
   const core::Wavm3Model model = make_model();
   const plan::BeamSearchStrategy beam;
 
@@ -492,6 +493,56 @@ TEST(WaveExecutor, ReliefShedsOverloadedHostsThroughBulkScoring) {
     EXPECT_EQ(mv.move.energy_j, expect.total_energy()) << "vm " << mv.move.vm;
     EXPECT_EQ(mv.move.downtime_s, expect.downtime) << "vm " << mv.move.vm;
     EXPECT_EQ(mv.move.end_s, now + expect.times.me) << "vm " << mv.move.vm;
+  }
+}
+
+TEST(WaveExecutor, ReliefWakesAStandbyHostWhenNoRunningHostFits) {
+  const core::Wavm3Model model = make_model();
+  const plan::BeamSearchStrategy beam;
+
+  // host0 carries 12 vCPUs of demand (line: 0.9 * 8 = 7.2); host1 runs
+  // 7 vCPUs, so no 2-vCPU VM fits under its line; host2 is powered off.
+  // The only feasible receiver is the standby host.
+  plan::Fleet fleet;
+  for (int h = 0; h < 3; ++h) {
+    cloud::HostSpec spec;
+    spec.name = "host" + std::to_string(h);
+    spec.vcpus = 8;
+    spec.ram_bytes = 64.0 * 1024 * 1024 * 1024;
+    spec.max_concurrent_migrations = 4;
+    fleet.add_host(spec);
+  }
+  const auto add_vm = [&](const std::string& id, double cpu, int host) {
+    plan::FleetVm vm;
+    vm.id = id;
+    vm.vcpus = 4.0;
+    vm.ram_bytes = 2.0 * 1024 * 1024 * 1024;
+    vm.working_set_pages = 50000;
+    vm.cpu_now = cpu;
+    vm.dirty_now = 2000.0 * cpu;
+    fleet.add_vm(vm, host);
+  };
+  for (int v = 0; v < 6; ++v) add_vm("hot" + std::to_string(v), 2.0, 0);
+  for (int v = 0; v < 4; ++v) add_vm("busy" + std::to_string(v), 1.75, 1);
+  fleet.set_powered(2, false);
+
+  ChaosConfig cfg;
+  cfg.faults_enabled = false;
+  WaveExecutor executor(model, cfg);
+  const WaveOutcome wave = executor.run_wave(fleet, beam, 0, 1000.0);
+
+  // 12 -> 10 -> 8 -> 6 vCPUs: three VMs shed, all onto the woken host.
+  EXPECT_EQ(wave.overloaded_hosts, 1);
+  ASSERT_EQ(wave.relief_moves, 3);
+  EXPECT_EQ(wave.completed, 3);
+  EXPECT_TRUE(wave.violations.empty());
+  EXPECT_TRUE(fleet.host(2).powered_on);
+  EXPECT_EQ(fleet.host(2).vms.size(), 3u);
+  EXPECT_EQ(fleet.host(1).vms.size(), 4u);
+  EXPECT_LE(fleet.host(0).cpu_load, cfg.planner.policy.overload_fraction * 8.0);
+  for (const TrackedMove& mv : executor.ledger()) {
+    EXPECT_TRUE(mv.relief);
+    EXPECT_EQ(mv.move.target, 2);
   }
 }
 

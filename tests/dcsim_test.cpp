@@ -59,6 +59,7 @@ TEST(Simulation, BaselineKeepsAllHostsOn) {
   // Three mostly idle m-class hosts for two hours: ~3 * 440 W * 7200 s.
   EXPECT_NEAR(report.total_energy_joules, 3.0 * 445.0 * 7200.0, 0.08 * 3 * 445.0 * 7200.0);
   EXPECT_EQ(report.host_energy.size(), 3u);
+  EXPECT_EQ(report.invariant_violations, 0);
 }
 
 TEST(Simulation, CostAwareConsolidationSavesEnergy) {
@@ -73,6 +74,8 @@ TEST(Simulation, CostAwareConsolidationSavesEnergy) {
   EXPECT_LT(r_aware.final_powered_on_hosts, 3.0);
   // Powering hosts off must beat the always-on baseline.
   EXPECT_LT(r_aware.total_energy_joules, 0.9 * r_base.total_energy_joules);
+  EXPECT_EQ(r_base.invariant_violations, 0);
+  EXPECT_EQ(r_aware.invariant_violations, 0);
 }
 
 TEST(Simulation, CostAwareRejectsUnprofitablePlans) {
@@ -91,6 +94,7 @@ TEST(Simulation, CostAwareRejectsUnprofitablePlans) {
   const DcSimReport report = sim.run();
   EXPECT_EQ(report.power_off_events, 0);
   EXPECT_GT(report.plans_rejected_by_cost, 0);
+  EXPECT_EQ(report.invariant_violations, 0);
 }
 
 TEST(Simulation, CostBlindExecutesWhatAwareRejects) {
@@ -100,6 +104,7 @@ TEST(Simulation, CostBlindExecutesWhatAwareRejects) {
   const DcSimReport report = blind.run();
   EXPECT_GT(report.migrations_executed, 0);
   EXPECT_GT(report.power_off_events, 0);
+  EXPECT_EQ(report.invariant_violations, 0);
 }
 
 TEST(Simulation, LongHorizonEveryDonorPays) {
@@ -128,11 +133,14 @@ TEST(Simulation, LongHorizonEveryDonorPays) {
   EXPECT_EQ(aware.total_migration_downtime, blind.total_migration_downtime);
   EXPECT_EQ(aware.mean_migration_performance, blind.mean_migration_performance);
   EXPECT_EQ(aware.final_powered_on_hosts, blind.final_powered_on_hosts);
+  EXPECT_EQ(aware.final_host_load, blind.final_host_load);
+  EXPECT_EQ(blind.invariant_violations, 0);
+  EXPECT_EQ(aware.invariant_violations, 0);
 }
 
 TEST(Simulation, SingleUseGuard) {
   DataCenterSimulation sim(small_config(Strategy::kNoConsolidation), nullptr);
-  sim.run();
+  EXPECT_EQ(sim.run().invariant_violations, 0);
   EXPECT_THROW(sim.run(), util::ContractError);
 }
 
@@ -166,6 +174,45 @@ TEST(Simulation, OverloadedHostShedsLoad) {
   DataCenterSimulation sim(cfg, &model());
   const DcSimReport report = sim.run();
   EXPECT_GT(report.migrations_executed, 0);  // relief migrations happened
+  // Relief sheds until host00 is back at or below the overload line
+  // (28.8 vCPUs of demand; three 3.6-vCPU VMs leave 18 <= 19.2).
+  EXPECT_LE(report.final_host_load.at("host00"),
+            cfg.policy.overload_fraction * cfg.hosts[0].vcpus);
+  EXPECT_EQ(report.power_on_events, 0);  // two running hosts had room
+  EXPECT_EQ(report.invariant_violations, 0);
+}
+
+TEST(Simulation, OverloadWakesAStandbyHost) {
+  // Eight 4-vCPU VMs on two 32-vCPU hosts idle at 10% for an hour, so
+  // consolidation packs them onto one host and powers the other off.
+  // Then they run flat out: 32 vCPUs of demand on one host is over the
+  // 0.9 line, and the only receiver is the standby host.
+  DcSimConfig cfg = make_fleet_scenario(2, 1, 5);
+  cfg.duration = 2.0 * 3600.0;
+  cfg.power_sample_period = 5.0;
+  cfg.strategy = Strategy::kCostBlind;
+  cfg.policy.underload_fraction = 0.45;
+  cfg.vms.clear();
+  for (int i = 0; i < 8; ++i) {
+    VmPlacement p;
+    p.vm_id = "vm" + std::to_string(i);
+    p.host = i < 4 ? "host00" : "host01";
+    p.spec.instance_type = "stepped";
+    p.spec.vcpus = 4;
+    p.spec.ram_bytes = util::gib(2);
+    p.workload.profile = workloads::LoadProfile::steps({{0.0, 0.1}, {3600.0, 1.0}});
+    p.workload.vcpus = 4;
+    cfg.vms.push_back(std::move(p));
+  }
+  const DcSimReport report = DataCenterSimulation(cfg, &model()).run();
+
+  EXPECT_EQ(report.power_off_events, 1);
+  EXPECT_EQ(report.power_on_events, 1);
+  EXPECT_DOUBLE_EQ(report.final_powered_on_hosts, 2.0);
+  for (const auto& [host, load] : report.final_host_load) {
+    EXPECT_LE(load, cfg.policy.overload_fraction * 32.0) << host;
+  }
+  EXPECT_EQ(report.invariant_violations, 0);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <memory>
 
+#include "chaos/replan.hpp"
 #include "cloud/datacenter.hpp"
 #include "cloud/instances.hpp"
 #include "core/planner.hpp"
@@ -423,6 +424,7 @@ TEST(DcSimFaults, FailedMigrationsAreCountedAndRetried) {
   EXPECT_EQ(r.migrations_retried, r2.migrations_retried);
   EXPECT_DOUBLE_EQ(r.wasted_migration_bytes, r2.wasted_migration_bytes);
   EXPECT_DOUBLE_EQ(r.total_energy_joules, r2.total_energy_joules);
+  EXPECT_EQ(r.invariant_violations, 0);
 }
 
 TEST(DcSimFaults, RetriesAreCappedPerMigrationWithCauseAttribution) {
@@ -445,12 +447,15 @@ TEST(DcSimFaults, RetriesAreCappedPerMigrationWithCauseAttribution) {
   EXPECT_EQ(r.migrations_executed, 0);
   ASSERT_GT(r.migrations_failed, 0);
   ASSERT_GT(r.migration_retries_exhausted, 0);
-  // Every exhausted plan move consumed its full budget, no more.
-  EXPECT_EQ(r.migrations_retried, cfg.max_retries * r.migration_retries_exhausted);
+  // Every exhausted plan move consumed its full budget, no more (the
+  // run drains retries still pending at the horizon before reporting).
+  EXPECT_EQ(r.migrations_retried,
+            (chaos::ReplanConfig{}.retry_budget - 1) * r.migration_retries_exhausted);
   // Per-cause attribution: every failure here is a rollback.
   ASSERT_EQ(r.migration_failures_by_cause.count("rolled-back"), 1u);
   EXPECT_EQ(r.migration_failures_by_cause.at("rolled-back"), r.migrations_failed);
   EXPECT_EQ(r.migration_failures_by_cause.count("vm-lost"), 0u);
+  EXPECT_EQ(r.invariant_violations, 0);
 }
 
 TEST(DcSimFaults, LostVmsAreCountedButNeverRetried) {
@@ -477,6 +482,7 @@ TEST(DcSimFaults, LostVmsAreCountedButNeverRetried) {
   EXPECT_EQ(r.migration_failures_by_cause.at("vm-lost"), r.migrations_failed);
   EXPECT_EQ(r.migrations_retried, 0);
   EXPECT_EQ(r.migration_retries_exhausted, 0);
+  EXPECT_EQ(r.invariant_violations, 0);
 }
 
 }  // namespace

@@ -1068,5 +1068,151 @@ TEST(MigrationPlanner, PricingRunsOneRecursionPerVmRunAndVariant) {
   EXPECT_LT(timings, scenarios);
 }
 
+// ---------------------------------------------------------------- relief
+
+/// `n_hosts` hosts of 16 vCPUs (overload line 0.9 * 16 = 14.4) and
+/// 32 GiB; VM i sits on vms[i].first with vms[i].second vCPUs of demand
+/// and 2 GiB of RAM.
+Fleet relief_fleet(int n_hosts, std::initializer_list<std::pair<int, double>> vms) {
+  Fleet fleet;
+  for (int h = 0; h < n_hosts; ++h) {
+    cloud::HostSpec spec;
+    spec.name = "h" + std::to_string(h);
+    spec.vcpus = 16;
+    spec.ram_bytes = util::gib(32);
+    fleet.add_host(spec);
+  }
+  int i = 0;
+  for (const auto& [host, cpu] : vms) {
+    FleetVm vm;
+    vm.id = "v" + std::to_string(i++);
+    vm.vcpus = 8.0;
+    vm.ram_bytes = util::gib(2);
+    vm.working_set_pages = 20000;
+    vm.cpu_now = cpu;
+    vm.dirty_now = 1000.0 * cpu;
+    fleet.add_vm(vm, host);
+  }
+  return fleet;
+}
+
+/// h0 at 16 vCPUs (v0..v3), h1 at 18 (v4..v6), h2 empty, h3 at 2 (v7).
+Fleet two_overloaded_hosts() {
+  return relief_fleet(4, {{0, 5.0}, {0, 3.0}, {0, 4.0}, {0, 4.0},
+                          {1, 6.0}, {1, 6.0}, {1, 6.0},
+                          {3, 2.0}});
+}
+
+std::vector<std::pair<int, int>> vm_targets(const ReliefPlan& relief) {
+  std::vector<std::pair<int, int>> out;
+  for (const ScheduledMove& m : relief.moves) out.emplace_back(m.vm, m.target);
+  return out;
+}
+
+TEST(ReliefMoves, MostOverloadedHostFirstSmallestVmsFirstLeastLoadedReceiver) {
+  const core::Wavm3Model model = make_model();
+  Fleet fleet = two_overloaded_hosts();
+  const ReliefPlan relief = relief_moves(fleet, test_config(), model, 100.0, {});
+
+  EXPECT_EQ(relief.overloaded_hosts, 2);
+  // h1 (18/16) before h0 (16/16). h1 sheds v4 (the lowest index of its
+  // equal VMs) to the emptiest receiver h2 and is at 12 <= 14.4. h0
+  // sheds its smallest VM v1 to h3, now the least loaded (2 < 6).
+  const std::vector<std::pair<int, int>> expect = {{4, 2}, {1, 3}};
+  EXPECT_EQ(vm_targets(relief), expect);
+  EXPECT_EQ(relief.moves[0].source, 1);
+  EXPECT_EQ(relief.moves[1].source, 0);
+  EXPECT_EQ(relief.unplaced, 0);
+  // Nothing is applied: the caller executes the moves.
+  EXPECT_EQ(fleet.vm(4).host, 1);
+  EXPECT_EQ(fleet.vm(1).host, 0);
+}
+
+TEST(ReliefMoves, SkipsVmsAnotherMoveOwns) {
+  const core::Wavm3Model model = make_model();
+  Fleet fleet = two_overloaded_hosts();
+  const ReliefPlan relief = relief_moves(fleet, test_config(), model, 100.0, {4, 1});
+  // v4 and v1 are owned: each host sheds its next smallest VM instead.
+  const std::vector<std::pair<int, int>> expect = {{5, 2}, {2, 3}};
+  EXPECT_EQ(vm_targets(relief), expect);
+}
+
+TEST(ReliefMoves, PlansAtMostTheCap) {
+  const core::Wavm3Model model = make_model();
+  // Eight hosts at 20 vCPUs of 0.5-vCPU VMs each need 12 moves apiece
+  // (96 in all); eight empty hosts have room for every one of them.
+  Fleet fleet;
+  for (int h = 0; h < 16; ++h) {
+    cloud::HostSpec spec;
+    spec.name = "h" + std::to_string(h);
+    spec.vcpus = 16;
+    spec.ram_bytes = util::gib(32);
+    fleet.add_host(spec);
+  }
+  for (int h = 0; h < 8; ++h) {
+    for (int v = 0; v < 40; ++v) {
+      FleetVm vm;
+      vm.id = "v" + std::to_string(h) + "-" + std::to_string(v);
+      vm.ram_bytes = util::gib(0.5);
+      vm.working_set_pages = 5000;
+      vm.cpu_now = 0.5;
+      vm.dirty_now = 500.0;
+      fleet.add_vm(vm, h);
+    }
+  }
+  const ReliefPlan relief = relief_moves(fleet, test_config(), model, 0.0, {});
+  EXPECT_EQ(relief.overloaded_hosts, 8);
+  EXPECT_EQ(relief.moves.size(), static_cast<std::size_t>(kMaxReliefMoves));
+  EXPECT_EQ(relief.unplaced, 0);
+}
+
+TEST(ReliefMoves, WakesAStandbyHostOnlyWhenNoRunningHostFits) {
+  const core::Wavm3Model model = make_model();
+  const PlannerConfig config = test_config();
+  {
+    // h2 runs 4 vCPUs: the 8-vCPU VM fits under its line; h3 stays off.
+    Fleet fleet = relief_fleet(4, {{0, 8.0}, {0, 8.0}, {1, 10.0}, {2, 4.0}});
+    fleet.set_powered(3, false);
+    const ReliefPlan relief = relief_moves(fleet, config, model, 0.0, {});
+    const std::vector<std::pair<int, int>> expect = {{0, 2}};
+    EXPECT_EQ(vm_targets(relief), expect);
+    EXPECT_FALSE(fleet.host(3).powered_on);
+  }
+  {
+    // h1 and h2 run 10 vCPUs each: only the standby h3 fits.
+    Fleet fleet = relief_fleet(4, {{0, 8.0}, {0, 8.0}, {1, 10.0}, {2, 10.0}});
+    fleet.set_powered(3, false);
+    const ReliefPlan relief = relief_moves(fleet, config, model, 0.0, {});
+    const std::vector<std::pair<int, int>> expect = {{0, 3}};
+    EXPECT_EQ(vm_targets(relief), expect);
+    EXPECT_TRUE(fleet.host(3).powered_on);
+  }
+  {
+    // No standby host: both VMs are picked and left unplaced.
+    Fleet fleet = relief_fleet(3, {{0, 8.0}, {0, 8.0}, {1, 10.0}, {2, 10.0}});
+    const ReliefPlan relief = relief_moves(fleet, config, model, 0.0, {});
+    EXPECT_TRUE(relief.moves.empty());
+    EXPECT_EQ(relief.unplaced, 2);
+  }
+}
+
+TEST(ReliefMoves, PricesBitEqualToTheClosedFormForecast) {
+  const core::Wavm3Model model = make_model();
+  const PlannerConfig config = test_config();
+  Fleet fleet = two_overloaded_hosts();
+  const double now = 250.0;
+  const ReliefPlan relief = relief_moves(fleet, config, model, now, {});
+  ASSERT_FALSE(relief.moves.empty());
+  const core::MigrationPlanner forecaster(model);
+  for (const ScheduledMove& m : relief.moves) {
+    const core::MigrationForecast fc =
+        forecaster.forecast(move_scenario(fleet, m.vm, m.source, m.target, config));
+    EXPECT_EQ(m.energy_j, fc.total_energy()) << "vm " << m.vm;
+    EXPECT_EQ(m.downtime_s, fc.downtime) << "vm " << m.vm;
+    EXPECT_EQ(m.start_s, now);
+    EXPECT_EQ(m.end_s, now + fc.times.me) << "vm " << m.vm;
+  }
+}
+
 }  // namespace
 }  // namespace wavm3::plan

@@ -212,6 +212,8 @@ TEST(DcSimSla, PostCopyPolicyPreservesPerformance) {
   EXPECT_LE(live.mean_migration_performance, 1.0);
   // Post-copy's near-zero downtime shows up as less total downtime.
   EXPECT_LT(post.total_migration_downtime, live.total_migration_downtime + 1e-9);
+  EXPECT_EQ(live.invariant_violations, 0);
+  EXPECT_EQ(post.invariant_violations, 0);
 }
 
 }  // namespace

@@ -743,27 +743,45 @@ int cmd_simulate(const Args& args) {
   return 0;
 }
 
-int cmd_plan(const Args& args) {
-  // Datacenter-scale consolidation planning over a Fleet snapshot:
-  // rolling waves of energy-priced, cycle-scheduled migrations.
-  const std::string trace_path = trace_out_path(args);
-  if (!trace_path.empty()) obs::tracer().set_enabled(true);
-
-  core::Wavm3Model model;
+/// Coefficients from --coeffs, else a fit on a fast simulated campaign
+/// of --testbed (announced on stdout, with the log quieted, when
+/// `announce_fit`). Returns 0, or the exit status after printing why not.
+int load_model(const Args& args, core::Wavm3Model& model, bool announce_fit) {
   if (args.has("coeffs")) {
-    model = core::load_coefficients_csv(args.get("coeffs", "coeffs.csv"));
+    model = core::load_coefficients_csv(args.get("coeffs", ""));
     if (!model.is_fitted()) {
       std::fprintf(stderr, "could not load coefficients\n");
       return 1;
     }
-  } else {
-    const exp::Testbed testbed = testbed_by_name(args.get("testbed", "m"));
-    const exp::CampaignResult campaign =
-        exp::run_campaign(testbed, exp::fast_campaign_options(), args.get_seed());
-    model.fit(campaign.dataset);
+    return 0;
+  }
+  if (announce_fit) {
+    util::set_log_level(util::LogLevel::kWarn);
+    std::puts("no --coeffs given; fitting on a fast simulated campaign...");
+  }
+  model.fit(exp::run_campaign(testbed_by_name(args.get("testbed", "m")),
+                              exp::fast_campaign_options(), args.get_seed())
+                .dataset);
+  return 0;
+}
+
+/// The inputs `plan` and `chaos` share: coefficients (load_model), the
+/// fleet (--fleet-hosts/--fleet-vms CSVs, else synthetic), the
+/// --strategy, and the end of the sampled histories.
+struct FleetInputs {
+  core::Wavm3Model model;
+  plan::Fleet fleet;
+  std::unique_ptr<plan::PlacementStrategy> strategy;
+  double now = 0.0;
+};
+
+/// Fills `in` from `args`; returns 0, or the exit status after printing
+/// why not.
+int load_fleet_inputs(const Args& args, FleetInputs& in) {
+  if (const int status = load_model(args, in.model, /*announce_fit=*/false); status != 0) {
+    return status;
   }
 
-  plan::Fleet fleet;
   if (args.has("fleet-hosts") || args.has("fleet-vms")) {
     std::ifstream hosts_csv(args.get("fleet-hosts", "hosts.csv"));
     std::ifstream vms_csv(args.get("fleet-vms", "vms.csv"));
@@ -771,12 +789,38 @@ int cmd_plan(const Args& args) {
       std::fprintf(stderr, "could not open --fleet-hosts / --fleet-vms\n");
       return 1;
     }
-    fleet = plan::Fleet::from_csv(hosts_csv, vms_csv);
+    in.fleet = plan::Fleet::from_csv(hosts_csv, vms_csv);
   } else {
     const int hosts = static_cast<int>(args.get_int("hosts", 64));
     const int vms = static_cast<int>(args.get_int("vms", 10 * hosts));
-    fleet = plan::Fleet::synthetic(hosts, vms, args.get_seed());
+    in.fleet = plan::Fleet::synthetic(hosts, vms, args.get_seed());
   }
+
+  const std::string strategy_name = args.get("strategy", "beam");
+  if (strategy_name == "beam") {
+    in.strategy = std::make_unique<plan::BeamSearchStrategy>();
+  } else if (strategy_name == "first-fit") {
+    in.strategy = std::make_unique<plan::FirstFitStrategy>();
+  } else {
+    std::fprintf(stderr, "unknown --strategy '%s' (expected first-fit|beam)\n",
+                 strategy_name.c_str());
+    return 2;
+  }
+
+  for (const plan::FleetVm& vm : in.fleet.vms()) {
+    if (!vm.history.empty()) in.now = std::max(in.now, vm.history.t.back());
+  }
+  return 0;
+}
+
+int cmd_plan(const Args& args) {
+  // Datacenter-scale consolidation planning over a Fleet snapshot:
+  // rolling waves of energy-priced, cycle-scheduled migrations.
+  const std::string trace_path = trace_out_path(args);
+  if (!trace_path.empty()) obs::tracer().set_enabled(true);
+
+  FleetInputs in;
+  if (const int status = load_fleet_inputs(args, in); status != 0) return status;
 
   plan::PlannerConfig cfg;
   cfg.policy.horizon_seconds = args.get_double("horizon", cfg.policy.horizon_seconds);
@@ -788,35 +832,20 @@ int cmd_plan(const Args& args) {
   cfg.wave_horizon_s = args.get_double("wave-horizon", cfg.wave_horizon_s);
   if (args.has("no-cycles")) cfg.cycle_aware = false;
 
-  const plan::FirstFitStrategy first_fit;
-  const plan::BeamSearchStrategy beam;
-  const std::string strategy_name = args.get("strategy", "beam");
-  const plan::PlacementStrategy* strategy = nullptr;
-  if (strategy_name == "beam") strategy = &beam;
-  else if (strategy_name == "first-fit") strategy = &first_fit;
-  else {
-    std::fprintf(stderr, "unknown --strategy '%s' (expected first-fit|beam)\n",
-                 strategy_name.c_str());
-    return 2;
-  }
-
   // Plan from the end of the sampled histories, one wave per workload
-  // period, committing each so later waves see the consolidated fleet.
-  double now = 0.0;
-  for (const plan::FleetVm& vm : fleet.vms()) {
-    if (!vm.history.empty()) now = std::max(now, vm.history.t.back());
-  }
+  // period, committing each so later waves see the consolidated in.fleet.
+  const double now = in.now;
   const int waves = static_cast<int>(args.get_int("waves", 1));
-  plan::MigrationPlanner planner(model, cfg);
+  plan::MigrationPlanner planner(in.model, cfg);
 
   std::printf("planning %d wave(s) over %zu hosts / %zu VMs (%s, cycles %s)\n\n",
-              waves, fleet.host_count(), fleet.vm_count(), strategy->name(),
+              waves, in.fleet.host_count(), in.fleet.vm_count(), in.strategy->name(),
               cfg.cycle_aware ? "on" : "off");
   std::printf("%6s %12s %12s %12s %10s %6s %8s %8s\n", "wave", "migr [kJ]",
               "saving [kJ]", "net [kJ]", "downtime", "moves", "vacated", "aligned");
   for (int w = 0; w < waves; ++w) {
     const plan::WavePlan p =
-        planner.plan_wave(fleet, *strategy, now + w * cfg.wave_horizon_s);
+        planner.plan_wave(in.fleet, *in.strategy, now + w * cfg.wave_horizon_s);
     std::printf("%6d %12.1f %12.1f %12.1f %9.2fs %6zu %8d %8d\n", w,
                 p.total_migration_energy_j / 1e3, p.steady_saving_j / 1e3,
                 (p.total_migration_energy_j - p.steady_saving_j) / 1e3,
@@ -825,16 +854,16 @@ int cmd_plan(const Args& args) {
     if (args.has("verbose")) {
       for (const plan::ScheduledMove& m : p.moves) {
         std::printf("    %-14s %-12s -> %-12s start %10.1f  %8.2f kJ%s\n",
-                    fleet.vm(m.vm).id.c_str(), fleet.host(m.source).spec.name.c_str(),
-                    fleet.host(m.target).spec.name.c_str(), m.start_s,
+                    in.fleet.vm(m.vm).id.c_str(), in.fleet.host(m.source).spec.name.c_str(),
+                    in.fleet.host(m.target).spec.name.c_str(), m.start_s,
                     m.energy_j / 1e3, m.cycle_aligned ? "  (low window)" : "");
       }
     }
   }
   int powered = 0;
-  for (const plan::FleetHost& h : fleet.hosts()) powered += h.powered_on ? 1 : 0;
+  for (const plan::FleetHost& h : in.fleet.hosts()) powered += h.powered_on ? 1 : 0;
   std::printf("\n%d/%zu hosts powered after the last wave\n", powered,
-              fleet.host_count());
+              in.fleet.host_count());
 
   if (!trace_path.empty() && !dump_chrome_trace(trace_path)) return 1;
   const std::string metrics_path = args.get("metrics-out", "");
@@ -848,34 +877,8 @@ int cmd_chaos(const Args& args) {
   const std::string trace_path = trace_out_path(args);
   if (!trace_path.empty()) obs::tracer().set_enabled(true);
 
-  core::Wavm3Model model;
-  if (args.has("coeffs")) {
-    model = core::load_coefficients_csv(args.get("coeffs", "coeffs.csv"));
-    if (!model.is_fitted()) {
-      std::fprintf(stderr, "could not load coefficients\n");
-      return 1;
-    }
-  } else {
-    const exp::Testbed testbed = testbed_by_name(args.get("testbed", "m"));
-    const exp::CampaignResult campaign =
-        exp::run_campaign(testbed, exp::fast_campaign_options(), args.get_seed());
-    model.fit(campaign.dataset);
-  }
-
-  plan::Fleet fleet;
-  if (args.has("fleet-hosts") || args.has("fleet-vms")) {
-    std::ifstream hosts_csv(args.get("fleet-hosts", "hosts.csv"));
-    std::ifstream vms_csv(args.get("fleet-vms", "vms.csv"));
-    if (!hosts_csv || !vms_csv) {
-      std::fprintf(stderr, "could not open --fleet-hosts / --fleet-vms\n");
-      return 1;
-    }
-    fleet = plan::Fleet::from_csv(hosts_csv, vms_csv);
-  } else {
-    const int hosts = static_cast<int>(args.get_int("hosts", 64));
-    const int vms = static_cast<int>(args.get_int("vms", 10 * hosts));
-    fleet = plan::Fleet::synthetic(hosts, vms, args.get_seed());
-  }
+  FleetInputs in;
+  if (const int status = load_fleet_inputs(args, in); status != 0) return status;
 
   chaos::ChaosConfig cfg;
   cfg.storm.level = static_cast<int>(args.get_int("storm", cfg.storm.level));
@@ -889,31 +892,14 @@ int cmd_chaos(const Args& args) {
   cfg.planner.beam_width =
       static_cast<int>(args.get_int("beam-width", cfg.planner.beam_width));
 
-  const plan::FirstFitStrategy first_fit;
-  const plan::BeamSearchStrategy beam;
-  const std::string strategy_name = args.get("strategy", "beam");
-  const plan::PlacementStrategy* strategy = nullptr;
-  if (strategy_name == "beam") strategy = &beam;
-  else if (strategy_name == "first-fit") strategy = &first_fit;
-  else {
-    std::fprintf(stderr, "unknown --strategy '%s' (expected first-fit|beam)\n",
-                 strategy_name.c_str());
-    return 2;
-  }
-
-  double now = 0.0;
-  for (const plan::FleetVm& vm : fleet.vms()) {
-    if (!vm.history.empty()) now = std::max(now, vm.history.t.back());
-  }
-
   std::printf("chaos loop over %zu hosts / %zu VMs (%s, storm level %d, seed %llu, "
               "relief %s)\n\n",
-              fleet.host_count(), fleet.vm_count(), strategy->name(), cfg.storm.level,
+              in.fleet.host_count(), in.fleet.vm_count(), in.strategy->name(), cfg.storm.level,
               static_cast<unsigned long long>(cfg.storm_seed),
               cfg.relief_enabled ? "on" : "off");
 
-  chaos::WaveExecutor exec(model, cfg);
-  const chaos::ChaosReport report = exec.run(fleet, *strategy, now);
+  chaos::WaveExecutor exec(in.model, cfg);
+  const chaos::ChaosReport report = exec.run(in.fleet, *in.strategy, in.now);
 
   std::printf("%5s %7s %7s %6s %6s %7s %7s %5s %5s %5s %5s\n", "wave", "planned",
               "relief", "retry", "done", "rolled", "vmlost", "defer", "shed",
@@ -942,9 +928,9 @@ int cmd_chaos(const Args& args) {
               report.ledger.refunded_j / 1e3, report.ledger.outstanding_j / 1e3,
               report.ledger.wasted_j / 1e3);
   int powered = 0;
-  for (const plan::FleetHost& h : fleet.hosts()) powered += h.powered_on ? 1 : 0;
+  for (const plan::FleetHost& h : in.fleet.hosts()) powered += h.powered_on ? 1 : 0;
   std::printf("%d/%zu hosts powered after the last wave\n", powered,
-              fleet.host_count());
+              in.fleet.host_count());
 
   if (!trace_path.empty() && !dump_chrome_trace(trace_path)) return 1;
   const std::string metrics_path = args.get("metrics-out", "");
@@ -958,19 +944,8 @@ int cmd_serve_bench(const Args& args) {
   const std::string trace_path = trace_out_path(args);
   if (!trace_path.empty()) obs::tracer().set_enabled(true);
   core::Wavm3Model model;
-  if (args.has("coeffs")) {
-    model = core::load_coefficients_csv(args.get("coeffs", ""));
-    if (!model.is_fitted()) {
-      std::fprintf(stderr, "could not load coefficients\n");
-      return 1;
-    }
-  } else {
-    util::set_log_level(util::LogLevel::kWarn);
-    std::puts("no --coeffs given; fitting on a fast simulated campaign...");
-    const exp::CampaignResult campaign =
-        exp::run_campaign(testbed_by_name(args.get("testbed", "m")),
-                          exp::fast_campaign_options(), args.get_seed());
-    model.fit(campaign.dataset);
+  if (const int status = load_model(args, model, /*announce_fit=*/true); status != 0) {
+    return status;
   }
 
   serve::ServiceConfig cfg;
@@ -1130,19 +1105,8 @@ int cmd_fleet_bench(const Args& args) {
   // storm. Prints routed-predict latency percentiles, failover counts
   // and the epoch propagation outcome.
   core::Wavm3Model model;
-  if (args.has("coeffs")) {
-    model = core::load_coefficients_csv(args.get("coeffs", "coeffs.csv"));
-    if (!model.is_fitted()) {
-      std::fprintf(stderr, "could not load coefficients\n");
-      return 1;
-    }
-  } else {
-    util::set_log_level(util::LogLevel::kWarn);
-    std::puts("no --coeffs given; fitting on a fast simulated campaign...");
-    const exp::CampaignResult campaign =
-        exp::run_campaign(testbed_by_name(args.get("testbed", "m")),
-                          exp::fast_campaign_options(), args.get_seed());
-    model.fit(campaign.dataset);
+  if (const int status = load_model(args, model, /*announce_fit=*/true); status != 0) {
+    return status;
   }
 
   const auto positive = [&args](const char* key, long fallback) {
@@ -1289,19 +1253,8 @@ int cmd_recalibrate(const Args& args) {
   // floor. With --out the recovered coefficient table is saved for
   // `predict` / `serve-bench`.
   core::Wavm3Model model;
-  if (args.has("coeffs")) {
-    model = core::load_coefficients_csv(args.get("coeffs", ""));
-    if (!model.is_fitted()) {
-      std::fprintf(stderr, "could not load coefficients\n");
-      return 1;
-    }
-  } else {
-    util::set_log_level(util::LogLevel::kWarn);
-    std::puts("no --coeffs given; fitting on a fast simulated campaign...");
-    const exp::CampaignResult campaign =
-        exp::run_campaign(testbed_by_name(args.get("testbed", "m")),
-                          exp::fast_campaign_options(), args.get_seed());
-    model.fit(campaign.dataset);
+  if (const int status = load_model(args, model, /*announce_fit=*/true); status != 0) {
+    return status;
   }
 
   const long samples = std::max(1L, args.get_int("samples", 800));
