@@ -2,11 +2,81 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "util/error.hpp"
 
 namespace wavm3::plan {
+
+namespace {
+
+// Two doubles in one register: GCC and Clang lower the element-wise
+// operators to packed SSE2 (baseline x86-64) or NEON (aarch64) adds
+// and multiplies, and each lane rounds exactly like the scalar
+// operation (the library builds with -ffp-contract=off, so no a*b+c
+// fuses into an FMA). A loop over a fixed number of these, fully
+// unrolled, keeps its accumulators in registers.
+typedef double Lane2 __attribute__((vector_size(16)));
+
+Lane2 load2(const double* p) {
+  Lane2 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+/// Sums x[i] * x[i + L] for the lags L in [lag, lag_hi], 2V lags per
+/// block while a whole block fits: lane pair k holds lags lag + 2k and
+/// lag + 2k + 1, so the x[i + L] of a pair are one contiguous load.
+/// Every lag sums from 0.0 in ascending i, as one lag at a time would;
+/// the terms only the shorter lags of a block have finish in scalar.
+/// Writes out[L] and returns the first lag not summed.
+template <std::size_t V>
+std::size_t lag_sums(const double* x, std::size_t n, std::size_t lag, std::size_t lag_hi,
+                     double* out) {
+  constexpr std::size_t kWidth = 2 * V;
+  for (; lag + kWidth - 1 <= lag_hi; lag += kWidth) {
+    Lane2 acc[V] = {};
+    const std::size_t common = n - lag - (kWidth - 1);  // terms every lag sums
+    for (std::size_t i = 0; i < common; ++i) {
+      const Lane2 xi = {x[i], x[i]};
+#pragma GCC unroll 8
+      for (std::size_t k = 0; k < V; ++k) acc[k] += xi * load2(x + i + lag + 2 * k);
+    }
+#pragma GCC unroll 8
+    for (std::size_t k = 0; k < 2 * V; ++k) {
+      const std::size_t l = lag + k;
+      double sum = acc[k / 2][k % 2];
+      for (std::size_t i = common; i + l < n; ++i) sum += x[i] * x[i + l];
+      out[l] = sum;
+    }
+  }
+  return lag;
+}
+
+/// Sums ring[off + k] over k in [0, win) for the offsets in
+/// [off, offsets), 2V offsets per block while a whole block fits: lane
+/// pair j holds offsets off + 2j and off + 2j + 1. Every sum starts at
+/// 0.0 and adds in ascending k, as the scalar loop does. `ring` must
+/// hold offsets + win - 1 values. Writes out[off] and returns the
+/// first offset not summed.
+template <std::size_t V>
+std::size_t window_sums(const double* ring, std::size_t win, std::size_t off,
+                        std::size_t offsets, double* out) {
+  constexpr std::size_t kWidth = 2 * V;
+  for (; off + kWidth <= offsets; off += kWidth) {
+    Lane2 acc[V] = {};
+    for (std::size_t k = 0; k < win; ++k) {
+#pragma GCC unroll 8
+      for (std::size_t j = 0; j < V; ++j) acc[j] += load2(ring + off + 2 * j + k);
+    }
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j < V; ++j) std::memcpy(out + off + 2 * j, &acc[j], sizeof acc[j]);
+  }
+  return off;
+}
+
+}  // namespace
 
 CycleDetector::CycleDetector(CycleDetectorConfig config) : config_(config) {
   WAVM3_REQUIRE(config_.resample_points >= 16, "cycle detector needs >= 16 grid points");
@@ -77,28 +147,20 @@ CycleEstimate CycleDetector::analyze(std::span<const double> t,
       std::min(n / 2, static_cast<std::size_t>(std::floor(max_period / dt)));
   if (lag_lo >= lag_hi) return est;
 
-  // Normalized autocorrelation over the lag window, kLanes lags at a
-  // time: each lag's sum still accumulates in index order (bit-equal
-  // to one lag at a time), but the independent add chains overlap
-  // instead of waiting on each other's latency. Lag L sums n - L terms.
-  constexpr std::size_t kLanes = 8;
+  // Normalized autocorrelation over the lag window. Lag L sums the
+  // n - L terms x[i] * x[i + L] from 0.0 in ascending i, whether it is
+  // summed in a packed lane (lag_sums) or in the scalar loop below.
   std::vector<double> acf(lag_hi + 1, 0.0);
-  std::size_t lag = lag_lo;
-  for (; lag + kLanes - 1 <= lag_hi; lag += kLanes) {
-    double s[kLanes] = {};
-    const std::size_t common = n - lag - (kLanes - 1);  // terms every lane sums
-    for (std::size_t i = 0; i < common; ++i) {
-      for (std::size_t k = 0; k < kLanes; ++k) s[k] += x[i] * x[i + lag + k];
-    }
-    for (std::size_t k = 0; k < kLanes; ++k) {
-      for (std::size_t i = common; i + lag + k < n; ++i) s[k] += x[i] * x[i + lag + k];
-      acf[lag + k] = s[k] / (static_cast<double>(n - lag - k) * var);
-    }
-  }
+  std::size_t lag = lag_sums<4>(x.data(), n, lag_lo, lag_hi, acf.data());
+  lag = lag_sums<2>(x.data(), n, lag, lag_hi, acf.data());
+  lag = lag_sums<1>(x.data(), n, lag, lag_hi, acf.data());
   for (; lag <= lag_hi; ++lag) {
     double sum = 0.0;
     for (std::size_t i = 0; i + lag < n; ++i) sum += x[i] * x[i + lag];
-    acf[lag] = sum / (static_cast<double>(n - lag) * var);
+    acf[lag] = sum;
+  }
+  for (std::size_t l = lag_lo; l <= lag_hi; ++l) {
+    acf[l] /= static_cast<double>(n - l) * var;
   }
 
   // The ACF of any smooth signal starts near 1, so the initial
@@ -139,32 +201,38 @@ CycleEstimate CycleDetector::analyze(std::span<const double> t,
 
   // Low window: fold the (mean-restored) grid at the period and find
   // the circular offset minimising the moving average over the window
-  // length. Bins inherit the grid resolution.
+  // length. Bins inherit the grid resolution; bin b holds the grid
+  // points i with i % bins == b. The folded cycle is stored twice over
+  // so that a window starting near the end reads on without wrapping.
   const std::size_t bins = best_lag;
-  std::vector<double> folded(bins, 0.0);
-  std::vector<std::size_t> counts(bins, 0);
+  std::vector<double> folded(2 * bins, 0.0);
   for (std::size_t i = 0, b = 0; i < n; ++i, b = b + 1 == bins ? 0 : b + 1) {
     folded[b] += x[i] + mean;
-    ++counts[b];
   }
   for (std::size_t b = 0; b < bins; ++b) {
-    folded[b] /= static_cast<double>(std::max<std::size_t>(1, counts[b]));
+    folded[b] /= static_cast<double>((n - 1 - b) / bins + 1);
+    folded[bins + b] = folded[b];
   }
 
   const std::size_t win =
       std::max<std::size_t>(1, static_cast<std::size_t>(std::round(
                                    config_.low_window_fraction * static_cast<double>(bins))));
-  double best_sum = 0.0;
-  std::size_t best_off = 0;
-  for (std::size_t off = 0; off < bins; ++off) {
-    // Summed afresh per offset (not slid), so every window total is
-    // rounded the same way whatever its offset; b wraps at bins.
+  // Every window is summed afresh (not slid), so every window total is
+  // rounded the same way whatever its offset.
+  std::vector<double> window(bins);
+  std::size_t off = window_sums<4>(folded.data(), win, 0, bins, window.data());
+  off = window_sums<2>(folded.data(), win, off, bins, window.data());
+  off = window_sums<1>(folded.data(), win, off, bins, window.data());
+  for (; off < bins; ++off) {
     double sum = 0.0;
-    for (std::size_t k = 0, b = off; k < win; ++k, b = b + 1 == bins ? 0 : b + 1) {
-      sum += folded[b];
-    }
-    if (off == 0 || sum < best_sum) {
-      best_sum = sum;
+    for (std::size_t k = 0; k < win; ++k) sum += folded[off + k];
+    window[off] = sum;
+  }
+  double best_sum = window[0];
+  std::size_t best_off = 0;
+  for (off = 1; off < bins; ++off) {
+    if (window[off] < best_sum) {
+      best_sum = window[off];
       best_off = off;
     }
   }

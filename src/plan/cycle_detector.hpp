@@ -12,6 +12,12 @@
 // signal at the detected period and minimising a circular moving
 // average — the planner schedules migration start times into the next
 // occurrence of that window.
+//
+// The lag sums and the window sums run in packed two-wide lanes (SSE2
+// on x86-64, NEON on aarch64), yet every sum starts at 0.0 and adds
+// its terms in ascending index order, so an estimate is bit-identical
+// to the one-lag-at-a-time, modulo-folding computation (pinned field
+// by field in plan_test).
 #pragma once
 
 #include <cstddef>

@@ -1,18 +1,33 @@
 #include "plan/strategy.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <limits>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 namespace wavm3::plan {
 
 namespace {
 
+/// What a donor's tentative assignment adds to one host.
+struct HostDelta {
+  int host = -1;
+  double cpu = 0.0;
+  double ram = 0.0;
+};
+
 /// Per-host (cpu, ram) additions a donor's tentative assignment would
-/// cause. Kept per attempt so a failed donor folds nothing back.
-using Delta = std::unordered_map<int, std::pair<double, double>>;
+/// cause, one entry per host in first-touch order. Kept per attempt so
+/// a failed donor folds nothing back. A donor moves a handful of VMs,
+/// so a linear scan beats hashing, and copying one into a reused state
+/// allocates nothing once its capacity is there.
+using Delta = std::vector<HostDelta>;
+
+template <typename D>  // Delta or const Delta
+auto find_host(D& delta, int host) {
+  return std::find_if(delta.begin(), delta.end(),
+                      [host](const HostDelta& d) { return d.host == host; });
+}
 
 /// Tentative loads accumulated across already-decided donors.
 struct TentativeLoads {
@@ -29,9 +44,9 @@ struct TentativeLoads {
   }
 
   void fold(const Delta& delta) {
-    for (const auto& [host, add] : delta) {
-      cpu[static_cast<std::size_t>(host)] += add.first;
-      ram[static_cast<std::size_t>(host)] += add.second;
+    for (const HostDelta& d : delta) {
+      cpu[static_cast<std::size_t>(d.host)] += d.cpu;
+      ram[static_cast<std::size_t>(d.host)] += d.ram;
     }
   }
 };
@@ -40,9 +55,9 @@ bool target_feasible(const Fleet& fleet, const PlannerConfig& config, const Flee
                      int target, const TentativeLoads& base, const Delta& delta) {
   double cpu = base.cpu[static_cast<std::size_t>(target)];
   double ram = base.ram[static_cast<std::size_t>(target)];
-  if (const auto it = delta.find(target); it != delta.end()) {
-    cpu += it->second.first;
-    ram += it->second.second;
+  if (const auto d = find_host(delta, target); d != delta.end()) {
+    cpu += d->cpu;
+    ram += d->ram;
   }
   const cloud::HostSpec& spec = fleet.host(target).spec;
   if (ram + vm.ram_bytes > spec.ram_bytes) return false;
@@ -51,19 +66,19 @@ bool target_feasible(const Fleet& fleet, const PlannerConfig& config, const Flee
 }
 
 void add_to_delta(Delta& delta, int target, const FleetVm& vm) {
-  auto& slot = delta[target];
-  slot.first += vm.cpu_now;
-  slot.second += vm.ram_bytes;
+  auto slot = find_host(delta, target);
+  if (slot == delta.end()) slot = delta.insert(slot, HostDelta{target, 0.0, 0.0});
+  slot->cpu += vm.cpu_now;
+  slot->ram += vm.ram_bytes;
 }
 
 /// One donor under naive first-fit: each VM goes to the feasible
-/// candidate on the lowest-indexed host. Returns the picked move
-/// indices (empty = donor infeasible) and fills `delta`.
-std::vector<int> assign_first_fit(const Fleet& fleet, const CandidateSet& candidates,
-                                  const PlannerConfig& config, const DonorCandidates& donor,
-                                  const TentativeLoads& base, Delta& delta) {
-  std::vector<int> picks;
-  picks.reserve(donor.vms.size());
+/// candidate on the lowest-indexed host. Fills `picks` with the picked
+/// move indices (left empty = donor infeasible) and `delta`.
+void assign_first_fit(const Fleet& fleet, const CandidateSet& candidates,
+                      const PlannerConfig& config, const DonorCandidates& donor,
+                      const TentativeLoads& base, std::vector<int>& picks, Delta& delta) {
+  picks.clear();
   delta.clear();
   for (const VmCandidates& vc : donor.vms) {
     const FleetVm& vm = fleet.vm(vc.vm);
@@ -76,11 +91,13 @@ std::vector<int> assign_first_fit(const Fleet& fleet, const CandidateSet& candid
       best_move = m;
       best_target = move.target;
     }
-    if (best_move < 0) return {};  // all-or-nothing: donor stays
+    if (best_move < 0) {  // all-or-nothing: donor stays
+      picks.clear();
+      return;
+    }
     picks.push_back(best_move);
     add_to_delta(delta, best_target, vm);
   }
-  return picks;
 }
 
 double assignment_energy(const CandidateSet& candidates, const std::vector<int>& picks) {
@@ -92,70 +109,97 @@ double assignment_energy(const CandidateSet& candidates, const std::vector<int>&
 /// One donor under beam search over its VMs. The first-fit assignment
 /// (if any) is admitted as one more completed candidate, so the result
 /// never prices above first-fit.
-std::vector<int> assign_beam(const Fleet& fleet, const CandidateSet& candidates,
-                             const PlannerConfig& config, const DonorCandidates& donor,
-                             const TentativeLoads& base, Delta& delta) {
-  struct BeamState {
+///
+/// The search runs in two pools of states that one choose() call
+/// reuses across all its donors: the first `beam_size` states of
+/// `beam_` are the live beam, and each VM expands them into `next_`,
+/// copying into states whose vectors already hold `depth` entries.
+/// Only an expansion wider than any before allocates (a new state).
+class BeamSearch {
+ public:
+  /// `depth`: the most VMs any donor of the wave moves, which is the
+  /// most picks and delta entries a state ever holds.
+  explicit BeamSearch(std::size_t depth) : depth_(depth) {}
+
+  void operator()(const Fleet& fleet, const CandidateSet& candidates, const PlannerConfig& config,
+              const DonorCandidates& donor, const TentativeLoads& base,
+              std::vector<int>& picks, Delta& delta) {
+    const std::size_t width = static_cast<std::size_t>(std::max(1, config.beam_width));
+    if (beam_.empty()) add_state(beam_);
+    beam_.front().picks.clear();
+    beam_.front().delta.clear();
+    beam_.front().energy = 0.0;
+    std::size_t beam_size = 1;
+    for (const VmCandidates& vc : donor.vms) {
+      const FleetVm& vm = fleet.vm(vc.vm);
+      std::size_t next_size = 0;
+      for (std::size_t s = 0; s < beam_size; ++s) {
+        const State& state = beam_[s];
+        for (int m = vc.begin; m < vc.end; ++m) {
+          const ScoredMove& move = candidates.moves[static_cast<std::size_t>(m)];
+          if (!target_feasible(fleet, config, vm, move.target, base, state.delta)) continue;
+          if (next_size == next_.size()) add_state(next_);
+          State& expanded = next_[next_size++];
+          expanded.picks = state.picks;
+          expanded.picks.push_back(m);
+          expanded.delta = state.delta;
+          add_to_delta(expanded.delta, move.target, vm);
+          expanded.energy = state.energy + move.selection_energy();
+        }
+      }
+      beam_size = next_size;
+      if (beam_size == 0) break;  // beam dead-ended; first-fit below may still work
+      std::sort(next_.begin(), next_.begin() + static_cast<std::ptrdiff_t>(next_size),
+                [](const State& a, const State& b) { return a.energy < b.energy; });
+      beam_size = std::min(beam_size, width);
+      beam_.swap(next_);
+    }
+
+    assign_first_fit(fleet, candidates, config, donor, base, ff_picks_, ff_delta_);
+
+    const bool beam_ok = beam_size > 0;
+    const bool ff_ok = !ff_picks_.empty();
+    if (!beam_ok && !ff_ok) {
+      picks.clear();
+      delta.clear();
+      return;
+    }
+    const double ff_energy = ff_ok ? assignment_energy(candidates, ff_picks_)
+                                   : std::numeric_limits<double>::infinity();
+    const bool take_beam = beam_ok && beam_.front().energy <= ff_energy;
+    picks = take_beam ? beam_.front().picks : ff_picks_;
+    delta = take_beam ? beam_.front().delta : ff_delta_;
+  }
+
+ private:
+  struct State {
     std::vector<int> picks;
     Delta delta;
     double energy = 0.0;
   };
 
-  const std::size_t width = static_cast<std::size_t>(std::max(1, config.beam_width));
-  std::vector<BeamState> beam(1);
-  std::vector<BeamState> next;
-  for (const VmCandidates& vc : donor.vms) {
-    const FleetVm& vm = fleet.vm(vc.vm);
-    next.clear();
-    for (const BeamState& state : beam) {
-      for (int m = vc.begin; m < vc.end; ++m) {
-        const ScoredMove& move = candidates.moves[static_cast<std::size_t>(m)];
-        if (!target_feasible(fleet, config, vm, move.target, base, state.delta)) continue;
-        BeamState expanded = state;
-        expanded.picks.push_back(m);
-        add_to_delta(expanded.delta, move.target, vm);
-        expanded.energy += move.selection_energy();
-        next.push_back(std::move(expanded));
-      }
-    }
-    if (next.empty()) {
-      beam.clear();  // beam dead-ended; first-fit below may still work
-      break;
-    }
-    std::sort(next.begin(), next.end(),
-              [](const BeamState& a, const BeamState& b) { return a.energy < b.energy; });
-    if (next.size() > width) next.resize(width);
-    beam.swap(next);
+  void add_state(std::vector<State>& pool) {
+    State& state = pool.emplace_back();
+    state.picks.reserve(depth_);
+    state.delta.reserve(depth_);
   }
 
-  Delta ff_delta;
-  const std::vector<int> ff_picks =
-      assign_first_fit(fleet, candidates, config, donor, base, ff_delta);
-
-  const bool beam_ok = !beam.empty();
-  const bool ff_ok = !ff_picks.empty();
-  if (!beam_ok && !ff_ok) {
-    delta.clear();
-    return {};
-  }
-  const double ff_energy =
-      ff_ok ? assignment_energy(candidates, ff_picks) : std::numeric_limits<double>::infinity();
-  if (beam_ok && beam.front().energy <= ff_energy) {
-    delta = std::move(beam.front().delta);
-    return std::move(beam.front().picks);
-  }
-  delta = std::move(ff_delta);
-  return ff_picks;
-}
+  std::size_t depth_;
+  std::vector<State> beam_;
+  std::vector<State> next_;
+  std::vector<int> ff_picks_;
+  Delta ff_delta_;
+};
 
 template <typename AssignFn>
 std::vector<int> choose_by_donor(const Fleet& fleet, const CandidateSet& candidates,
                                  const PlannerConfig& config, AssignFn assign) {
   TentativeLoads loads(fleet);
   std::vector<int> chosen;
+  std::vector<int> picks;
   Delta delta;
   for (const DonorCandidates& donor : candidates.donors) {
-    std::vector<int> picks = assign(fleet, candidates, config, donor, loads, delta);
+    assign(fleet, candidates, config, donor, loads, picks, delta);
     if (picks.empty()) continue;
     loads.fold(delta);
     chosen.insert(chosen.end(), picks.begin(), picks.end());
@@ -172,7 +216,9 @@ std::vector<int> FirstFitStrategy::choose(const Fleet& fleet, const CandidateSet
 
 std::vector<int> BeamSearchStrategy::choose(const Fleet& fleet, const CandidateSet& candidates,
                                             const PlannerConfig& config) const {
-  return choose_by_donor(fleet, candidates, config, assign_beam);
+  std::size_t depth = 0;
+  for (const DonorCandidates& donor : candidates.donors) depth = std::max(depth, donor.vms.size());
+  return choose_by_donor(fleet, candidates, config, BeamSearch(depth));
 }
 
 }  // namespace wavm3::plan

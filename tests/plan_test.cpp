@@ -1,11 +1,13 @@
 // src/plan/: fleet model, workload-cycle detection, candidate pricing,
 // and wave planning with the bundled placement strategies.
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -126,14 +128,30 @@ TEST(CycleDetector, RejectsFlatAndDegenerateTraces) {
   EXPECT_EQ(empty.overall_mean, 0.0);
 }
 
-/// analyze()'s reported peak and low window recomputed the plain way:
-/// stats::interp_at per grid point, one lag at a time, modulo folding.
-std::pair<double, double> plain_peak_and_low_mean(const std::vector<double>& t,
-                                                  const std::vector<double>& y,
-                                                  const CycleEstimate& e,
-                                                  const CycleDetectorConfig& cfg) {
+/// What plain_analyze() searched: the lag count and, when periodic,
+/// the bin count of the folded cycle.
+struct PlainShape {
+  std::size_t lags = 0;
+  std::size_t bins = 0;
+};
+
+/// CycleDetector::analyze() written the plain way: stats::interp_at
+/// per grid point, one lag at a time, modulo folding with counted
+/// bins, and every window summed afresh with a wrapping index.
+CycleEstimate plain_analyze(const std::vector<double>& t, const std::vector<double>& y,
+                            const CycleDetectorConfig& cfg, PlainShape& shape) {
+  shape = {};
+  CycleEstimate est;
+  if (t.size() < 8 || t.back() - t.front() <= 0.0) {
+    if (!y.empty()) {
+      for (const double v : y) est.overall_mean += v;
+      est.overall_mean /= static_cast<double>(y.size());
+    }
+    return est;
+  }
+  const double span = t.back() - t.front();
   const std::size_t n = cfg.resample_points;
-  const double dt = (t.back() - t.front()) / static_cast<double>(n - 1);
+  const double dt = span / static_cast<double>(n - 1);
   std::vector<double> x(n);
   double mean = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -141,34 +159,88 @@ std::pair<double, double> plain_peak_and_low_mean(const std::vector<double>& t,
     mean += x[i];
   }
   mean /= static_cast<double>(n);
+  est.overall_mean = mean;
   double var = 0.0;
   for (double& v : x) {
     v -= mean;
     var += v * v;
   }
   var /= static_cast<double>(n);
-  const std::size_t lag = static_cast<std::size_t>(std::llround(e.period_s / dt));
-  double sum = 0.0;
-  for (std::size_t i = 0; i + lag < n; ++i) sum += x[i] * x[i + lag];
+  if (var <= 1e-12 * std::max(1.0, mean * mean)) return est;
 
-  std::vector<double> folded(lag, 0.0);
-  std::vector<std::size_t> counts(lag, 0);
+  const double min_period = cfg.min_period_s > 0.0 ? cfg.min_period_s : 4.0 * dt;
+  const double max_period =
+      cfg.max_period_s > 0.0 ? std::min(cfg.max_period_s, 0.5 * span) : 0.5 * span;
+  const std::size_t lag_lo =
+      std::max<std::size_t>(2, static_cast<std::size_t>(std::ceil(min_period / dt)));
+  const std::size_t lag_hi =
+      std::min(n / 2, static_cast<std::size_t>(std::floor(max_period / dt)));
+  if (lag_lo >= lag_hi) return est;
+  shape.lags = lag_hi - lag_lo + 1;
+
+  std::vector<double> acf(lag_hi + 1, 0.0);
+  for (std::size_t lag = lag_lo; lag <= lag_hi; ++lag) {
+    double sum = 0.0;
+    for (std::size_t i = 0; i + lag < n; ++i) sum += x[i] * x[i + lag];
+    acf[lag] = sum / (static_cast<double>(n - lag) * var);
+  }
+  std::size_t search_lo = lag_lo;
+  while (search_lo <= lag_hi && acf[search_lo] > 0.0) ++search_lo;
+  if (search_lo > lag_hi) return est;
+  double best_peak = 0.0;
+  for (std::size_t lag = search_lo; lag <= lag_hi; ++lag) best_peak = std::max(best_peak, acf[lag]);
+  if (best_peak < cfg.min_confidence) return est;
+  std::size_t best_lag = 0;
+  for (std::size_t lag = search_lo; lag <= lag_hi; ++lag) {
+    const bool local_max = (lag == search_lo || acf[lag] >= acf[lag - 1]) &&
+                           (lag == lag_hi || acf[lag] >= acf[lag + 1]);
+    if (local_max && acf[lag] >= cfg.min_confidence && acf[lag] >= 0.9 * best_peak) {
+      best_lag = lag;
+      break;
+    }
+  }
+  if (best_lag == 0) return est;
+  est.periodic = true;
+  est.confidence = acf[best_lag];
+  est.period_s = static_cast<double>(best_lag) * dt;
+
+  const std::size_t bins = best_lag;
+  shape.bins = bins;
+  std::vector<double> folded(bins, 0.0);
+  std::vector<std::size_t> counts(bins, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    folded[i % lag] += x[i] + mean;
-    ++counts[i % lag];
+    folded[i % bins] += x[i] + mean;
+    ++counts[i % bins];
   }
-  for (std::size_t b = 0; b < lag; ++b) {
-    folded[b] /= static_cast<double>(std::max<std::size_t>(1, counts[b]));
-  }
+  for (std::size_t b = 0; b < bins; ++b) folded[b] /= static_cast<double>(counts[b]);
   const std::size_t win = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::round(cfg.low_window_fraction * static_cast<double>(lag))));
-  double best = 0.0;
-  for (std::size_t off = 0; off < lag; ++off) {
-    double window = 0.0;
-    for (std::size_t k = 0; k < win; ++k) window += folded[(off + k) % lag];
-    if (off == 0 || window < best) best = window;
+      1, static_cast<std::size_t>(std::round(cfg.low_window_fraction * static_cast<double>(bins))));
+  double best_sum = 0.0;
+  std::size_t best_off = 0;
+  for (std::size_t off = 0; off < bins; ++off) {
+    double sum = 0.0;
+    for (std::size_t k = 0; k < win; ++k) sum += folded[(off + k) % bins];
+    if (off == 0 || sum < best_sum) {
+      best_sum = sum;
+      best_off = off;
+    }
   }
-  return {sum / (static_cast<double>(n - lag) * var), best / static_cast<double>(win)};
+  est.low_duration_s = static_cast<double>(win) * dt;
+  est.low_mean = best_sum / static_cast<double>(win);
+  est.low_anchor_s = t.front() + static_cast<double>(best_off) * dt;
+  return est;
+}
+
+/// Every field of `got` has the bits of the same field of `want`.
+void expect_bit_equal(const CycleEstimate& got, const CycleEstimate& want) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(got.periodic, want.periodic);
+  EXPECT_EQ(bits(got.period_s), bits(want.period_s));
+  EXPECT_EQ(bits(got.confidence), bits(want.confidence));
+  EXPECT_EQ(bits(got.low_anchor_s), bits(want.low_anchor_s));
+  EXPECT_EQ(bits(got.low_duration_s), bits(want.low_duration_s));
+  EXPECT_EQ(bits(got.low_mean), bits(want.low_mean));
+  EXPECT_EQ(bits(got.overall_mean), bits(want.overall_mean));
 }
 
 TEST(CycleDetector, MatchesThePlainOneLagAtATimeComputation) {
@@ -187,15 +259,53 @@ TEST(CycleDetector, MatchesThePlainOneLagAtATimeComputation) {
         CycleDetectorConfig cfg;
         cfg.resample_points = points;
         const CycleEstimate e = CycleDetector(cfg).analyze(t, y);
-        if (!e.periodic) continue;
-        const auto [peak, low_mean] = plain_peak_and_low_mean(t, y, e, cfg);
-        EXPECT_EQ(e.confidence, peak) << points << " points, period " << period;
-        EXPECT_EQ(e.low_mean, low_mean) << points << " points, period " << period;
-        ++checked;
+        PlainShape shape;
+        SCOPED_TRACE(testing::Message() << points << " points, period " << period);
+        expect_bit_equal(e, plain_analyze(t, y, cfg, shape));
+        if (e.periodic) ++checked;
       }
     }
   }
   EXPECT_GE(checked, 20);
+}
+
+TEST(CycleDetector, EveryFieldMatchesThePlainReferenceBitForBit) {
+  // Fleet histories, periodic and aperiodic, under cycle periods and
+  // lag-window caps chosen so that the lag counts and the bin counts
+  // between them leave every remainder modulo the 8 lags (offsets) of
+  // a lane block.
+  std::set<std::size_t> lag_tails;
+  std::set<std::size_t> bin_tails;
+  for (const std::size_t points : {16u, 17u, 97u, 256u, 301u}) {
+    int periodic = 0;
+    int aperiodic = 0;
+    for (const double period : {7200.0, 5400.0, 4800.0, 2700.0}) {
+      SyntheticFleetOptions opts;
+      opts.period_s = period;
+      const Fleet fleet = Fleet::synthetic(4, 24, 11, opts);
+      for (const double max_period : {0.0, 9000.0, 11000.0, 13000.0}) {
+        CycleDetectorConfig cfg;
+        cfg.resample_points = points;
+        cfg.max_period_s = max_period;
+        const CycleDetector detector(cfg);
+        for (const FleetVm& vm : fleet.vms()) {
+          PlainShape shape;
+          const CycleEstimate want = plain_analyze(vm.history.t, vm.history.dirty, cfg, shape);
+          const CycleEstimate got = detector.analyze(vm.history.t, vm.history.dirty);
+          SCOPED_TRACE(testing::Message() << points << " points, period " << period
+                                          << ", max period " << max_period << ", " << vm.id);
+          expect_bit_equal(got, want);
+          if (shape.lags > 0) lag_tails.insert(shape.lags % 8);
+          if (want.periodic) bin_tails.insert(shape.bins % 8);
+          ++(want.periodic ? periodic : aperiodic);
+        }
+      }
+    }
+    EXPECT_GT(periodic, 0) << points << " points";
+    EXPECT_GT(aperiodic, 0) << points << " points";
+  }
+  EXPECT_EQ(lag_tails.size(), 8u);
+  EXPECT_EQ(bin_tails.size(), 8u);
 }
 
 TEST(CycleDetector, NextLowWindowStartRepeatsEveryPeriod) {
@@ -617,6 +727,31 @@ TEST(MigrationPlanner, BeamNeverCostsMoreThanFirstFit) {
   // set), strictly no more predicted energy.
   EXPECT_EQ(smart.donors_vacated, naive.donors_vacated);
   EXPECT_LE(smart.total_migration_energy_j, naive.total_migration_energy_j * (1.0 + 1e-12));
+}
+
+TEST(MigrationPlanner, BeamSearchPicksLikeAFreshStrategyCallAfterCall) {
+  // One strategy choosing on fleet A, then B (more VMs per donor, so
+  // deeper states), then A again picks exactly what a fresh strategy
+  // picks each time: nothing carries over between choose() calls.
+  const core::Wavm3Model model = make_model();
+  const PlannerConfig config = test_config();
+  const double now = SyntheticFleetOptions{}.history_s;
+  const BeamSearchStrategy beam;
+  const RecordingStrategy recording(beam);
+  MigrationPlanner planner(model, config);
+  Fleet a = Fleet::synthetic(32, 160, 29);
+  Fleet b = Fleet::synthetic(24, 200, 31);
+  planner.plan_wave(a, recording, now, /*commit=*/false);
+  const CandidateSet on_a = recording.seen;
+  planner.plan_wave(b, recording, now, /*commit=*/false);
+  const CandidateSet on_b = recording.seen;
+
+  for (const auto& [fleet, candidates] :
+       {std::pair{&a, &on_a}, std::pair{&b, &on_b}, std::pair{&a, &on_a}}) {
+    const std::vector<int> picks = beam.choose(*fleet, *candidates, config);
+    EXPECT_FALSE(picks.empty());
+    EXPECT_EQ(picks, BeamSearchStrategy().choose(*fleet, *candidates, config));
+  }
 }
 
 TEST(MigrationPlanner, CycleAwareSchedulingNeverCostsMoreAndAligns) {

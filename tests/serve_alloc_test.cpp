@@ -2,6 +2,9 @@
 // per-thread batch workspace has grown to the request shape, the
 // span-based predict_batch_results() core (warm or unseen scenarios)
 // and the predict() cache-hit path must perform ZERO heap allocations.
+// The planner's beam search is pinned the same way: its expansions
+// copy into reused states, so a wave allocates a bounded few times per
+// donor VM, not once per expansion.
 // Enforced with a counting global operator new in its own test binary
 // (tests/CMakeLists.txt) so the counter cannot interfere with the
 // other suites.
@@ -21,6 +24,9 @@
 
 #include "core/planner.hpp"
 #include "core/wavm3_model.hpp"
+#include "plan/fleet.hpp"
+#include "plan/planner.hpp"
+#include "plan/strategy.hpp"
 #include "serve/service.hpp"
 #include "util/units.hpp"
 
@@ -196,6 +202,48 @@ TEST(ServeAllocation, WarmPredictHitAllocatesNothing) {
   EXPECT_EQ(after, before) << "a cache-hit predict() must not allocate";
   EXPECT_EQ(hit.source_energy, warm.source_energy);
   EXPECT_EQ(hit.target_energy, warm.target_energy);
+}
+
+/// Passes the wave's candidates through to `inner` and keeps a copy.
+class RecordingStrategy final : public plan::PlacementStrategy {
+ public:
+  explicit RecordingStrategy(const plan::PlacementStrategy& inner) : inner_(inner) {}
+  const char* name() const override { return inner_.name(); }
+  std::vector<int> choose(const plan::Fleet& fleet, const plan::CandidateSet& candidates,
+                          const plan::PlannerConfig& config) const override {
+    seen = candidates;
+    return inner_.choose(fleet, candidates, config);
+  }
+  mutable plan::CandidateSet seen;
+
+ private:
+  const plan::PlacementStrategy& inner_;
+};
+
+TEST(PlanAllocation, BeamSearchAllocatesABoundedFewTimesPerDonorVm) {
+  if (sanitizers_active()) GTEST_SKIP() << "allocator intercepted by a sanitizer";
+  const core::Wavm3Model model = make_model();
+  const plan::PlannerConfig config;
+  plan::Fleet fleet = plan::Fleet::synthetic(256, 2560, 1);
+  const plan::BeamSearchStrategy beam;
+  const RecordingStrategy recording(beam);
+  plan::MigrationPlanner planner(model, config);
+  planner.plan_wave(fleet, recording, plan::SyntheticFleetOptions{}.history_s,
+                    /*commit=*/false);
+  const plan::CandidateSet& candidates = recording.seen;
+  std::size_t donor_vms = 0;
+  for (const plan::DonorCandidates& donor : candidates.donors) donor_vms += donor.vms.size();
+  ASSERT_GT(donor_vms, 100u);
+
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::vector<int> chosen = beam.choose(fleet, candidates, config);
+  const std::uint64_t allocations = g_allocations.load(std::memory_order_relaxed) - before;
+  ASSERT_FALSE(chosen.empty());
+  // Measured: ~0.45 per donor VM, nearly all of it the state pools
+  // growing to the widest expansion once. Copying a hash-map state per
+  // expansion cost ~62.
+  EXPECT_LE(allocations, donor_vms)
+      << allocations << " allocations for " << donor_vms << " donor VMs";
 }
 
 }  // namespace
