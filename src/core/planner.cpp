@@ -57,83 +57,124 @@ double bandwidth_to(const MigrationScenario& sc, const TargetSide& target) {
   return std::max(1e5, target.link_payload_rate * eff);
 }
 
-/// The timing recursion; reads no target field.
-MigrationForecast timings_at(const MigrationScenario& sc, double bandwidth) {
+/// One scenario's timing recursion in flight: the constants each
+/// pre-copy round reads and the values it carries to the next. Only a
+/// live scenario runs rounds; start_lane prices the others whole.
+struct TimingLane {
+  double bandwidth = 0.0;
+  double working_set = 0.0;     ///< pages
+  double rate = 0.0;            ///< dirtying rate after CPU multiplexing, pages/s
+  double stop_threshold = 0.0;  ///< bytes
+  double traffic_limit = 0.0;   ///< max_transfer_factor * memory, bytes
+  int max_rounds = 0;
+
+  double round_bytes = 0.0;  ///< this round's payload
+  double prev_bytes = 0.0;   ///< the previous round's payload
+  double transfer = 0.0;     ///< seconds on the wire so far
+  double total_bytes = 0.0;
+  double downtime = 0.0;  ///< before the activation lag
+  int round = 0;
+  bool degenerated = false;
+};
+
+/// Sets up `sc`'s recursion at `bandwidth`; reads no target field.
+/// Returns true when the lane still has pre-copy rounds to run (a live
+/// scenario); the other types are fully priced here.
+bool start_lane(const MigrationScenario& sc, double bandwidth, TimingLane& lane) {
   const auto& cfg = sc.migration;
-  MigrationForecast fc;
-  fc.bandwidth = bandwidth;
-  const bool live = sc.type == MigrationType::kLive;
-  const bool postcopy = sc.type == MigrationType::kPostCopy;
-
-  // Dirtying slows down under CPU multiplexing on the source.
-  double grant_fraction = 1.0;
-  if (live && sc.vm_cpu_vcpus > 0.0) {
-    const double demand = sc.source_cpu_load + sc.vm_cpu_vcpus;
-    if (demand > sc.source_cpu_capacity) grant_fraction = sc.source_cpu_capacity / demand;
-  }
-  const double rate = sc.vm_dirty_pages_per_s * grant_fraction;
-
-  fc.times.ms = 0.0;
-  fc.times.ts = cfg.initiation_duration;
-
-  double transfer = 0.0;
   const double mem_bytes = sc.vm_mem_bytes;
-  if (postcopy) {
+  lane = TimingLane{};
+  lane.bandwidth = bandwidth;
+  if (sc.type == MigrationType::kPostCopy) {
     // Handoff of the minimal state bundle, then a full-memory pull with
     // the VM already running on the target.
     const double state = std::min(cfg.postcopy_state_bytes, mem_bytes);
-    transfer = mem_bytes / fc.bandwidth;
-    fc.total_bytes = mem_bytes;
-    fc.downtime = state / fc.bandwidth;
-  } else if (!live) {
-    transfer = mem_bytes / fc.bandwidth;
-    fc.total_bytes = mem_bytes;
-    fc.downtime = 0.0;  // set below: suspended from ms
-  } else {
-    // Pre-copy recursion, same termination rules as the engine.
-    double round_bytes = mem_bytes;
-    double prev_bytes = 0.0;
-    int round = 0;
-    while (true) {
-      transfer += round_bytes / fc.bandwidth;
-      fc.total_bytes += round_bytes;
-      const double tau = round_bytes / fc.bandwidth;
-      const double fresh =
-          fresh_dirty_pages(sc.vm_working_set_pages, rate, tau) * util::kPageSize;
-      ++round;
-      const bool converged = fresh <= cfg.stop_threshold_bytes;
-      const bool round_cap = round >= cfg.max_precopy_rounds;
-      const bool traffic_cap = fc.total_bytes + fresh > cfg.max_transfer_factor * mem_bytes;
-      const bool not_shrinking = round >= 2 && fresh >= prev_bytes;
-      if (converged || round_cap || traffic_cap || not_shrinking) {
-        fc.degenerated_to_nonlive = !converged;
-        // Stop-and-copy of the final dirty set.
-        const double sc_bytes = std::max(fresh, 1.0);
-        transfer += sc_bytes / fc.bandwidth;
-        fc.total_bytes += sc_bytes;
-        fc.downtime = sc_bytes / fc.bandwidth;
-        break;
-      }
-      prev_bytes = round_bytes;
-      round_bytes = fresh;
-    }
-    fc.precopy_rounds = round;
+    lane.transfer = mem_bytes / bandwidth;
+    lane.total_bytes = mem_bytes;
+    lane.downtime = state / bandwidth;
+    return false;
   }
+  if (sc.type != MigrationType::kLive) {
+    lane.transfer = mem_bytes / bandwidth;
+    lane.total_bytes = mem_bytes;
+    return false;  // downtime set by finish_lane: suspended from ms
+  }
+  // Dirtying slows down under CPU multiplexing on the source.
+  double grant_fraction = 1.0;
+  if (sc.vm_cpu_vcpus > 0.0) {
+    const double demand = sc.source_cpu_load + sc.vm_cpu_vcpus;
+    if (demand > sc.source_cpu_capacity) grant_fraction = sc.source_cpu_capacity / demand;
+  }
+  lane.working_set = sc.vm_working_set_pages;
+  lane.rate = sc.vm_dirty_pages_per_s * grant_fraction;
+  lane.stop_threshold = cfg.stop_threshold_bytes;
+  lane.traffic_limit = cfg.max_transfer_factor * mem_bytes;
+  lane.max_rounds = cfg.max_precopy_rounds;
+  lane.round_bytes = mem_bytes;
+  return true;
+}
 
-  fc.times.te = fc.times.ts + transfer;
+/// One pre-copy round, same termination rules as the engine. Returns
+/// true once the recursion has stopped, with the stop-and-copy of the
+/// final dirty set added.
+inline bool precopy_round(TimingLane& lane) {
+  const double tau = lane.round_bytes / lane.bandwidth;
+  lane.transfer += tau;
+  lane.total_bytes += lane.round_bytes;
+  const double fresh = fresh_dirty_pages(lane.working_set, lane.rate, tau) * util::kPageSize;
+  ++lane.round;
+  const bool converged = fresh <= lane.stop_threshold;
+  const bool round_cap = lane.round >= lane.max_rounds;
+  const bool traffic_cap = lane.total_bytes + fresh > lane.traffic_limit;
+  const bool not_shrinking = lane.round >= 2 && fresh >= lane.prev_bytes;
+  if (converged || round_cap || traffic_cap || not_shrinking) {
+    lane.degenerated = !converged;
+    const double sc_bytes = std::max(fresh, 1.0);
+    lane.transfer += sc_bytes / lane.bandwidth;
+    lane.total_bytes += sc_bytes;
+    lane.downtime = sc_bytes / lane.bandwidth;
+    return true;
+  }
+  lane.prev_bytes = lane.round_bytes;
+  lane.round_bytes = fresh;
+  return false;
+}
+
+/// The timings of a finished lane: phase boundaries and downtime.
+MigrationForecast finish_lane(const MigrationScenario& sc, const TimingLane& lane) {
+  const auto& cfg = sc.migration;
+  MigrationForecast fc;
+  fc.bandwidth = lane.bandwidth;
+  fc.total_bytes = lane.total_bytes;
+  fc.precopy_rounds = lane.round;
+  fc.downtime = lane.downtime;
+  fc.degenerated_to_nonlive = lane.degenerated;
+  fc.times.ms = 0.0;
+  fc.times.ts = cfg.initiation_duration;
+  fc.times.te = fc.times.ts + lane.transfer;
   const double activation =
       std::max(cfg.source_cleanup_duration, cfg.target_resume_duration);
   fc.times.me = fc.times.te + activation;
 
   const double resume_offset = activation * cfg.resume_point_fraction;
-  if (postcopy) {
+  if (sc.type == MigrationType::kPostCopy) {
     // Already resumed on the target before the pull; no activation lag.
-  } else if (!live) {
+  } else if (sc.type != MigrationType::kLive) {
     fc.downtime = fc.times.te - fc.times.ms + resume_offset;  // suspended at ms
   } else {
     fc.downtime += resume_offset;
   }
   return fc;
+}
+
+/// The timing recursion as a single lane; reads no target field.
+MigrationForecast timings_at(const MigrationScenario& sc, double bandwidth) {
+  TimingLane lane;
+  if (start_lane(sc, bandwidth, lane)) {
+    while (!precopy_round(lane)) {
+    }
+  }
+  return finish_lane(sc, lane);
 }
 
 }  // namespace
@@ -315,6 +356,56 @@ MigrationForecast MigrationPlanner::forecast(const MigrationScenario& sc) const 
   MigrationForecast fc;
   forecast_targets(sc, {&target, 1}, {&fc, 1});
   return fc;
+}
+
+void MigrationPlanner::forecast_batch(std::span<const MigrationScenario* const> scenarios,
+                                      std::span<MigrationForecast> out) const {
+  WAVM3_REQUIRE(out.size() == scenarios.size(), "forecast_batch: output size mismatch");
+  // Each pre-copy round waits on a divide and an exp(); the rounds of
+  // kBatchLanes different scenarios do not depend on one another, so
+  // running them in lockstep overlaps those latencies. A lane whose
+  // recursion stops is priced and refilled at once.
+  TimingLane lanes[kBatchLanes];
+  std::size_t lane_slot[kBatchLanes];
+  std::size_t next = 0;
+  const auto price = [&](std::size_t i, const TimingLane& lane) {
+    const MigrationScenario& sc = *scenarios[i];
+    out[i] = finish_lane(sc, lane);
+    attach_source(*model_, sc, sc.link_payload_rate, out[i]);
+    attach_target(*model_, sc, target_of(sc), out[i]);
+  };
+  // Loads lane `l` with the next scenario that has rounds to run,
+  // pricing the ones that have none on the way; false when none is left.
+  const auto refill = [&](std::size_t l) {
+    while (next < scenarios.size()) {
+      const std::size_t i = next++;
+      const MigrationScenario& sc = *scenarios[i];
+      const TargetSide target = target_of(sc);
+      require_valid(sc, target);
+      if (start_lane(sc, bandwidth_to(sc, target), lanes[l])) {
+        lane_slot[l] = i;
+        return true;
+      }
+      price(i, lanes[l]);
+    }
+    return false;
+  };
+  std::size_t active = 0;
+  while (active < kBatchLanes && refill(active)) ++active;
+  while (active > 0) {
+    bool stopped[kBatchLanes];
+    for (std::size_t l = 0; l < active; ++l) stopped[l] = precopy_round(lanes[l]);
+    // Backwards, so a lane moved down from the end was already stepped.
+    for (std::size_t l = active; l-- > 0;) {
+      if (!stopped[l]) continue;
+      price(lane_slot[l], lanes[l]);
+      if (!refill(l)) {
+        --active;
+        lanes[l] = lanes[active];
+        lane_slot[l] = lane_slot[active];
+      }
+    }
+  }
 }
 
 std::size_t MigrationPlanner::forecast_targets(const MigrationScenario& base,

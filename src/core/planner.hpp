@@ -15,6 +15,12 @@
 // pre-copy recursion and the source half once per distinct (bandwidth,
 // link rate) and only the target half per target. forecast() is a
 // batch of one of it, so every caller prices through one code path.
+//
+// The timing recursion itself is one step function over a per-scenario
+// lane. forecast_targets runs it as a single lane; forecast_batch,
+// which prices many independent scenarios (a serve batch), runs up to
+// MigrationPlanner::kBatchLanes lanes in lockstep. Both give the same
+// bits.
 #pragma once
 
 #include <cstddef>
@@ -95,12 +101,25 @@ class MigrationPlanner {
   /// timing recursion and the source energy half run once per distinct
   /// (transfer bandwidth, link rate) — exact `==`, in any order — and
   /// each target pays only its target half. `base`'s own target fields
-  /// are not read. Every target is validated like forecast(). Keys are matched by a scan over the earlier
-  /// outputs, so a batch is meant to be one VM's handful of candidates.
-  /// Returns the number of timing recursions run (distinct keys).
+  /// are not read. Every target is validated like forecast(). Keys are
+  /// matched by a scan over the earlier outputs, so a batch is meant to
+  /// be one VM's handful of candidates. Returns the number of timing
+  /// recursions run (distinct keys).
   std::size_t forecast_targets(const MigrationScenario& base,
                                std::span<const TargetSide> targets,
                                std::span<MigrationForecast> out) const;
+
+  /// Scenarios whose pre-copy recursions forecast_batch runs in lockstep.
+  static constexpr std::size_t kBatchLanes = 4;
+
+  /// Forecasts independent scenarios: out[i] bit-equals
+  /// forecast(*scenarios[i]). The live recursions of up to kBatchLanes
+  /// scenarios run interleaved, a lane taking the next scenario as soon
+  /// as its own stops, so their latencies overlap. Throws like
+  /// forecast() on the first scenario it rejects; `out` is then
+  /// partially written.
+  void forecast_batch(std::span<const MigrationScenario* const> scenarios,
+                      std::span<MigrationForecast> out) const;
 
  private:
   const Wavm3Model* model_;

@@ -83,12 +83,16 @@ std::size_t Histogram::bucket_index(double v) const {
   return static_cast<std::size_t>(it - bounds_.begin());
 }
 
-void Histogram::observe(double v) {
+void Histogram::observe(double v) { observe_n(v, 1); }
+
+void Histogram::observe_n(double v, std::uint64_t n) {
+  if (n == 0) return;
   const double x = std::max(0.0, v);
-  buckets_[bucket_index(x)].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
+  buckets_[bucket_index(x)].fetch_add(n, std::memory_order_relaxed);
+  count_.fetch_add(n, std::memory_order_relaxed);
+  const double total = x * static_cast<double>(n);
   double cur = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(cur, cur + x, std::memory_order_relaxed)) {
+  while (!sum_.compare_exchange_weak(cur, cur + total, std::memory_order_relaxed)) {
   }
 }
 

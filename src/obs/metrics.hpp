@@ -93,6 +93,11 @@ class Histogram {
 
   void observe(double v);
 
+  /// Records `n` observations of `v` with one update of each atomic:
+  /// the buckets and count() match n observe(v) calls, and sum() does
+  /// too whenever v * n is exact.
+  void observe_n(double v, std::uint64_t n);
+
   std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   double sum() const { return sum_.load(std::memory_order_relaxed); }
 

@@ -1,6 +1,5 @@
 #include "serve/scenario_key.hpp"
 
-#include <bit>
 #include <cmath>
 
 #include "util/error.hpp"
@@ -25,11 +24,6 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
   h *= 0xbf58476d1ce4e5b9ULL;
   h ^= h >> 27U;
   return h;
-}
-
-std::uint64_t double_bits(double v) {
-  if (v == 0.0) v = 0.0;  // collapse -0.0 onto +0.0
-  return std::bit_cast<std::uint64_t>(v);
 }
 
 }  // namespace
@@ -137,17 +131,21 @@ core::MigrationScenario canonicalize(const core::MigrationScenario& sc,
   return q;
 }
 
-bool ScenarioKey::operator==(const ScenarioKey& other) const {
-  if (model_version != other.model_version) return false;
+bool same_fields(const std::array<double, kScenarioFieldCount>& a,
+                 const std::array<double, kScenarioFieldCount>& b) {
   for (std::size_t i = 0; i < kScenarioFieldCount; ++i) {
-    if (double_bits(fields[i]) != double_bits(other.fields[i])) return false;
+    if (field_bits(a[i]) != field_bits(b[i])) return false;
   }
   return true;
 }
 
+bool ScenarioKey::operator==(const ScenarioKey& other) const {
+  return model_version == other.model_version && same_fields(fields, other.fields);
+}
+
 std::size_t ScenarioKeyHash::operator()(const ScenarioKey& key) const {
   std::uint64_t h = mix(0x243f6a8885a308d3ULL, key.model_version);
-  for (const double f : key.fields) h = mix(h, double_bits(f));
+  for (const double f : key.fields) h = mix(h, field_bits(f));
   return static_cast<std::size_t>(h);
 }
 

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -45,6 +46,17 @@ core::MigrationScenario scenario_from_fields(
 core::MigrationScenario canonicalize(const core::MigrationScenario& sc,
                                      double quantization_step);
 
+/// A field's bit pattern as keys hash and compare it: -0.0 folds onto
+/// +0.0, every other value (NaNs included) keeps its own bits.
+inline std::uint64_t field_bits(double v) {
+  if (v == 0.0) v = 0.0;
+  return std::bit_cast<std::uint64_t>(v);
+}
+
+/// Key equality of two flattened scenarios: field_bits() per field.
+bool same_fields(const std::array<double, kScenarioFieldCount>& a,
+                 const std::array<double, kScenarioFieldCount>& b);
+
 struct ScenarioKey {
   std::uint64_t model_version = 0;
   std::array<double, kScenarioFieldCount> fields{};
@@ -52,6 +64,8 @@ struct ScenarioKey {
   ScenarioKey() = default;
   ScenarioKey(std::uint64_t version, const core::MigrationScenario& canonical)
       : model_version(version), fields(scenario_fields(canonical)) {}
+  ScenarioKey(std::uint64_t version, const std::array<double, kScenarioFieldCount>& flat)
+      : model_version(version), fields(flat) {}
 
   bool operator==(const ScenarioKey& other) const;
 };

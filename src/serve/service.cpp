@@ -1,6 +1,8 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
@@ -336,7 +338,9 @@ void PredictionService::run_batch_chunk(const CoefficientStore::Snapshot& snap,
     try {
       check_deadline(enqueued, deadline_s, "batched");
       EvalResult computed = compute(*snap.model, *item.canonical);
-      if (computed.cacheable && cache_ != nullptr) cache_->put(item.key, computed.forecast);
+      if (computed.cacheable && cache_ != nullptr) {
+        cache_->put(ScenarioKey(snap.version, *item.canonical), computed.forecast);
+      }
       slot.forecast = std::move(computed.forecast);
     } catch (const PredictError& e) {
       slot.error = e;
@@ -346,30 +350,45 @@ void PredictionService::run_batch_chunk(const CoefficientStore::Snapshot& snap,
   }
   const std::uint64_t elapsed_ns = obs::now_ns() - started_ns;
   const double amortized = static_cast<double>(elapsed_ns) / static_cast<double>(chunk.size());
-  for (std::size_t i = 0; i < chunk.size(); ++i) h_batch_item_latency_.observe(amortized);
+  h_batch_item_latency_.observe_n(amortized, chunk.size());
 }
 
 void PredictionService::price_batch_inline(const CoefficientStore::Snapshot& snap,
-                                           std::span<const BatchWorkItem> work,
+                                           BatchScratch& scratch,
                                            std::span<BatchItem> results) {
+  const std::span<const BatchWorkItem> work = scratch.work;
   WAVM3_OBS_SPAN(span, "serve", "batch_inline");
   span.arg("items", static_cast<double>(results.size()));
   span.arg("distinct", static_cast<double>(work.size()));
   const std::uint64_t started_ns = obs::now_ns();
   h_batch_size_.observe(static_cast<double>(work.size()));
   const core::MigrationPlanner planner(*snap.model);
-  for (const BatchWorkItem& item : work) {
-    BatchItem& slot = results[item.slot];
-    slot = BatchItem{};
-    try {
-      slot.forecast = planner.forecast(*item.canonical);
-    } catch (const std::exception& e) {
-      slot.error = PredictError(PredictErrorCode::kBackendFailure, e.what());
+  scratch.priced.clear();
+  for (const BatchWorkItem& item : work) scratch.priced.push_back(item.canonical);
+  scratch.forecasts.resize(work.size());
+  try {
+    planner.forecast_batch(scratch.priced, scratch.forecasts);
+    for (std::size_t w = 0; w < work.size(); ++w) {
+      BatchItem& slot = results[work[w].slot];
+      slot.error.reset();
+      slot.forecast = scratch.forecasts[w];
+    }
+  } catch (const std::exception&) {
+    // Some scenario is out of the planner's contract: price one at a
+    // time, so its error lands in its own slots only.
+    for (const BatchWorkItem& item : work) {
+      BatchItem& slot = results[item.slot];
+      slot = BatchItem{};
+      try {
+        slot.forecast = planner.forecast(*item.canonical);
+      } catch (const std::exception& e) {
+        slot.error = PredictError(PredictErrorCode::kBackendFailure, e.what());
+      }
     }
   }
   const std::uint64_t elapsed_ns = obs::now_ns() - started_ns;
   const double amortized = static_cast<double>(elapsed_ns) / static_cast<double>(work.size());
-  for (std::size_t i = 0; i < work.size(); ++i) h_batch_item_latency_.observe(amortized);
+  h_batch_item_latency_.observe_n(amortized, work.size());
 }
 
 PredictionService::BatchScratch& PredictionService::batch_scratch() {
@@ -378,8 +397,30 @@ PredictionService::BatchScratch& PredictionService::batch_scratch() {
 }
 
 namespace {
+
 /// Slot marker: answered inline from the cache, no work item.
 constexpr std::size_t kCacheHit = static_cast<std::size_t>(-1);
+
+/// Batch-local dedup hash of a scenario's key fields (one batch has one
+/// model version, so the version is left out). Four independent
+/// multiply-xorshift lanes, folded at the end: the 33 steps form four
+/// short dependency chains instead of ScenarioKeyHash's one long one.
+std::uint64_t dedup_hash(const std::array<double, kScenarioFieldCount>& fields) {
+  constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ULL;
+  std::uint64_t lane[4] = {0x243f6a8885a308d3ULL, 0x13198a2e03707344ULL,
+                           0xa4093822299f31d0ULL, 0x082efa98ec4e6c89ULL};
+  std::size_t i = 0;
+  for (; i + 4 <= kScenarioFieldCount; i += 4) {
+    for (std::size_t l = 0; l < 4; ++l) {
+      lane[l] = (lane[l] ^ field_bits(fields[i + l])) * kMul;
+      lane[l] ^= lane[l] >> 29U;
+    }
+  }
+  for (; i < kScenarioFieldCount; ++i) lane[0] = (lane[0] ^ field_bits(fields[i])) * kMul;
+  return util::splitmix64(lane[0] ^ std::rotl(lane[1], 16) ^ std::rotl(lane[2], 32) ^
+                          std::rotl(lane[3], 48));
+}
+
 }  // namespace
 
 void PredictionService::predict_batch_results(
@@ -398,17 +439,17 @@ void PredictionService::predict_batch_results(
   // Per-thread grow-only workspace: clearing keeps the capacity, so a
   // steady-state batch reuses every buffer. The dedup table is open
   // addressing over a power-of-two slot vector (an unordered_map here
-  // would allocate a node per insert, every call).
+  // would allocate a node per insert, every call). Only the smallest
+  // power of two >= 2n slots (at least 16) is cleared and probed, so a
+  // thread that once served a huge batch does not clear that whole
+  // table again for every small one.
   BatchScratch& scratch = batch_scratch();
   scratch.work.clear();
   scratch.item_of.resize(scenarios.size());
-  std::size_t table_size = scratch.dedup.size();
-  if (table_size < 2 * scenarios.size()) {
-    table_size = 16;
-    while (table_size < 2 * scenarios.size()) table_size *= 2;
-    scratch.dedup.resize(table_size);
-  }
-  std::fill(scratch.dedup.begin(), scratch.dedup.end(), 0);
+  std::size_t table_size = 16;
+  while (table_size < 2 * scenarios.size()) table_size *= 2;
+  if (scratch.dedup.size() < table_size) scratch.dedup.resize(table_size);
+  std::fill_n(scratch.dedup.begin(), table_size, 0);
   const std::size_t mask = table_size - 1;
   // canonicalize() is the identity without quantization, so the inputs
   // themselves are keyed and priced.
@@ -424,12 +465,14 @@ void PredictionService::predict_batch_results(
       scratch.canonical[i] = canonicalize(scenarios[i], config_.quantization_step);
       canonical = &scratch.canonical[i];
     }
-    const ScenarioKey key(snap.version, *canonical);
-    std::size_t probe = ScenarioKeyHash{}(key) & mask;
+    const std::array<double, kScenarioFieldCount> fields = scenario_fields(*canonical);
+    const std::uint64_t hash = dedup_hash(fields);
+    std::size_t probe = hash & mask;
     std::size_t found = kCacheHit;
     while (scratch.dedup[probe] != 0) {
       const std::size_t w = scratch.dedup[probe] - 1;
-      if (scratch.work[w].key == key) {
+      if (scratch.work[w].hash == hash &&
+          same_fields(scenario_fields(*scratch.work[w].canonical), fields)) {
         found = w;
         break;
       }
@@ -440,7 +483,8 @@ void PredictionService::predict_batch_results(
       continue;
     }
     if (simulated && cache_ != nullptr) {
-      if (std::optional<core::MigrationForecast> hit = cache_->get(key)) {
+      if (std::optional<core::MigrationForecast> hit =
+              cache_->get(ScenarioKey(snap.version, fields))) {
         results[i] = BatchItem{};
         results[i].forecast = std::move(*hit);
         scratch.item_of[i] = kCacheHit;
@@ -449,7 +493,7 @@ void PredictionService::predict_batch_results(
     }
     scratch.item_of[i] = scratch.work.size();
     scratch.dedup[probe] = scratch.work.size() + 1;
-    scratch.work.push_back(BatchWorkItem{canonical, key, i});
+    scratch.work.push_back(BatchWorkItem{canonical, i, hash});
   }
   if (scratch.work.empty()) return;
 
@@ -465,7 +509,7 @@ void PredictionService::predict_batch_results(
     // A closed-form batch never queues, but a shut-down service still
     // rejects it like any other request.
     if (pool_.accepting()) {
-      price_batch_inline(snap, scratch.work, results);
+      price_batch_inline(snap, scratch, results);
     } else {
       reject_after_shutdown(scratch.work);
     }

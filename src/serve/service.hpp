@@ -207,9 +207,10 @@ class PredictionService {
   /// duplicates copy the answer of their first occurrence. Where the
   /// distinct scenarios are priced depends on config().fidelity:
   ///   - closed form: inline on the caller's thread through
-  ///     core::MigrationPlanner::forecast, bit-identical to it. The
-  ///     result cache is neither read nor filled, nothing is queued
-  ///     and no deadline applies (the batch never waits).
+  ///     core::MigrationPlanner::forecast_batch, bit-identical to
+  ///     forecast() of each scenario. The result cache is neither read
+  ///     nor filled, nothing is queued and no deadline applies (the
+  ///     batch never waits).
   ///   - simulated: cache hits are answered on the caller's thread;
   ///     the misses run in worker tasks of up to
   ///     config().batch_max_size scenarios each, with the per-item
@@ -373,8 +374,8 @@ class PredictionService {
   /// the caller then copies it to every later duplicate.
   struct BatchWorkItem {
     const core::MigrationScenario* canonical;  ///< the input itself when unquantized
-    ScenarioKey key;
     std::size_t slot;
+    std::uint64_t hash;  ///< batch-local dedup hash of the scenario's key fields
   };
 
   /// Grow-only per-thread workspace of predict_batch_results. Cleared
@@ -386,14 +387,17 @@ class PredictionService {
     std::vector<std::size_t> item_of;    ///< per input slot: work index or kCacheHit
     std::vector<std::size_t> dedup;      ///< open-addressing table: work index + 1
     std::vector<std::future<void>> completions;
+    std::vector<const core::MigrationScenario*> priced;  ///< closed form: work's scenarios
+    std::vector<core::MigrationForecast> forecasts;      ///< closed form: work's answers
   };
   static BatchScratch& batch_scratch();
 
   /// Closed-form back half of predict_batch_results: prices every
-  /// distinct scenario under `snap` on the caller's thread, straight
+  /// distinct scenario of `scratch.work` under `snap` on the caller's
+  /// thread through core::MigrationPlanner::forecast_batch, straight
   /// into its first slot, and records the batch metrics.
-  void price_batch_inline(const CoefficientStore::Snapshot& snap,
-                          std::span<const BatchWorkItem> work, std::span<BatchItem> results);
+  void price_batch_inline(const CoefficientStore::Snapshot& snap, BatchScratch& scratch,
+                          std::span<BatchItem> results);
 
   /// Worker-side body of one simulated predict_batch chunk: per-item
   /// deadline check, compute under the shared `snap`, per-item cache

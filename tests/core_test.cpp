@@ -3,7 +3,9 @@
 // migration planner.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "core/calibration.hpp"
@@ -12,6 +14,7 @@
 #include "core/wavm3_model.hpp"
 #include "models/evaluation.hpp"
 #include "models/huang.hpp"
+#include "serve/query_stream.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
@@ -432,6 +435,172 @@ TEST(Planner, ForecastTargetsBitEqualsPerTargetForecast) {
     std::vector<MigrationForecast> short_out(1);
     EXPECT_THROW(planner.forecast_targets(base, targets, short_out), util::ContractError);
   }
+}
+
+// ---------- forecast_batch ----------
+
+/// The pre-copy termination rules, as bits.
+enum StopRule : unsigned {
+  kConverged = 1U,
+  kRoundCap = 2U,
+  kTrafficCap = 4U,
+  kNotShrinking = 8U,
+};
+
+/// A live scenario's timings from a plain restatement of the pre-copy
+/// recursion, written apart from the planner's lane code.
+struct ReferenceTimings {
+  double transfer = 0.0;  ///< transfer phase seconds, stop-and-copy included
+  double total_bytes = 0.0;
+  double stop_copy_s = 0.0;  ///< downtime before the activation lag
+  int rounds = 0;
+  bool degenerated = false;
+  unsigned stopped_by = 0;  ///< StopRule bits that held in the last round
+};
+
+ReferenceTimings reference_precopy(const MigrationScenario& sc, double bandwidth) {
+  const auto& cfg = sc.migration;
+  double rate = sc.vm_dirty_pages_per_s;
+  const double demand = sc.source_cpu_load + sc.vm_cpu_vcpus;
+  if (sc.vm_cpu_vcpus > 0.0 && demand > sc.source_cpu_capacity) {
+    rate = sc.vm_dirty_pages_per_s * (sc.source_cpu_capacity / demand);
+  }
+  const double ws = sc.vm_working_set_pages;
+  ReferenceTimings r;
+  double sent = sc.vm_mem_bytes;
+  double previous = 0.0;
+  for (int round = 1;; ++round) {
+    const double tau = sent / bandwidth;
+    r.transfer += tau;
+    r.total_bytes += sent;
+    double fresh = 0.0;
+    if (ws > 0.0 && rate > 0.0 && tau > 0.0) {
+      fresh = ws * (1.0 - std::exp(-rate * tau / ws)) * util::kPageSize;
+    }
+    unsigned rules = 0;
+    if (fresh <= cfg.stop_threshold_bytes) rules |= kConverged;
+    if (round >= cfg.max_precopy_rounds) rules |= kRoundCap;
+    if (r.total_bytes + fresh > cfg.max_transfer_factor * sc.vm_mem_bytes) rules |= kTrafficCap;
+    if (round >= 2 && fresh >= previous) rules |= kNotShrinking;
+    if (rules != 0) {
+      const double final_dirty = std::max(fresh, 1.0);
+      r.transfer += final_dirty / bandwidth;
+      r.total_bytes += final_dirty;
+      r.stop_copy_s = final_dirty / bandwidth;
+      r.rounds = round;
+      r.degenerated = (rules & kConverged) == 0;
+      r.stopped_by = rules;
+      return r;
+    }
+    previous = sent;
+    sent = fresh;
+  }
+}
+
+/// Live, non-live and post-copy scenarios: the diurnal serve stream
+/// (with repeats) plus live VMs that stop on each termination rule
+/// alone.
+std::vector<MigrationScenario> batch_pool() {
+  serve::QueryStreamOptions options;
+  options.repeat_fraction = 0.2;
+  std::vector<MigrationScenario> pool =
+      serve::QueryStreamGenerator::diurnal(options, 17).generate(96);
+  for (std::size_t i = 0; i < pool.size(); i += 5) pool[i].type = MigrationType::kPostCopy;
+
+  MigrationScenario converged = base_scenario();
+  pool.push_back(converged);
+  // A slowly shrinking dirty set cut off after three rounds.
+  MigrationScenario round_cap = base_scenario();
+  round_cap.vm_working_set_pages = 0.4 * util::gib(4) / util::kPageSize;
+  round_cap.vm_dirty_pages_per_s = 20000.0;
+  round_cap.migration.max_precopy_rounds = 3;
+  pool.push_back(round_cap);
+  // Re-dirtying most of a large working set every round: the traffic
+  // cap ends it while each round still shrinks a little.
+  MigrationScenario traffic_cap = base_scenario();
+  traffic_cap.vm_working_set_pages = 0.95 * util::gib(4) / util::kPageSize;
+  traffic_cap.vm_dirty_pages_per_s = 300000.0;
+  traffic_cap.migration.max_transfer_factor = 1.5;
+  pool.push_back(traffic_cap);
+  // A working set re-dirtied faster than it is sent stops growing
+  // smaller after the first round.
+  MigrationScenario not_shrinking = base_scenario();
+  not_shrinking.vm_working_set_pages = 0.3 * util::gib(4) / util::kPageSize;
+  not_shrinking.vm_dirty_pages_per_s = 200000.0;
+  not_shrinking.migration.max_transfer_factor = 100.0;
+  pool.push_back(not_shrinking);
+  return pool;
+}
+
+TEST(Planner, LaneRecursionMatchesAReferenceOnEveryStopRule) {
+  const std::vector<MigrationScenario> pool = batch_pool();
+  unsigned sole_rules = 0;
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    if (pool[i].type != MigrationType::kLive) continue;
+    SCOPED_TRACE(i);
+    const MigrationScenario& sc = pool[i];
+    const MigrationForecast fc = forecast_timings(sc);
+    const ReferenceTimings ref = reference_precopy(sc, fc.bandwidth);
+    const auto& cfg = sc.migration;
+    const double activation = std::max(cfg.source_cleanup_duration, cfg.target_resume_duration);
+    EXPECT_EQ(fc.times.te, cfg.initiation_duration + ref.transfer);
+    EXPECT_EQ(fc.total_bytes, ref.total_bytes);
+    EXPECT_EQ(fc.precopy_rounds, ref.rounds);
+    EXPECT_EQ(fc.degenerated_to_nonlive, ref.degenerated);
+    EXPECT_EQ(fc.downtime, ref.stop_copy_s + activation * cfg.resume_point_fraction);
+    if (std::popcount(ref.stopped_by) == 1) sole_rules |= ref.stopped_by;
+  }
+  // Each rule ends some recursion on its own, so a lane that dropped
+  // or mis-ordered one would show above.
+  EXPECT_EQ(sole_rules, kConverged | kRoundCap | kTrafficCap | kNotShrinking);
+}
+
+TEST(Planner, ForecastBatchBitEqualsForecast) {
+  const MigrationPlanner planner(fitted_wavm3());
+  const std::vector<MigrationScenario> pool = batch_pool();
+  ASSERT_GE(pool.size(), 65u + 3u);
+  std::vector<const MigrationScenario*> all;
+  for (const MigrationScenario& sc : pool) all.push_back(&sc);
+  const auto check = [&](std::span<const MigrationScenario* const> batch) {
+    // Stale outputs from a previous batch must all be overwritten.
+    std::vector<MigrationForecast> out(batch.size());
+    for (MigrationForecast& fc : out) fc.precopy_rounds = -1;
+    planner.forecast_batch(batch, out);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      SCOPED_TRACE(i);
+      expect_bit_equal(out[i], planner.forecast(*batch[i]));
+    }
+  };
+  for (const std::size_t n : {0, 1, 3, 4, 5, 64, 65}) {
+    for (const std::size_t offset : {std::size_t{0}, pool.size() - n}) {
+      SCOPED_TRACE(::testing::Message() << "n " << n << " offset " << offset);
+      check(std::span<const MigrationScenario* const>(all).subspan(offset, n));
+    }
+  }
+  // The tail of the pool holds one scenario per stop rule: a batch of
+  // them, each repeated (same object and an equal copy), keeps lanes
+  // of very different lengths in flight together.
+  const std::vector<MigrationScenario> copies(pool.end() - 4, pool.end());
+  std::vector<const MigrationScenario*> repeated;
+  for (int r = 0; r < 3; ++r) {
+    for (std::size_t k = 0; k < copies.size(); ++k) {
+      repeated.push_back(all[pool.size() - 4 + k]);
+      repeated.push_back(&copies[copies.size() - 1 - k]);
+    }
+  }
+  check(repeated);
+}
+
+TEST(Planner, ForecastBatchRejectsLikeForecast) {
+  const MigrationPlanner planner(fitted_wavm3());
+  const MigrationScenario good = base_scenario();
+  MigrationScenario no_memory = base_scenario();
+  no_memory.vm_mem_bytes = 0.0;
+  const std::vector<const MigrationScenario*> batch = {&good, &good, &no_memory, &good};
+  std::vector<MigrationForecast> out(batch.size());
+  EXPECT_THROW(planner.forecast_batch(batch, out), util::ContractError);
+  std::vector<MigrationForecast> short_out(1);
+  EXPECT_THROW(planner.forecast_batch(batch, short_out), util::ContractError);
 }
 
 }  // namespace

@@ -111,6 +111,36 @@ TEST(ObsHistogram, ExponentialGridMatchesLogIndexing) {
   EXPECT_NEAR(s.overflow_bound, 1000.0 * std::pow(1.046, 399.0), 1e-3);
 }
 
+TEST(ObsHistogram, ObserveNMatchesRepeatedObserve) {
+  // Exactly representable values, so v * n is exact and sum() matches
+  // n separate additions too. Exponential and explicit grids, a
+  // negative value (clamped to 0), overflow, and n = 0 (a no-op).
+  MetricRegistry reg;
+  Histogram& one_by_one = reg.exponential_histogram("a", "a", 1000.0, 1.046, 400);
+  Histogram& batched = reg.exponential_histogram("b", "b", 1000.0, 1.046, 400);
+  Histogram& one_by_one_explicit = reg.histogram("c", "c", {1.0, 2.0, 4.0});
+  Histogram& batched_explicit = reg.histogram("d", "d", {1.0, 2.0, 4.0});
+  const std::pair<double, std::uint64_t> runs[] = {
+      {1536.5, 64}, {250.0, 3}, {-2.0, 5}, {2.0, 17}, {1e30, 2}, {3.0, 0}, {4096.25, 1}};
+  for (const auto& [v, n] : runs) {
+    for (std::uint64_t i = 0; i < n; ++i) {
+      one_by_one.observe(v);
+      one_by_one_explicit.observe(v);
+    }
+    batched.observe_n(v, n);
+    batched_explicit.observe_n(v, n);
+  }
+  for (const auto& [a, b] : {std::pair{&one_by_one, &batched},
+                             std::pair{&one_by_one_explicit, &batched_explicit}}) {
+    const HistogramSnapshot sa = a->snapshot();
+    const HistogramSnapshot sb = b->snapshot();
+    EXPECT_EQ(sa.counts, sb.counts);
+    EXPECT_EQ(a->count(), b->count());
+    EXPECT_EQ(a->sum(), b->sum());
+    EXPECT_EQ(b->count(), 92u);
+  }
+}
+
 TEST(ObsHistogram, OverflowValuesLandInOverflowBucket) {
   MetricRegistry reg;
   Histogram& h = reg.exponential_histogram("lat_ns", "latency", 1000.0, 1.046, 4);

@@ -186,6 +186,59 @@ TEST(ServeAllocation, ClosedFormMissBatchAllocatesNothing) {
   EXPECT_EQ(service.stats().cache.insertions, 0u);
 }
 
+TEST(ServeAllocation, SmallBatchAfterAHugeOneFansOutAndAllocatesNothing) {
+  if (sanitizers_active()) GTEST_SKIP() << "allocator intercepted by a sanitizer";
+  // A 65,536-scenario batch grows this thread's dedup table to 131,072
+  // slots. A later 64-batch probes only the small table it needs: its
+  // duplicates must still find their first occurrence, and it must
+  // not allocate.
+  const core::Wavm3Model model = make_model();
+  PredictionService service(model, ServiceConfig{.threads = 1});
+  constexpr int kHuge = 65536;
+  std::vector<core::MigrationScenario> huge;
+  huge.reserve(kHuge);
+  for (int i = 0; i < kHuge; ++i) {
+    core::MigrationScenario sc = make_scenario(i);
+    sc.vm_mem_bytes += static_cast<double>(i) * util::kPageSize;
+    huge.push_back(sc);
+  }
+  std::vector<PredictionService::BatchItem> huge_results(huge.size());
+  service.predict_batch_results(huge, huge_results);
+  for (const auto& item : huge_results) ASSERT_TRUE(item.ok());
+
+  // 64 slots over 16 distinct scenarios, each repeated four times in
+  // scattered order.
+  constexpr int kBatch = 64;
+  std::vector<core::MigrationScenario> batch;
+  batch.reserve(kBatch);
+  for (int i = 0; i < kBatch; ++i) batch.push_back(make_scenario((i * 5) % 16));
+  std::vector<PredictionService::BatchItem> results(kBatch);
+
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  service.predict_batch_results(batch, results);
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after, before) << "a small batch after a huge one must not allocate";
+
+  const core::MigrationPlanner planner(model);
+  for (int i = 0; i < kBatch; ++i) {
+    SCOPED_TRACE(i);
+    ASSERT_TRUE(results[i].ok());
+    int first = 0;
+    while ((first * 5) % 16 != (i * 5) % 16) ++first;
+    const core::MigrationForecast& a = *results[i].forecast;
+    const core::MigrationForecast& b = *results[first].forecast;
+    EXPECT_EQ(a.times.te, b.times.te);
+    EXPECT_EQ(a.total_bytes, b.total_bytes);
+    EXPECT_EQ(a.downtime, b.downtime);
+    EXPECT_EQ(a.source_energy, b.source_energy);
+    EXPECT_EQ(a.target_energy, b.target_energy);
+    const core::MigrationForecast direct = planner.forecast(batch[i]);
+    EXPECT_EQ(a.total_energy(), direct.total_energy());
+    EXPECT_EQ(a.downtime, direct.downtime);
+  }
+  EXPECT_EQ(service.stats().cache.insertions, 0u);
+}
+
 TEST(ServeAllocation, WarmPredictHitAllocatesNothing) {
   if (sanitizers_active()) GTEST_SKIP() << "allocator intercepted by a sanitizer";
   ServiceConfig config;

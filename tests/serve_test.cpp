@@ -1037,6 +1037,37 @@ TEST(PredictionService, ClosedFormBatchFailsAnInvalidScenarioInItsSlotsOnly) {
   }
 }
 
+TEST(PredictionService, ClosedFormBatchInvalidScenarioMidBatchKeepsNeighboursBitEqual) {
+  // A batch longer than the planner's lanes, with live, non-live and
+  // post-copy scenarios, one invalid scenario in the middle (and a
+  // repeat of it) and a repeated valid one: only the invalid slots
+  // fail, and every other slot still bit-equals forecast().
+  const core::Wavm3Model model = make_model();
+  const core::MigrationPlanner planner(model);
+  PredictionService service(model, ServiceConfig{.threads = 1});
+  std::vector<core::MigrationScenario> batch;
+  for (int i = 0; i < 65; ++i) {
+    batch.push_back(make_scenario(i));
+    if (i % 7 == 2) batch.back().type = MigrationType::kPostCopy;
+  }
+  batch[31].vm_mem_bytes = 0.0;  // the planner rejects a VM without memory
+  batch[52] = batch[31];
+  batch[60] = batch[5];
+  const std::vector<PredictionService::BatchItem> results = service.predict_batch_results(batch);
+  ASSERT_EQ(results.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    SCOPED_TRACE(i);
+    if (i == 31 || i == 52) {
+      ASSERT_FALSE(results[i].ok());
+      ASSERT_TRUE(results[i].error.has_value());
+      EXPECT_EQ(results[i].error->code(), PredictErrorCode::kBackendFailure);
+      continue;
+    }
+    ASSERT_TRUE(results[i].ok());
+    expect_forecast_eq(*results[i].forecast, planner.forecast(batch[i]));
+  }
+}
+
 TEST(PredictionService, BatchDedupsRepeatsAndObservesBatchMetrics) {
   // Closed form: the distinct scenarios are priced inline, outside the
   // result cache, and the duplicates copy their first occurrence.
