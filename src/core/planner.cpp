@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/units.hpp"
@@ -12,7 +13,6 @@ namespace {
 
 using migration::MigrationPhase;
 using migration::MigrationType;
-using models::HostRole;
 using models::MigrationSample;
 
 /// Endpoint efficiency as in net::BandwidthModel (kept in closed form
@@ -268,59 +268,97 @@ void source_samples(const MigrationScenario& sc, double link_payload_rate,
                        0.0, 0.0, 0.0);
 }
 
-/// Reads the VM, the target side and the timings.
-void target_samples(const MigrationScenario& sc, const TargetSide& target,
-                    const MigrationForecast& fc, MigrationSample (&out)[3]) {
-  const auto& cfg = sc.migration;
-  const bool postcopy = sc.type == MigrationType::kPostCopy;
-  const double recv_cpu = cfg.receiver_cpu_base +
-                          cfg.receiver_cpu_per_rate * bandwidth_fraction(target.link_payload_rate, fc);
+/// The target half of one (transfer bandwidth, link rate) key:
+/// everything the target's samples and energy read that does not
+/// depend on the target host. Prepared once per key; each target then
+/// pays only its three host-CPU clamps and the Eq. 4 sums
+/// (target_samples, attach_target).
+struct TargetHalf {
+  double duration[3] = {0.0, 0.0, 0.0};
+  double bandwidth = 0.0;
+  double recv_cpu = 0.0;       ///< the receiver's migration CPU
+  double transfer_vm = 0.0;    ///< CPU(v) on the target during the transfer
+  double activation_vm = 0.0;  ///< CPU(v) on the target during activation
+  double initiation_cpu = 0.0;
+  double activation_cpu = 0.0;
+  bool postcopy = false;
+};
 
-  out[0] = make_sample(MigrationPhase::kInitiation,
-                       std::min(target.cpu_capacity, target.cpu_load + cfg.initiation_cpu), 0.0,
-                       0.0, 0.0);
+/// Reads the VM, the link rate and the timings.
+TargetHalf prepare_target(const MigrationScenario& sc, double link_payload_rate,
+                          const MigrationForecast& fc) {
+  const auto& cfg = sc.migration;
+  TargetHalf half;
+  phase_durations(fc, half.duration);
+  half.bandwidth = fc.bandwidth;
+  half.recv_cpu = cfg.receiver_cpu_base +
+                  cfg.receiver_cpu_per_rate * bandwidth_fraction(link_payload_rate, fc);
+  half.postcopy = sc.type == MigrationType::kPostCopy;
   // During a post-copy pull the VM already runs on the target.
-  const double transfer_vm = postcopy ? sc.vm_cpu_vcpus : 0.0;
-  const double transfer_host =
-      postcopy ? target.cpu_load + recv_cpu + transfer_vm : target.cpu_load + recv_cpu;
-  out[1] = make_sample(MigrationPhase::kTransfer, std::min(target.cpu_capacity, transfer_host),
-                       transfer_vm, fc.bandwidth, 0.0);
+  half.transfer_vm = half.postcopy ? sc.vm_cpu_vcpus : 0.0;
   // The VM starts on the target partway through activation.
-  const double activation_vm = sc.vm_cpu_vcpus * (1.0 - cfg.resume_point_fraction);
+  half.activation_vm = sc.vm_cpu_vcpus * (1.0 - cfg.resume_point_fraction);
+  half.initiation_cpu = cfg.initiation_cpu;
+  half.activation_cpu = cfg.activation_cpu;
+  return half;
+}
+
+/// The target samples of one key's half on one target host. Inline, so
+/// attach_target keeps them in registers: built out of line, the three
+/// samples went through the stack and doubled each target's price.
+inline void target_samples(const TargetHalf& half, const TargetSide& target,
+                           MigrationSample (&out)[3]) {
+  out[0] = make_sample(MigrationPhase::kInitiation,
+                       std::min(target.cpu_capacity, target.cpu_load + half.initiation_cpu), 0.0,
+                       0.0, 0.0);
+  const double transfer_host = half.postcopy
+                                   ? target.cpu_load + half.recv_cpu + half.transfer_vm
+                                   : target.cpu_load + half.recv_cpu;
+  out[1] = make_sample(MigrationPhase::kTransfer, std::min(target.cpu_capacity, transfer_host),
+                       half.transfer_vm, half.bandwidth, 0.0);
   out[2] = make_sample(MigrationPhase::kActivation,
                        std::min(target.cpu_capacity,
-                                target.cpu_load + cfg.activation_cpu + activation_vm),
-                       activation_vm, 0.0, 0.0);
+                                target.cpu_load + half.activation_cpu + half.activation_vm),
+                       half.activation_vm, 0.0, 0.0);
 }
 
 /// Eq. 4 with constant per-phase features for one role: each phase's
 /// predicted power times its duration, and their sum.
-void attach_role(const Wavm3Model& model, MigrationType type, HostRole role,
-                 const MigrationSample (&samples)[3], const MigrationForecast& fc,
-                 double (&phase_energy)[3], double& energy) {
-  const MigrationType coeff_type = coefficient_type(type);
-  double duration[3];
-  phase_durations(fc, duration);
-  for (int i = 0; i < 3; ++i) {
-    phase_energy[i] = model.predict_power(coeff_type, role, samples[i]) * duration[i];
-  }
+void role_energy(const RoleCoefficients& k, const MigrationSample (&samples)[3],
+                 const double (&duration)[3], double (&phase_energy)[3], double& energy) {
+  phase_energy[0] = evaluate(MigrationPhase::kInitiation, k.initiation, samples[0]) * duration[0];
+  phase_energy[1] = evaluate(MigrationPhase::kTransfer, k.transfer, samples[1]) * duration[1];
+  phase_energy[2] = evaluate(MigrationPhase::kActivation, k.activation, samples[2]) * duration[2];
   energy = phase_energy[0] + phase_energy[1] + phase_energy[2];
 }
 
-void attach_source(const Wavm3Model& model, const MigrationScenario& sc,
+/// The coefficient table a scenario's energy is priced with.
+const Wavm3Coefficients& coefficients_for(const Wavm3Model& model, const MigrationScenario& sc) {
+  return model.coefficients(coefficient_type(sc.type));
+}
+
+void attach_source(const Wavm3Coefficients& table, const MigrationScenario& sc,
                    double link_payload_rate, MigrationForecast& fc) {
   MigrationSample samples[3];
   source_samples(sc, link_payload_rate, fc, samples);
-  attach_role(model, sc.type, HostRole::kSource, samples, fc, fc.source_phase_energy,
-              fc.source_energy);
+  double duration[3];
+  phase_durations(fc, duration);
+  role_energy(table.source, samples, duration, fc.source_phase_energy, fc.source_energy);
 }
 
-void attach_target(const Wavm3Model& model, const MigrationScenario& sc,
+/// The target half applied to one target host.
+void attach_target(const Wavm3Coefficients& table, const TargetHalf& half,
                    const TargetSide& target, MigrationForecast& fc) {
   MigrationSample samples[3];
-  target_samples(sc, target, fc, samples);
-  attach_role(model, sc.type, HostRole::kTarget, samples, fc, fc.target_phase_energy,
-              fc.target_energy);
+  target_samples(half, target, samples);
+  role_energy(table.target, samples, half.duration, fc.target_phase_energy, fc.target_energy);
+}
+
+/// Both halves of one scenario on its own target.
+void attach_both(const Wavm3Coefficients& table, const MigrationScenario& sc,
+                 MigrationForecast& fc) {
+  attach_source(table, sc, sc.link_payload_rate, fc);
+  attach_target(table, prepare_target(sc, sc.link_payload_rate, fc), target_of(sc), fc);
 }
 
 }  // namespace
@@ -330,25 +368,25 @@ PhaseRepresentatives representative_features(const MigrationScenario& sc,
   PhaseRepresentatives rep;
   rep.coeff_type = coefficient_type(sc.type);
   source_samples(sc, sc.link_payload_rate, fc, rep.source);
-  target_samples(sc, target_of(sc), fc, rep.target);
+  target_samples(prepare_target(sc, sc.link_payload_rate, fc), target_of(sc), rep.target);
   phase_durations(fc, rep.duration);
   return rep;
 }
 
 void attach_source_energy(const Wavm3Model& model, const MigrationScenario& sc,
                           MigrationForecast& fc) {
-  attach_source(model, sc, sc.link_payload_rate, fc);
+  attach_source(coefficients_for(model, sc), sc, sc.link_payload_rate, fc);
 }
 
 void attach_target_energy(const Wavm3Model& model, const MigrationScenario& sc,
                           MigrationForecast& fc) {
-  attach_target(model, sc, target_of(sc), fc);
+  attach_target(coefficients_for(model, sc), prepare_target(sc, sc.link_payload_rate, fc),
+                target_of(sc), fc);
 }
 
 void attach_energy(const Wavm3Model& model, const MigrationScenario& sc,
                    MigrationForecast& fc) {
-  attach_source_energy(model, sc, fc);
-  attach_target_energy(model, sc, fc);
+  attach_both(coefficients_for(model, sc), sc, fc);
 }
 
 MigrationForecast MigrationPlanner::forecast(const MigrationScenario& sc) const {
@@ -371,8 +409,7 @@ void MigrationPlanner::forecast_batch(std::span<const MigrationScenario* const> 
   const auto price = [&](std::size_t i, const TimingLane& lane) {
     const MigrationScenario& sc = *scenarios[i];
     out[i] = finish_lane(sc, lane);
-    attach_source(*model_, sc, sc.link_payload_rate, out[i]);
-    attach_target(*model_, sc, target_of(sc), out[i]);
+    attach_both(coefficients_for(*model_, sc), sc, out[i]);
   };
   // Loads lane `l` with the next scenario that has rounds to run,
   // pricing the ones that have none on the way; false when none is left.
@@ -412,33 +449,46 @@ std::size_t MigrationPlanner::forecast_targets(const MigrationScenario& base,
                                                std::span<const TargetSide> targets,
                                                std::span<MigrationForecast> out) const {
   WAVM3_REQUIRE(out.size() == targets.size(), "forecast_targets: output size mismatch");
-  std::size_t timings = 0;
+  // One entry per distinct (bandwidth, link rate) key: the output that
+  // first ran its recursion and source half, and its target half.
+  struct Key {
+    double bandwidth;
+    double link_payload_rate;
+    std::size_t first;
+    TargetHalf half;
+  };
+  thread_local std::vector<Key> keys;
+  keys.clear();
+  const Wavm3Coefficients* table = nullptr;
   for (std::size_t i = 0; i < targets.size(); ++i) {
     const TargetSide& target = targets[i];
     require_valid(base, target);
     const double bandwidth = bandwidth_to(base, target);
 
-    // The timings and the source half depend on the target only
-    // through (bandwidth, link rate): reuse an earlier target's with
-    // exactly the same key, most recent first.
-    std::size_t same = i;
-    for (std::size_t j = i; j-- > 0;) {
-      if (out[j].bandwidth == bandwidth &&
-          targets[j].link_payload_rate == target.link_payload_rate) {
-        same = j;
+    // The timings, the source half and the target half's key-only part
+    // depend on the target only through (bandwidth, link rate): reuse
+    // an earlier target's with exactly the same key, most recent first.
+    const Key* key = nullptr;
+    for (std::size_t k = keys.size(); k-- > 0;) {
+      if (keys[k].bandwidth == bandwidth &&
+          keys[k].link_payload_rate == target.link_payload_rate) {
+        key = &keys[k];
         break;
       }
     }
-    if (same < i) {
-      out[i] = out[same];
+    if (key != nullptr) {
+      out[i] = out[key->first];
     } else {
+      if (table == nullptr) table = &coefficients_for(*model_, base);
       out[i] = timings_at(base, bandwidth);
-      attach_source(*model_, base, target.link_payload_rate, out[i]);
-      ++timings;
+      attach_source(*table, base, target.link_payload_rate, out[i]);
+      keys.push_back(Key{bandwidth, target.link_payload_rate, i,
+                         prepare_target(base, target.link_payload_rate, out[i])});
+      key = &keys.back();
     }
-    attach_target(*model_, base, target, out[i]);
+    attach_target(*table, key->half, target, out[i]);
   }
-  return timings;
+  return keys.size();
 }
 
 }  // namespace wavm3::core

@@ -7,14 +7,21 @@
 // loop: the pre-copy dynamics are evaluated in closed form with the
 // same laws the engine uses.
 //
-// A forecast splits at two seams. The target host enters the timings
+// A forecast splits at three seams. The target host enters the timings
 // only through the transfer bandwidth (transfer_bandwidth), and the
 // energy splits into a source half and a target half
-// (attach_source_energy / attach_target_energy). So pricing one VM's
-// move to many targets (MigrationPlanner::forecast_targets) runs the
-// pre-copy recursion and the source half once per distinct (bandwidth,
-// link rate) and only the target half per target. forecast() is a
-// batch of one of it, so every caller prices through one code path.
+// (attach_source_energy / attach_target_energy). The target half
+// splits once more: all it reads besides the target host's load and
+// capacity — the resolved target coefficients, the receive CPU, the
+// phase durations and the VM's CPU on the target — depends only on
+// (bandwidth, link rate). So pricing one VM's move to many targets
+// (MigrationPlanner::forecast_targets) runs the pre-copy recursion, the
+// source half and that key-only part once per distinct (bandwidth,
+// link rate), and each target pays only its three host-CPU clamps and
+// the Eq. 4 sums (the inline core::evaluate). Every target energy,
+// batched or not, comes from the same prepare/apply pair, and
+// forecast() is a batch of one of forecast_targets, so every caller
+// prices through one code path.
 //
 // The timing recursion itself is one step function over a per-scenario
 // lane. forecast_targets runs it as a single lane; forecast_batch,
@@ -98,12 +105,13 @@ class MigrationPlanner {
 
   /// Forecasts moving `base`'s VM to each of `targets`: out[i] bit-equals
   /// forecast() of `base` with its target fields set to targets[i]. The
-  /// timing recursion and the source energy half run once per distinct
-  /// (transfer bandwidth, link rate) — exact `==`, in any order — and
-  /// each target pays only its target half. `base`'s own target fields
-  /// are not read. Every target is validated like forecast(). Keys are
-  /// matched by a scan over the earlier outputs, so a batch is meant to
-  /// be one VM's handful of candidates. Returns the number of timing
+  /// timing recursion, the source energy half and the key-only part of
+  /// the target half run once per distinct (transfer bandwidth, link
+  /// rate) — exact `==`, in any order — and each target pays only its
+  /// host-CPU clamps and Eq. 4 sums. `base`'s own target fields are not
+  /// read. Every target is validated like forecast(). Keys are matched
+  /// by a scan over the earlier keys, so a batch is meant to be one
+  /// VM's handful of candidates. Returns the number of timing
   /// recursions run (distinct keys).
   std::size_t forecast_targets(const MigrationScenario& base,
                                std::span<const TargetSide> targets,
@@ -147,13 +155,14 @@ MigrationForecast forecast_timings_at(const MigrationScenario& scenario, double 
 /// phase, chosen to mirror how the engine drives the hosts, plus the
 /// coefficient table the scenario's type maps to (post-copy prices
 /// with the live tables). attach_energy evaluates these through
-/// predict_power and multiplies by each phase's duration — paper Eq. 4
-/// with constant per-phase features. The closed-form planner, the
-/// datacenter planner's candidates, chaos relief moves and engine-timed
-/// serve forecasts all price through it. Each role's samples come from
-/// one helper: the source samples read the VM, the source host, the
-/// link rate and the timings; the target samples read the VM, the
-/// target host, the link rate and the timings.
+/// core::evaluate (as predict_power does) and multiplies by each
+/// phase's duration — paper Eq. 4 with constant per-phase features. The
+/// closed-form planner, the datacenter planner's candidates, chaos
+/// relief moves and engine-timed serve forecasts all price through it.
+/// Each role's samples come from one helper: the source samples read
+/// the VM, the source host, the link rate and the timings; the target
+/// samples are the target half's key-only part (the VM, the link rate
+/// and the timings) clamped by the target host.
 struct PhaseRepresentatives {
   models::MigrationSample source[3];  ///< initiation, transfer, activation
   models::MigrationSample target[3];

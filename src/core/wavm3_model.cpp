@@ -55,14 +55,6 @@ PhaseCoefficients pack(MigrationPhase phase, const std::vector<double>& coeffs) 
   return out;
 }
 
-double evaluate(MigrationPhase phase, const PhaseCoefficients& k, const MigrationSample& s) {
-  if (phase == MigrationPhase::kTransfer) {
-    return k.alpha * s.cpu_host + k.beta * s.bandwidth + k.gamma * s.dirty_ratio +
-           k.delta * s.cpu_vm + k.c;
-  }
-  return k.alpha * s.cpu_host + k.beta * s.cpu_vm + k.c;
-}
-
 const PhaseCoefficients& phase_coeffs(const RoleCoefficients& rc, MigrationPhase phase) {
   switch (phase) {
     case MigrationPhase::kInitiation: return rc.initiation;

@@ -47,6 +47,20 @@ struct Wavm3Coefficients {
   RoleCoefficients target;
 };
 
+/// Eq. 5-7: the power (watts) one phase model predicts at one
+/// sample's features. The single definition of the formula:
+/// Wavm3Model::predict_power and the closed-form planner's energy
+/// halves (core/planner.cpp) both evaluate it, so every caller sums the
+/// terms in this order, zero-valued features included.
+inline double evaluate(migration::MigrationPhase phase, const PhaseCoefficients& k,
+                       const models::MigrationSample& s) {
+  if (phase == migration::MigrationPhase::kTransfer) {
+    return k.alpha * s.cpu_host + k.beta * s.bandwidth + k.gamma * s.dirty_ratio +
+           k.delta * s.cpu_vm + k.c;
+  }
+  return k.alpha * s.cpu_host + k.beta * s.cpu_vm + k.c;
+}
+
 /// The WAVM3 energy model.
 class Wavm3Model final : public models::EnergyModel {
  public:

@@ -46,8 +46,9 @@ PlanMetrics plan_metrics(const char* strategy) {
       r.counter("plan_cycle_analyses_total",
                 "Workload-cycle analyses run (cycle memo misses, not hits)", labels),
       r.counter("plan_timing_forecasts_total",
-                "Pre-copy timing recursions run pricing candidates (one per VM, variant and "
-                "distinct transfer bandwidth and link rate)",
+                "Pre-copy timing recursions run pricing moves (one per VM run and distinct "
+                "transfer bandwidth and link rate for the blind candidates, plus one per "
+                "chosen move of a periodic VM for its aligned variant)",
                 labels),
       r.exponential_histogram("plan_wave_seconds", "Wall time of one planning wave", 1e-4, 2.0,
                               22, labels),
@@ -262,9 +263,10 @@ void detect_cycles(Fleet& fleet, const std::vector<int>& donors, const CycleDete
 
 /// Stage 3a: per donor VM, up to candidate_targets destinations drawn
 /// from the three receiver orderings (deduplicated). A move of a
-/// periodic VM also gets an aligned variant.
-CandidateSet generate_candidates(Fleet& fleet, const WaveHosts& hosts,
-                                 const PlannerConfig& config, const CycleDetector* detector) {
+/// periodic VM is marked has_aligned. First drops from the orderings
+/// every receiver that cannot take even the wave's smallest donor VM.
+CandidateSet generate_candidates(Fleet& fleet, WaveHosts& hosts, const PlannerConfig& config,
+                                 const CycleDetector* detector) {
   WAVM3_OBS_SPAN(span, "plan", "candidates");
   const auto receiver_ok = [&](int h, const FleetVm& vm) {
     if (!fleet.fits(h, vm)) return false;
@@ -272,6 +274,25 @@ CandidateSet generate_candidates(Fleet& fleet, const WaveHosts& hosts,
     const double capacity = static_cast<double>(host.spec.vcpus);
     return host.cpu_load + vm.cpu_now <= config.policy.overload_fraction * capacity;
   };
+
+  // Both receiver_ok checks are sums monotone in the VM's RAM and CPU,
+  // so a host that fails them for the least RAM and the least CPU of
+  // any donor VM fails them for every donor VM. Dropping such hosts
+  // is exact, and it keeps each VM's scans off the full hosts that
+  // lead the first-fit and most-loaded orders after earlier waves.
+  FleetVm smallest;
+  smallest.ram_bytes = std::numeric_limits<double>::infinity();
+  smallest.cpu_now = std::numeric_limits<double>::infinity();
+  for (const int h : hosts.donors) {
+    for (const int v : fleet.host(h).vms) {
+      smallest.ram_bytes = std::min(smallest.ram_bytes, fleet.vm(v).ram_bytes);
+      smallest.cpu_now = std::min(smallest.cpu_now, fleet.vm(v).cpu_now);
+    }
+  }
+  const auto cannot_receive = [&](int h) { return !receiver_ok(h, smallest); };
+  std::erase_if(hosts.receivers, cannot_receive);
+  for (auto& [group, order] : hosts.receivers_by_group) std::erase_if(order, cannot_receive);
+  std::erase_if(hosts.receivers_by_load, cannot_receive);
 
   const int k_total = config.candidate_targets;
   const int k_ff = std::max(1, k_total / 3);
@@ -336,22 +357,27 @@ CandidateSet generate_candidates(Fleet& fleet, const WaveHosts& hosts,
       candidates.donors.push_back(std::move(donor));
     }
   }
+  span.arg("receivers", static_cast<double>(hosts.receivers.size()));
   span.arg("moves", static_cast<double>(candidates.moves.size()));
   return candidates;
 }
 
-/// Stage 3b: prices every variant through the closed-form forecast
-/// (timings, then paper Eq. 4 over the forecast phases). The aligned
-/// variant is the same move at the cycle's low-window dirtying rate;
-/// the CPU signature is kept (conservative — only the dirtying benefit
-/// of the window is claimed). One VM's moves are contiguous, so each
-/// run of equal (vm, source) is priced by one forecast_targets call per
-/// variant; `timing_forecasts` counts the recursions those calls run.
-/// Returns the wall time spent. The span keeps its historical name:
-/// traces and perfbench's plan.score_batch_s key on it.
-double price_candidates(Fleet& fleet, CandidateSet& candidates,
+/// The lean record of one forecast.
+MoveVariant variant_of(const core::MigrationForecast& fc) {
+  return MoveVariant{fc.total_energy(), fc.times.me, fc.downtime};
+}
+
+/// Stage 3b: prices every candidate's blind variant through the
+/// closed-form forecast (timings, then paper Eq. 4 over the forecast
+/// phases). One VM's moves are contiguous, so each run of equal (vm,
+/// source) is priced by one forecast_targets call; `timing_forecasts`
+/// counts the recursions those calls run. Aligned variants are priced
+/// by schedule_moves, for chosen moves only. Returns the wall time
+/// spent. The span keeps its historical name: traces and perfbench's
+/// plan.score_batch_s key on it.
+double price_candidates(const Fleet& fleet, CandidateSet& candidates,
                         const core::MigrationPlanner& forecaster, const PlannerConfig& config,
-                        const CycleDetector* detector, obs::Counter& timing_forecasts) {
+                        obs::Counter& timing_forecasts) {
   WAVM3_OBS_SPAN(span, "plan", "score_batch");
   const auto start = std::chrono::steady_clock::now();
   std::vector<ScoredMove>& moves = candidates.moves;
@@ -368,21 +394,13 @@ double price_candidates(Fleet& fleet, CandidateSet& candidates,
       targets.push_back(move_target(fleet, first.source, moves[end].target, config));
     }
     forecasts.resize(targets.size());
-    const auto variant = [&](std::size_t i) {
-      const core::MigrationForecast& fc = forecasts[i];
-      return MoveVariant{fc.total_energy(), fc.times.me, fc.downtime};
-    };
-    core::MigrationScenario scenario =
+    const core::MigrationScenario scenario =
         move_scenario(fleet, first.vm, first.source, first.target, config);
     timings += forecaster.forecast_targets(scenario, targets, forecasts);
-    for (std::size_t i = 0; i < targets.size(); ++i) moves[begin + i].blind = variant(i);
-    priced += targets.size();
-    if (first.has_aligned) {
-      scenario.vm_dirty_pages_per_s = periodic_cycle(fleet, detector, first.vm)->low_mean;
-      timings += forecaster.forecast_targets(scenario, targets, forecasts);
-      for (std::size_t i = 0; i < targets.size(); ++i) moves[begin + i].aligned = variant(i);
-      priced += targets.size();
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+      moves[begin + i].blind = variant_of(forecasts[i]);
     }
+    priced += targets.size();
   }
   timing_forecasts.inc(timings);
   span.arg("scenarios", static_cast<double>(priced));
@@ -400,36 +418,51 @@ std::vector<int> choose_moves(const Fleet& fleet, const PlacementStrategy& strat
 }
 
 /// Stage 5: schedules the chosen moves under per-host concurrency
-/// caps. Periodic VMs snap into the next low-dirtying window inside
-/// the horizon when the aligned variant is no dearer; everything else
-/// starts as early as slots allow.
+/// caps. A chosen move of a periodic VM is priced here at the cycle's
+/// low-window dirtying rate — the aligned variant, the same move with
+/// the same CPU signature (conservative: only the dirtying benefit of
+/// the window is claimed) — through the same forecast as the blind
+/// candidates, and counted in `timing_forecasts`. It snaps into the
+/// next low-dirtying window inside the horizon when that variant is no
+/// dearer; everything else starts as early as slots allow.
 void schedule_moves(Fleet& fleet, const CandidateSet& candidates, const std::vector<int>& chosen,
-                    const PlannerConfig& config, const CycleDetector* detector, double now,
+                    const core::MigrationPlanner& forecaster, const PlannerConfig& config,
+                    const CycleDetector* detector, double now, obs::Counter& timing_forecasts,
                     WavePlan& plan) {
   WAVM3_OBS_SPAN(span, "plan", "schedule");
   BusyIntervals busy;
   plan.moves.reserve(chosen.size());
+  std::size_t priced = 0;
   for (const int m : chosen) {
     const ScoredMove& move = candidates.moves[static_cast<std::size_t>(m)];
     bool aligned = false;
     double start = 0.0;
-    if (move.has_aligned && move.aligned.energy_j <= move.blind.energy_j) {
-      const CycleEstimate& cycle = *periodic_cycle(fleet, detector, move.vm);
-      const double duration = move.aligned.duration_s;
-      for (double w = CycleDetector::next_low_window_start(cycle, now);
-           w <= now + config.wave_horizon_s; w += cycle.period_s) {
-        const double t = busy.earliest_start(fleet, move.source, move.target, duration, w);
-        if (t <= w + cycle.low_duration_s) {
-          start = t;
-          aligned = true;
-          break;
+    const CycleEstimate* cycle =
+        move.has_aligned ? periodic_cycle(fleet, detector, move.vm) : nullptr;
+    MoveVariant low;
+    if (cycle != nullptr) {
+      core::MigrationScenario scenario =
+          move_scenario(fleet, move.vm, move.source, move.target, config);
+      scenario.vm_dirty_pages_per_s = cycle->low_mean;
+      low = variant_of(forecaster.forecast(scenario));
+      ++priced;
+      if (low.energy_j <= move.blind.energy_j) {
+        for (double w = CycleDetector::next_low_window_start(*cycle, now);
+             w <= now + config.wave_horizon_s; w += cycle->period_s) {
+          const double t =
+              busy.earliest_start(fleet, move.source, move.target, low.duration_s, w);
+          if (t <= w + cycle->low_duration_s) {
+            start = t;
+            aligned = true;
+            break;
+          }
         }
       }
     }
     if (!aligned) {
       start = busy.earliest_start(fleet, move.source, move.target, move.blind.duration_s, now);
     }
-    const MoveVariant& variant = aligned ? move.aligned : move.blind;
+    const MoveVariant& variant = aligned ? low : move.blind;
     busy.add(move.source, start, start + variant.duration_s);
     busy.add(move.target, start, start + variant.duration_s);
 
@@ -452,7 +485,9 @@ void schedule_moves(Fleet& fleet, const CandidateSet& candidates, const std::vec
             [](const ScheduledMove& a, const ScheduledMove& b) {
               return a.start_s != b.start_s ? a.start_s < b.start_s : a.vm < b.vm;
             });
+  timing_forecasts.inc(priced);
   span.arg("moves", static_cast<double>(plan.moves.size()));
+  span.arg("aligned_priced", static_cast<double>(priced));
   span.arg("aligned", static_cast<double>(plan.moves_cycle_aligned));
 }
 
@@ -491,16 +526,17 @@ WavePlan MigrationPlanner::plan_wave(Fleet& fleet, const PlacementStrategy& stra
   if (config_.cycle_aware) cycle_detector.emplace(config_.cycles);
   const CycleDetector* detector = cycle_detector ? &*cycle_detector : nullptr;
 
-  const WaveHosts hosts = select_hosts(fleet, config_, now, plan);
+  WaveHosts hosts = select_hosts(fleet, config_, now, plan);
   if (detector != nullptr) detect_cycles(fleet, hosts.donors, *detector, metrics.cycle_analyses);
   CandidateSet candidates = generate_candidates(fleet, hosts, config_, detector);
   plan.candidates_scored = candidates.moves.size();
-  plan.scoring_seconds = price_candidates(fleet, candidates, forecaster_, config_, detector,
-                                           metrics.timing_forecasts);
+  plan.scoring_seconds =
+      price_candidates(fleet, candidates, forecaster_, config_, metrics.timing_forecasts);
   metrics.candidates.inc(plan.candidates_scored);
   metrics.score_seconds.observe(plan.scoring_seconds);
   const std::vector<int> chosen = choose_moves(fleet, strategy, candidates, config_);
-  schedule_moves(fleet, candidates, chosen, config_, detector, now, plan);
+  schedule_moves(fleet, candidates, chosen, forecaster_, config_, detector, now,
+                 metrics.timing_forecasts, plan);
   commit_wave(fleet, config_, commit, plan);
 
   plan.wave_seconds = seconds_since(wall_start);

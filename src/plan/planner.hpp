@@ -10,20 +10,24 @@
 //      through the fleet's per-VM memo (Fleet::cycle): a history is
 //      analysed once, so a rolling wave only analyses VMs it has not
 //      seen before;
-//   3. generate (VM, source, target) candidates, then price each into
-//      a lean record (energy, duration, downtime) — a cycle-blind
-//      variant (trailing-window dirtying) and, for periodic VMs, a
-//      cycle-aligned variant (low-window dirtying). Pricing fans out
-//      once per VM run: one core forecast_targets call per variant
-//      prices the VM's move to all its targets, running the pre-copy
-//      recursion and source energy once per distinct (bandwidth, link
-//      rate) and only the target half per target. The scenario is
-//      rebuilt by move_scenario() for pricing and not kept;
+//   3. generate (VM, source, target) candidates, scanning only the
+//      receivers that can take the wave's smallest donor VM (an exact
+//      cut: the fit checks are monotone sums), then price each into a
+//      lean record (energy, duration, downtime) of its cycle-blind
+//      variant (trailing-window dirtying). Pricing fans out once per
+//      VM run: one core forecast_targets call prices the VM's move to
+//      all its targets, running the pre-copy recursion, the source
+//      energy and the target half's key-only part once per distinct
+//      (bandwidth, link rate), and per target only its host-CPU clamps
+//      and the Eq. 4 sums. The scenario is rebuilt by move_scenario()
+//      for pricing and not kept;
 //   4. a PlacementStrategy picks targets (naive first-fit, or
 //      energy-aware beam search) donor by donor, all-or-nothing per
 //      donor (partial vacates save no host energy);
-//   5. moves are scheduled under per-host concurrency caps, snapping
-//      periodic VMs' start times into their next low-dirtying window;
+//   5. moves are scheduled under per-host concurrency caps. Each chosen
+//      move of a periodic VM is priced once more, at its cycle's
+//      low-window dirtying rate (the cycle-aligned variant), and snaps
+//      into its next low-dirtying window when that is no dearer;
 //   6. the wave is committed to the fleet (placements move, vacated
 //      donors power off).
 //
@@ -127,15 +131,17 @@ struct MoveVariant {
   double downtime_s = 0.0;
 };
 
-/// One (VM, source, target) candidate with its priced variants. The
-/// VM's cycle (when has_aligned) is the fleet's memoised estimate.
+/// One (VM, source, target) candidate with its priced blind variant.
+/// has_aligned marks a periodic VM (the fleet's memoised cycle): its
+/// aligned variant (low-cycle-window dirtying rate) is not priced here
+/// but by the schedule stage, for the chosen moves only, so no
+/// strategy can read it.
 struct ScoredMove {
   int vm = -1;
   int source = -1;
   int target = -1;
   bool has_aligned = false;
-  MoveVariant blind;        ///< trailing-window dirtying rate
-  MoveVariant aligned;      ///< low-cycle-window dirtying rate
+  MoveVariant blind;  ///< trailing-window dirtying rate
 
   /// The energy strategies optimise. Deliberately the *blind* price:
   /// selection is then identical whether cycle scheduling is on or

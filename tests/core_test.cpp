@@ -3,8 +3,10 @@
 // migration planner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -434,6 +436,106 @@ TEST(Planner, ForecastTargetsBitEqualsPerTargetForecast) {
     EXPECT_THROW(planner.forecast_targets(base, no_link, bad_out), util::ContractError);
     std::vector<MigrationForecast> short_out(1);
     EXPECT_THROW(planner.forecast_targets(base, targets, short_out), util::ContractError);
+  }
+}
+
+/// The target samples of `sc` under timings `fc`, restated plainly
+/// apart from the planner's prepared target half.
+void reference_target_samples(const MigrationScenario& sc, const MigrationForecast& fc,
+                              models::MigrationSample (&out)[3]) {
+  const auto& cfg = sc.migration;
+  const bool postcopy = sc.type == MigrationType::kPostCopy;
+  const double fraction = fc.bandwidth / std::max(fc.bandwidth, sc.link_payload_rate);
+  const double recv = cfg.receiver_cpu_base + cfg.receiver_cpu_per_rate * fraction;
+  const double load = sc.target_cpu_load;
+  const double cap = sc.target_cpu_capacity;
+  const double vm_transfer = postcopy ? sc.vm_cpu_vcpus : 0.0;
+  const double vm_activation = sc.vm_cpu_vcpus * (1.0 - cfg.resume_point_fraction);
+  out[0] = {};
+  out[0].phase = MigrationPhase::kInitiation;
+  out[0].cpu_host = std::min(cap, load + cfg.initiation_cpu);
+  out[1] = {};
+  out[1].phase = MigrationPhase::kTransfer;
+  out[1].cpu_host = std::min(cap, postcopy ? load + recv + vm_transfer : load + recv);
+  out[1].cpu_vm = vm_transfer;
+  out[1].bandwidth = fc.bandwidth;
+  out[2] = {};
+  out[2].phase = MigrationPhase::kActivation;
+  out[2].cpu_host = std::min(cap, load + cfg.activation_cpu + vm_activation);
+  out[2].cpu_vm = vm_activation;
+}
+
+TEST(Planner, ForecastTargetsTargetHalfBitEqualsAttachTargetEnergy) {
+  const Wavm3Model& model = fitted_wavm3();
+  const MigrationPlanner planner(model);
+  const double nic_1g = 0.94 * util::gbit_per_s(1);
+  const double link_10g = 0.94 * util::gbit_per_s(10);
+  const double cap = 16.0;
+
+  for (const MigrationType type :
+       {MigrationType::kLive, MigrationType::kNonLive, MigrationType::kPostCopy}) {
+    SCOPED_TRACE(static_cast<int>(type));
+    MigrationScenario base = base_scenario();
+    base.type = type;
+    base.vm_dirty_pages_per_s = 2000.0;
+
+    // A host at and one above capacity have no headroom, so they share
+    // key A and every host-CPU clamp binds on both; the host below
+    // capacity (key B) and the one behind a faster link (key C) clamp
+    // nothing. Keys A B A C.
+    const TargetSide at{cap, cap, nic_1g};
+    const TargetSide below{1.0, cap, nic_1g};
+    const TargetSide above{cap + 3.0, cap, nic_1g};
+    const TargetSide fast{2.0, cap, link_10g};
+    const std::vector<TargetSide> targets = {at, below, above, fast};
+    const std::vector<bool> clamped = {true, false, true, false};
+    const auto bw = [&](const TargetSide& t) { return transfer_bandwidth(with_target(base, t)); };
+    ASSERT_EQ(bw(at), bw(above));
+    ASSERT_NE(bw(at), bw(below));
+    ASSERT_NE(bw(below), bw(fast));
+    ASSERT_NE(bw(at), bw(fast));
+
+    std::vector<MigrationForecast> out(targets.size());
+    EXPECT_EQ(planner.forecast_targets(base, targets, out), 3u);
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+      SCOPED_TRACE(i);
+      const MigrationScenario sc = with_target(base, targets[i]);
+      MigrationForecast expect = forecast_timings(sc);
+      attach_target_energy(model, sc, expect);
+      for (int p = 0; p < 3; ++p) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i].target_phase_energy[p]),
+                  std::bit_cast<std::uint64_t>(expect.target_phase_energy[p]))
+            << "phase " << p;
+      }
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i].target_energy),
+                std::bit_cast<std::uint64_t>(expect.target_energy));
+
+      // representative_features still yields the plain target samples,
+      // and predict_power over them gives the same phase energies.
+      const PhaseRepresentatives rep = representative_features(sc, out[i]);
+      models::MigrationSample ref[3];
+      reference_target_samples(sc, out[i], ref);
+      for (int p = 0; p < 3; ++p) {
+        SCOPED_TRACE(p);
+        EXPECT_EQ(rep.target[p].phase, ref[p].phase);
+        EXPECT_EQ(rep.target[p].cpu_host, ref[p].cpu_host);
+        EXPECT_EQ(rep.target[p].cpu_vm, ref[p].cpu_vm);
+        EXPECT_EQ(rep.target[p].bandwidth, ref[p].bandwidth);
+        EXPECT_EQ(rep.target[p].dirty_ratio, ref[p].dirty_ratio);
+        if (clamped[i]) {
+          EXPECT_EQ(rep.target[p].cpu_host, cap);
+        } else {
+          EXPECT_LT(rep.target[p].cpu_host, cap);
+        }
+        EXPECT_EQ(model.predict_power(rep.coeff_type, HostRole::kTarget, rep.target[p]) *
+                      rep.duration[p],
+                  out[i].target_phase_energy[p]);
+      }
+    }
+    // The two key-A hosts both sit at the clamp, so their target halves
+    // agree although their loads differ.
+    EXPECT_EQ(out[0].target_energy, out[2].target_energy);
+    EXPECT_NE(out[0].target_energy, out[1].target_energy);
   }
 }
 

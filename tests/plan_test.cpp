@@ -10,6 +10,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -630,7 +631,7 @@ TEST(MigrationPlanner, WaveRespectsCapacityAndConcurrency) {
 }
 
 /// Passes choices through to `inner` and keeps the candidate set it was
-/// handed, so tests can inspect every priced variant.
+/// handed and what it chose, so tests can inspect every priced variant.
 class RecordingStrategy final : public PlacementStrategy {
  public:
   explicit RecordingStrategy(const PlacementStrategy& inner) : inner_(inner) {}
@@ -638,13 +639,65 @@ class RecordingStrategy final : public PlacementStrategy {
   std::vector<int> choose(const Fleet& fleet, const CandidateSet& candidates,
                           const PlannerConfig& config) const override {
     seen = candidates;
-    return inner_.choose(fleet, candidates, config);
+    chosen = inner_.choose(fleet, candidates, config);
+    return chosen;
   }
   mutable CandidateSet seen;
+  mutable std::vector<int> chosen;
 
  private:
   const PlacementStrategy& inner_;
 };
+
+/// Replays the schedule stage over the moves `recording` saw chosen, in
+/// choice order. A periodic VM's move is priced once more at its
+/// cycle's low mean, bit-equal to forecast(): it goes aligned, at that
+/// variant's price, into the first low window in the horizon with a
+/// free slot when the variant is no dearer than the blind one; it
+/// stays blind only when the variant is dearer or no window has room.
+/// Returns the number of chosen moves of periodic VMs.
+int expect_aligned_priced_at_schedule(Fleet& before, const RecordingStrategy& recording,
+                                      const WavePlan& plan,
+                                      const core::MigrationPlanner& forecaster,
+                                      const PlannerConfig& config, const CycleDetector& detector,
+                                      double now) {
+  std::map<int, const ScheduledMove*> scheduled;
+  for (const ScheduledMove& m : plan.moves) scheduled[m.vm] = &m;
+  EXPECT_EQ(scheduled.size(), recording.chosen.size());
+  BusyIntervals busy;
+  int periodic = 0;
+  for (const int i : recording.chosen) {
+    const ScoredMove& c = recording.seen.moves[static_cast<std::size_t>(i)];
+    SCOPED_TRACE(testing::Message() << "vm " << c.vm << " to " << c.target);
+    const ScheduledMove& m = *scheduled.at(c.vm);
+    bool aligned = false;
+    double start = 0.0;
+    core::MigrationForecast low;
+    if (c.has_aligned) {
+      ++periodic;
+      const CycleEstimate& cycle = before.cycle(c.vm, detector);
+      core::MigrationScenario sc = move_scenario(before, c.vm, c.source, c.target, config);
+      sc.vm_dirty_pages_per_s = cycle.low_mean;
+      low = forecaster.forecast(sc);
+      for (double w = CycleDetector::next_low_window_start(cycle, now);
+           low.total_energy() <= c.blind.energy_j && !aligned &&
+           w <= now + config.wave_horizon_s;
+           w += cycle.period_s) {
+        start = busy.earliest_start(before, c.source, c.target, low.times.me, w);
+        aligned = start <= w + cycle.low_duration_s;
+      }
+    }
+    if (!aligned) start = busy.earliest_start(before, c.source, c.target, c.blind.duration_s, now);
+    EXPECT_EQ(m.cycle_aligned, aligned);
+    EXPECT_EQ(m.start_s, start);
+    EXPECT_EQ(m.energy_j, aligned ? low.total_energy() : c.blind.energy_j);
+    EXPECT_EQ(m.downtime_s, aligned ? low.downtime : c.blind.downtime_s);
+    EXPECT_EQ(m.end_s, start + (aligned ? low.times.me : c.blind.duration_s));
+    busy.add(m.source, m.start_s, m.end_s);
+    busy.add(m.target, m.start_s, m.end_s);
+  }
+  return periodic;
+}
 
 TEST(MigrationPlanner, PricesEveryMoveWithTheClosedFormForecast) {
   const core::Wavm3Model model = make_model();
@@ -680,7 +733,7 @@ TEST(MigrationPlanner, PricesEveryMoveWithTheClosedFormForecast) {
     // Every candidate's lean record is its scenario's forecast, and
     // that forecast carries the per-phase split summing to its totals.
     ASSERT_EQ(recording.seen.moves.size(), plan.candidates_scored);
-    int aligned = 0;
+    int periodic_candidates = 0;
     for (const ScoredMove& c : recording.seen.moves) {
       core::MigrationScenario sc = move_scenario(before, c.vm, c.source, c.target, config);
       const core::MigrationForecast fc = forecaster.forecast(sc);
@@ -696,16 +749,18 @@ TEST(MigrationPlanner, PricesEveryMoveWithTheClosedFormForecast) {
 
       const CycleEstimate& cycle = before.cycle(c.vm, detector);
       EXPECT_EQ(c.has_aligned, cycle_aware && cycle.periodic) << "vm " << c.vm;
-      if (!c.has_aligned) continue;
-      ++aligned;
-      sc.vm_dirty_pages_per_s = cycle.low_mean;
-      const core::MigrationForecast low = forecaster.forecast(sc);
-      EXPECT_EQ(c.aligned.energy_j, low.total_energy());
-      EXPECT_EQ(c.aligned.duration_s, low.times.me);
-      EXPECT_EQ(c.aligned.downtime_s, low.downtime);
+      if (c.has_aligned) ++periodic_candidates;
     }
+    // Aligned variants are priced for the chosen moves only.
+    const int periodic_chosen =
+        expect_aligned_priced_at_schedule(before, recording, plan, forecaster, config, detector,
+                                          now);
     if (cycle_aware) {
-      EXPECT_GT(aligned, 0);
+      EXPECT_GT(periodic_candidates, 0);
+      EXPECT_GT(periodic_chosen, 0);
+      EXPECT_GT(plan.moves_cycle_aligned, 0);
+    } else {
+      EXPECT_EQ(periodic_chosen, 0);
     }
   }
 }
@@ -1026,9 +1081,8 @@ TEST(MigrationPlanner, OnlyUnderloadedHostsDonate) {
 /// variant of the run must run.
 struct VmRunKeys {
   int runs = 0;
-  int aligned_runs = 0;
-  std::size_t keys = 0;          ///< summed over runs
-  std::size_t aligned_keys = 0;  ///< summed over runs with an aligned variant
+  int aligned_runs = 0;            ///< runs of a periodic VM
+  std::size_t keys = 0;            ///< summed over runs
   std::size_t max_bandwidths = 0;  ///< most distinct bandwidths in one run
 };
 
@@ -1052,32 +1106,24 @@ VmRunKeys vm_run_keys(const Fleet& before, const std::vector<ScoredMove>& moves,
     ++out.runs;
     out.keys += keys.size();
     out.max_bandwidths = std::max(out.max_bandwidths, bandwidths.size());
-    if (moves[begin].has_aligned) {
-      ++out.aligned_runs;
-      out.aligned_keys += keys.size();
-    }
+    if (moves[begin].has_aligned) ++out.aligned_runs;
   }
   return out;
 }
 
-/// Every candidate's variants bit-equal forecast(move_scenario(...)) on
-/// the fleet as the wave saw it.
+/// Every candidate's blind variant bit-equals forecast(move_scenario(...))
+/// on the fleet as the wave saw it; the aligned variants of the chosen
+/// moves are checked by expect_aligned_priced_at_schedule.
 void expect_priced_by_forecast(Fleet& before, const CandidateSet& candidates,
                                const core::MigrationPlanner& forecaster,
-                               const PlannerConfig& config, const CycleDetector& detector) {
+                               const PlannerConfig& config) {
   for (const ScoredMove& c : candidates.moves) {
     SCOPED_TRACE(testing::Message() << "vm " << c.vm << " to " << c.target);
-    core::MigrationScenario sc = move_scenario(before, c.vm, c.source, c.target, config);
-    const core::MigrationForecast fc = forecaster.forecast(sc);
+    const core::MigrationForecast fc =
+        forecaster.forecast(move_scenario(before, c.vm, c.source, c.target, config));
     EXPECT_EQ(c.blind.energy_j, fc.total_energy());
     EXPECT_EQ(c.blind.duration_s, fc.times.me);
     EXPECT_EQ(c.blind.downtime_s, fc.downtime);
-    if (!c.has_aligned) continue;
-    sc.vm_dirty_pages_per_s = before.cycle(c.vm, detector).low_mean;
-    const core::MigrationForecast low = forecaster.forecast(sc);
-    EXPECT_EQ(c.aligned.energy_j, low.total_energy());
-    EXPECT_EQ(c.aligned.duration_s, low.times.me);
-    EXPECT_EQ(c.aligned.downtime_s, low.downtime);
   }
 }
 
@@ -1155,7 +1201,7 @@ TEST(MigrationPlanner, PricesHeterogeneousTargetsWithTheClosedFormForecast) {
     const RecordingStrategy recording(beam);
     MigrationPlanner planner(model, config);
     const std::uint64_t counted0 = timing_forecasts_counted(beam.name());
-    planner.plan_wave(fleet, recording, now, /*commit=*/false);
+    const WavePlan plan = planner.plan_wave(fleet, recording, now, /*commit=*/false);
     const std::uint64_t timings = timing_forecasts_counted(beam.name()) - counted0;
     const CandidateSet& seen = recording.seen;
     ASSERT_FALSE(seen.moves.empty());
@@ -1165,20 +1211,25 @@ TEST(MigrationPlanner, PricesHeterogeneousTargetsWithTheClosedFormForecast) {
     const VmRunKeys keys = vm_run_keys(before, seen.moves, config);
     EXPECT_GE(keys.max_bandwidths, 2u);
     EXPECT_GT(keys.keys, static_cast<std::size_t>(keys.runs));
+    expect_priced_by_forecast(before, seen, forecaster, config);
+    const int periodic_chosen = expect_aligned_priced_at_schedule(
+        before, recording, plan, forecaster, config, detector, now);
     if (cycle_aware) {
       EXPECT_GT(keys.aligned_runs, 0);
+      EXPECT_GT(periodic_chosen, 0);
     }
-    // One recursion per distinct key of each run and variant.
-    EXPECT_EQ(timings, keys.keys + keys.aligned_keys);
-    expect_priced_by_forecast(before, seen, forecaster, config, detector);
+    // One recursion per distinct key of each run, plus one per chosen
+    // move of a periodic VM.
+    EXPECT_EQ(timings, keys.keys + static_cast<std::size_t>(periodic_chosen));
   }
 }
 
 TEST(MigrationPlanner, PricingRunsOneRecursionPerVmRunAndVariant) {
   // A count guard on the per-VM fan-out, with no wall-clock ratio: on
   // the synthetic fleet every target of a VM has the same bandwidth and
-  // link rate, so a wave runs one pre-copy recursion per (VM run,
-  // variant) — strictly fewer than the variants it prices.
+  // link rate, so a wave runs one pre-copy recursion per VM run for the
+  // blind variants, and one per chosen move of a periodic VM for its
+  // aligned variant — strictly fewer than the variants it prices.
   const core::Wavm3Model model = make_model();
   const PlannerConfig config = test_config();
   const double now = SyntheticFleetOptions{}.history_s;
@@ -1190,17 +1241,154 @@ TEST(MigrationPlanner, PricingRunsOneRecursionPerVmRunAndVariant) {
   MigrationPlanner planner(model, config);
 
   const std::uint64_t counted0 = timing_forecasts_counted(beam.name());
-  planner.plan_wave(fleet, recording, now, /*commit=*/false);
+  const WavePlan plan = planner.plan_wave(fleet, recording, now, /*commit=*/false);
   const std::uint64_t timings = timing_forecasts_counted(beam.name()) - counted0;
 
   const CandidateSet& seen = recording.seen;
-  std::size_t scenarios = 0;
-  for (const ScoredMove& c : seen.moves) scenarios += c.has_aligned ? 2 : 1;
   const VmRunKeys keys = vm_run_keys(before, seen.moves, config);
+  const core::MigrationPlanner forecaster(model);
+  const CycleDetector detector(config.cycles);
+  const int periodic_chosen = expect_aligned_priced_at_schedule(
+      before, recording, plan, forecaster, config, detector, now);
   ASSERT_GT(keys.aligned_runs, 0);
+  ASSERT_GT(periodic_chosen, 0);
   EXPECT_EQ(keys.keys, static_cast<std::size_t>(keys.runs));
-  EXPECT_EQ(timings, static_cast<std::uint64_t>(keys.runs + keys.aligned_runs));
+  EXPECT_EQ(timings, static_cast<std::uint64_t>(keys.runs + periodic_chosen));
+  const std::size_t scenarios = seen.moves.size() + static_cast<std::size_t>(periodic_chosen);
   EXPECT_LT(timings, scenarios);
+}
+
+// ------------------------------------------------ receiver pruning
+
+/// One candidate as (vm, source, target).
+using CandidateKey = std::tuple<int, int, int>;
+
+/// A wave's candidates and accepted donors on `fleet` (loads already
+/// refreshed), from a plain scan of every powered non-donor host in the
+/// planner's three receiver orders: no receiver is dropped up front.
+struct ReferenceCandidates {
+  std::vector<CandidateKey> moves;
+  std::vector<int> donors;  ///< donors whose every VM has a candidate
+  int never_fits = 0;       ///< receivers that can take no donor VM
+};
+
+ReferenceCandidates reference_candidates(const Fleet& fleet, const PlannerConfig& config) {
+  const auto util = [&](int h) { return fleet.host_utilisation(h); };
+  std::vector<int> donors;
+  std::size_t powered = 0;
+  for (int h = 0; h < static_cast<int>(fleet.host_count()); ++h) {
+    if (!fleet.host(h).powered_on) continue;
+    ++powered;
+    if (!fleet.host(h).vms.empty() && util(h) < config.policy.underload_fraction) {
+      donors.push_back(h);
+    }
+  }
+  std::sort(donors.begin(), donors.end(),
+            [&](int a, int b) { return util(a) != util(b) ? util(a) < util(b) : a < b; });
+  if (donors.size() > powered / 2) donors.resize(powered / 2);
+
+  std::vector<int> by_index;
+  std::map<std::string, std::vector<int>> by_group;
+  for (int h = 0; h < static_cast<int>(fleet.host_count()); ++h) {
+    if (!fleet.host(h).powered_on ||
+        std::find(donors.begin(), donors.end(), h) != donors.end()) {
+      continue;
+    }
+    by_index.push_back(h);
+    by_group[fleet.host(h).spec.group].push_back(h);
+  }
+  std::vector<int> by_load = by_index;
+  std::sort(by_load.begin(), by_load.end(),
+            [&](int a, int b) { return util(a) != util(b) ? util(a) > util(b) : a < b; });
+
+  const auto receiver_ok = [&](int h, const FleetVm& vm) {
+    const FleetHost& host = fleet.host(h);
+    return host.ram_committed + vm.ram_bytes <= host.spec.ram_bytes &&
+           host.cpu_load + vm.cpu_now <=
+               config.policy.overload_fraction * static_cast<double>(host.spec.vcpus);
+  };
+  ReferenceCandidates out;
+  for (const int h : by_index) {
+    bool takes_any = false;
+    for (const int d : donors) {
+      for (const int v : fleet.host(d).vms) takes_any = takes_any || receiver_ok(h, fleet.vm(v));
+    }
+    if (!takes_any) ++out.never_fits;
+  }
+
+  const int k_total = config.candidate_targets;
+  const int k_third = std::max(1, k_total / 3);
+  for (const int donor : donors) {
+    std::vector<int> vms = fleet.host(donor).vms;
+    std::sort(vms.begin(), vms.end(), [&](int a, int b) {
+      const double ra = fleet.vm(a).ram_bytes;
+      const double rb = fleet.vm(b).ram_bytes;
+      return ra != rb ? ra > rb : a < b;
+    });
+    bool every_vm_placeable = true;
+    for (const int v : vms) {
+      std::vector<int> targets;
+      const auto take = [&](const std::vector<int>& order, int limit) {
+        int taken = 0;
+        for (const int h : order) {
+          if (taken >= limit || static_cast<int>(targets.size()) >= k_total) break;
+          if (h == donor || !receiver_ok(h, fleet.vm(v)) ||
+              std::find(targets.begin(), targets.end(), h) != targets.end()) {
+            continue;
+          }
+          targets.push_back(h);
+          ++taken;
+        }
+      };
+      take(by_index, k_third);
+      const auto group = by_group.find(fleet.host(donor).spec.group);
+      if (group != by_group.end()) take(group->second, k_third);
+      take(by_load, k_total - static_cast<int>(targets.size()));
+      for (const int t : targets) out.moves.emplace_back(v, donor, t);
+      every_vm_placeable = every_vm_placeable && !targets.empty();
+    }
+    if (every_vm_placeable) out.donors.push_back(donor);
+  }
+  return out;
+}
+
+TEST(MigrationPlanner, ReceiverPruningKeepsTheUnprunedCandidates) {
+  // Committed waves fill the receivers that lead the first-fit and
+  // most-loaded orders, so later waves have hosts no donor VM fits on.
+  // Every wave reads the history's last hour, so the CPU check sees
+  // real load. Dropping those hosts up front must leave every wave's
+  // candidates, in order, as a scan of all receivers finds them.
+  const core::Wavm3Model model = make_model();
+  const PlannerConfig config = test_config();
+  const double now = SyntheticFleetOptions{}.history_s;
+  Fleet fleet = Fleet::synthetic(64, 640, 1);
+  const BeamSearchStrategy beam;
+  MigrationPlanner planner(model, config);
+
+  int never_fits = 0;
+  int committed_waves = 0;
+  for (int wave = 0; wave < 4; ++wave) {
+    SCOPED_TRACE(testing::Message() << "wave " << wave);
+    Fleet before = fleet;
+    before.refresh_loads(now, config.load_window_s);
+    const ReferenceCandidates expect = reference_candidates(before, config);
+
+    const RecordingStrategy recording(beam);
+    const WavePlan plan = planner.plan_wave(fleet, recording, now);
+    std::vector<CandidateKey> seen;
+    for (const ScoredMove& c : recording.seen.moves) seen.emplace_back(c.vm, c.source, c.target);
+    EXPECT_EQ(seen, expect.moves);
+    std::vector<int> donors;
+    for (const DonorCandidates& d : recording.seen.donors) donors.push_back(d.host);
+    EXPECT_EQ(donors, expect.donors);
+
+    never_fits += expect.never_fits;
+    if (!plan.moves.empty()) ++committed_waves;
+  }
+  // Not vacuous: waves committed moves, and receivers no donor VM fits
+  // on were there to be dropped.
+  EXPECT_GE(committed_waves, 3);
+  EXPECT_GT(never_fits, 0);
 }
 
 // ---------------------------------------------------------------- relief

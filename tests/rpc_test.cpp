@@ -329,7 +329,9 @@ TEST(Ring, RemovalOnlyMovesAffectedSlices) {
       const SliceKey key{type, role};
       const int before = a.replicas(key, 1).at(0);
       const int after = b.replicas(key, 1).at(0);
-      if (before != 3) EXPECT_EQ(after, before);
+      if (before != 3) {
+        EXPECT_EQ(after, before);
+      }
     }
   }
 }
