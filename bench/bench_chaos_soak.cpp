@@ -58,13 +58,6 @@ core::Wavm3Model make_model() {
   return m;
 }
 
-double first_sample_time(const plan::Fleet& fleet) {
-  for (const plan::FleetVm& vm : fleet.vms()) {
-    if (!vm.history.empty()) return vm.history.t.back();
-  }
-  return 0.0;
-}
-
 struct ParityResult {
   int waves = 0;
   double chaos_committed_j = 0.0;
@@ -135,7 +128,7 @@ void print_report() {
   const core::Wavm3Model model = make_model();
   const plan::Fleet base =
       plan::Fleet::synthetic(kHosts, kVms, kFleetSeed, plan::SyntheticFleetOptions{});
-  const double t0 = first_sample_time(base);
+  const double t0 = base.history_end();
   const plan::BeamSearchStrategy beam;
 
   chaos::ChaosConfig cfg;
@@ -224,7 +217,7 @@ void BM_ChaosWave(benchmark::State& state) {
   const plan::Fleet base = plan::Fleet::synthetic(
       static_cast<int>(state.range(0)), static_cast<int>(10 * state.range(0)),
       kFleetSeed, plan::SyntheticFleetOptions{});
-  const double t0 = first_sample_time(base);
+  const double t0 = base.history_end();
   const plan::BeamSearchStrategy beam;
   chaos::ChaosConfig cfg;
   cfg.storm.level = kStormLevel;

@@ -61,13 +61,6 @@ plan::PlannerConfig make_config(bool cycle_aware) {
   return cfg;
 }
 
-double first_sample_time(const plan::Fleet& fleet) {
-  for (const plan::FleetVm& vm : fleet.vms()) {
-    if (!vm.history.empty()) return vm.history.t.back();
-  }
-  return 0.0;
-}
-
 /// Net fleet energy of one wave: what the wave costs in migration
 /// energy minus what the vacated donors stop drawing at idle over the
 /// planning horizon. Negative = the wave pays for itself.
@@ -162,7 +155,7 @@ void print_report() {
   const core::Wavm3Model model = make_model();
   const plan::Fleet base =
       plan::Fleet::synthetic(kHosts, kVms, kSeed, plan::SyntheticFleetOptions{});
-  const double t0 = first_sample_time(base);
+  const double t0 = base.history_end();
 
   // Fleet-energy and SLA curves: identical fleet copies, committed
   // wave by wave under each placement strategy.
@@ -258,7 +251,7 @@ void BM_PlanWave(benchmark::State& state) {
   const plan::Fleet base = plan::Fleet::synthetic(
       static_cast<int>(state.range(0)), static_cast<int>(10 * state.range(0)), kSeed,
       plan::SyntheticFleetOptions{});
-  const double t0 = first_sample_time(base);
+  const double t0 = base.history_end();
   const plan::FirstFitStrategy first_fit;
   const plan::BeamSearchStrategy beam;
   const plan::PlacementStrategy& strategy =

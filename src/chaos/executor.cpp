@@ -113,7 +113,7 @@ ExecResult execute_attempt(const plan::Fleet& fleet, const plan::PlannerConfig& 
   net::LinkSpec link;
   link.name = src.spec.name + "<->" + dst.spec.name;
   link.protocol_efficiency = pcfg.nic_protocol_efficiency;
-  link.wire_rate = plan::link_payload_rate(pcfg, src.spec, dst.spec) / link.protocol_efficiency;
+  link.wire_rate = plan::link_payload_rate(pcfg, src, dst) / link.protocol_efficiency;
   dc.network().set_default_link(link);
 
   // A VM holding `params` (with its profile at fraction `load` /

@@ -42,6 +42,14 @@ int Fleet::add_host(cloud::HostSpec spec) {
   WAVM3_REQUIRE(!spec.name.empty(), "fleet host needs a name");
   WAVM3_REQUIRE(host_index(spec.name) < 0, "duplicate fleet host: " + spec.name);
   FleetHost h;
+  // A short list, and hosts arrive rack by rack: search newest first.
+  const auto known = std::find(group_names_.rbegin(), group_names_.rend(), spec.group);
+  if (known == group_names_.rend()) {
+    h.group_id = static_cast<int>(group_names_.size());
+    group_names_.push_back(spec.group);
+  } else {
+    h.group_id = static_cast<int>(group_names_.rend() - known) - 1;
+  }
   h.spec = std::move(spec);
   hosts_.push_back(std::move(h));
   const int index = static_cast<int>(hosts_.size()) - 1;
@@ -67,6 +75,14 @@ int Fleet::add_vm(FleetVm vm, int host) {
 int Fleet::host_index(const std::string& name) const {
   const auto it = host_by_name_.find(name);
   return it == host_by_name_.end() ? -1 : it->second;
+}
+
+double Fleet::history_end() const {
+  double end = 0.0;
+  for (const FleetVm& vm : vms_) {
+    if (!vm.history.empty()) end = std::max(end, vm.history.t.back());
+  }
+  return end;
 }
 
 double Fleet::host_utilisation(int h) const {

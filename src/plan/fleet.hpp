@@ -68,6 +68,9 @@ FleetVm fleet_vm(const cloud::Vm& vm, double now);
 /// max_concurrent_migrations, group).
 struct FleetHost {
   cloud::HostSpec spec;
+  /// spec.group interned by Fleet::add_host: hosts share an id exactly
+  /// when they share a group name. Ids run 0..Fleet::group_count()-1.
+  int group_id = 0;
   bool powered_on = true;
   std::vector<int> vms;                ///< indices of placed VMs
   double cpu_load = 0.0;               ///< sum of placed VMs' cpu_now
@@ -103,6 +106,13 @@ class Fleet {
 
   /// Host index by name, or -1.
   int host_index(const std::string& name) const;
+
+  /// Distinct topology groups among the hosts (FleetHost::group_id).
+  std::size_t group_count() const { return group_names_.size(); }
+
+  /// Latest sample time over the VMs with a history; 0 when none has
+  /// one. Multi-wave planning runs open their first wave here.
+  double history_end() const;
 
   /// CPU utilisation fraction of a host in [0, 1] (demand-capped).
   double host_utilisation(int h) const;
@@ -155,6 +165,7 @@ class Fleet {
   // cpu_now/dirty_now. So a memoised CycleEstimate is exact.
   std::vector<FleetVm> vms_;
   std::unordered_map<std::string, int> host_by_name_;
+  std::vector<std::string> group_names_;  ///< by FleetHost::group_id
   std::vector<std::optional<CycleEstimate>> cycles_;  ///< by VM index; filled lazily
   CycleDetectorConfig cycles_config_;                  ///< config cycles_ was filled under
   std::size_t cycle_analyses_ = 0;

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <limits>
 #include <optional>
-#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -44,7 +43,9 @@ PlanMetrics plan_metrics(const char* strategy) {
       r.counter("plan_cycle_aligned_moves_total",
                 "Moves scheduled into a workload-cycle low-dirtying window", labels),
       r.counter("plan_cycle_analyses_total",
-                "Workload-cycle analyses run (cycle memo misses, not hits)", labels),
+                "Workload-cycle analyses run for the VMs of chosen moves (cycle memo "
+                "misses, not hits)",
+                labels),
       r.counter("plan_timing_forecasts_total",
                 "Pre-copy timing recursions run pricing moves (one per VM run and distinct "
                 "transfer bandwidth and link rate for the blind candidates, plus one per "
@@ -97,15 +98,16 @@ double BusyIntervals::earliest_start(const Fleet& fleet, int source, int target,
   return starts.back();
 }
 
-double link_payload_rate(const PlannerConfig& config, const cloud::HostSpec& source,
-                         const cloud::HostSpec& target) {
+double link_payload_rate(const PlannerConfig& config, const FleetHost& source,
+                         const FleetHost& target) {
   const auto nic_payload = [&](double nic_rate) {
     return nic_rate > 0.0 ? nic_rate * config.nic_protocol_efficiency
                           : std::numeric_limits<double>::infinity();
   };
-  const double group_rate = source.group == target.group ? config.intra_group_payload_rate
-                                                         : config.inter_group_payload_rate;
-  return std::min({group_rate, nic_payload(source.nic_rate), nic_payload(target.nic_rate)});
+  const double group_rate = source.group_id == target.group_id ? config.intra_group_payload_rate
+                                                               : config.inter_group_payload_rate;
+  return std::min(
+      {group_rate, nic_payload(source.spec.nic_rate), nic_payload(target.spec.nic_rate)});
 }
 
 double donor_saving_j(const PlannerConfig& config) {
@@ -137,7 +139,7 @@ core::TargetSide move_target(const Fleet& fleet, int source, int target,
                              const PlannerConfig& config) {
   const FleetHost& dst = fleet.host(target);
   return core::TargetSide{dst.cpu_load, static_cast<double>(dst.spec.vcpus),
-                          link_payload_rate(config, fleet.host(source).spec, dst.spec)};
+                          link_payload_rate(config, fleet.host(source), dst)};
 }
 
 MigrationPlanner::MigrationPlanner(const core::Wavm3Model& model, PlannerConfig config)
@@ -162,7 +164,7 @@ static_assert(sizeof(ScoredMove) <= 128, "ScoredMove must stay a lean record");
 struct WaveHosts {
   std::vector<int> donors;     ///< emptiest first
   std::vector<int> receivers;  ///< host-index order, for first-fit semantics
-  std::unordered_map<std::string, std::vector<int>> receivers_by_group;  ///< rack-local
+  std::vector<std::vector<int>> receivers_by_group;  ///< rack-local, by FleetHost::group_id
   std::vector<int> receivers_by_load;  ///< most loaded first, for tight packing
 };
 
@@ -222,11 +224,12 @@ WaveHosts select_hosts(Fleet& fleet, const PlannerConfig& config, double now, Wa
   plan.donors_considered = static_cast<int>(donors.size());
   const std::unordered_set<int> donor_set(donors.begin(), donors.end());
 
+  hosts.receivers_by_group.resize(fleet.group_count());
   for (std::size_t h = 0; h < fleet.host_count(); ++h) {
     const int hi = static_cast<int>(h);
     if (!fleet.host(hi).powered_on || donor_set.count(hi) != 0) continue;
     hosts.receivers.push_back(hi);
-    hosts.receivers_by_group[fleet.host(hi).spec.group].push_back(hi);
+    hosts.receivers_by_group[static_cast<std::size_t>(fleet.host(hi).group_id)].push_back(hi);
   }
   hosts.receivers_by_load = hosts.receivers;
   std::sort(hosts.receivers_by_load.begin(), hosts.receivers_by_load.end(), [&](int a, int b) {
@@ -239,34 +242,12 @@ WaveHosts select_hosts(Fleet& fleet, const PlannerConfig& config, double now, Wa
   return hosts;
 }
 
-/// Stage 2: fills the fleet's cycle memo for every donor VM with a
-/// history. Only memo misses run an analysis; `analyses` counts them.
-void detect_cycles(Fleet& fleet, const std::vector<int>& donors, const CycleDetector& detector,
-                   obs::Counter& analyses) {
-  WAVM3_OBS_SPAN(span, "plan", "cycle_detect");
-  const std::size_t analyses_before = fleet.cycle_analyses();
-  std::size_t lookups = 0;
-  std::size_t periodic = 0;
-  for (const int h : donors) {
-    for (const int v : fleet.host(h).vms) {
-      if (fleet.vm(v).history.empty()) continue;
-      ++lookups;
-      if (fleet.cycle(v, detector).periodic) ++periodic;
-    }
-  }
-  const std::size_t ran = fleet.cycle_analyses() - analyses_before;
-  analyses.inc(ran);
-  span.arg("traces", static_cast<double>(ran));
-  span.arg("memo_hits", static_cast<double>(lookups - ran));
-  span.arg("periodic", static_cast<double>(periodic));
-}
-
-/// Stage 3a: per donor VM, up to candidate_targets destinations drawn
-/// from the three receiver orderings (deduplicated). A move of a
-/// periodic VM is marked has_aligned. First drops from the orderings
-/// every receiver that cannot take even the wave's smallest donor VM.
-CandidateSet generate_candidates(Fleet& fleet, WaveHosts& hosts, const PlannerConfig& config,
-                                 const CycleDetector* detector) {
+/// Stage 2a: per donor VM, up to candidate_targets destinations drawn
+/// from the three receiver orderings (deduplicated). First drops from
+/// the orderings every receiver that cannot take even the wave's
+/// smallest donor VM.
+CandidateSet generate_candidates(const Fleet& fleet, WaveHosts& hosts,
+                                 const PlannerConfig& config) {
   WAVM3_OBS_SPAN(span, "plan", "candidates");
   const auto receiver_ok = [&](int h, const FleetVm& vm) {
     if (!fleet.fits(h, vm)) return false;
@@ -291,7 +272,7 @@ CandidateSet generate_candidates(Fleet& fleet, WaveHosts& hosts, const PlannerCo
   }
   const auto cannot_receive = [&](int h) { return !receiver_ok(h, smallest); };
   std::erase_if(hosts.receivers, cannot_receive);
-  for (auto& [group, order] : hosts.receivers_by_group) std::erase_if(order, cannot_receive);
+  for (std::vector<int>& order : hosts.receivers_by_group) std::erase_if(order, cannot_receive);
   std::erase_if(hosts.receivers_by_load, cannot_receive);
 
   const int k_total = config.candidate_targets;
@@ -332,20 +313,18 @@ CandidateSet generate_candidates(Fleet& fleet, WaveHosts& hosts, const PlannerCo
         }
       };
       take(hosts.receivers, k_ff);
-      const auto group_it = hosts.receivers_by_group.find(fleet.host(donor_host).spec.group);
-      if (group_it != hosts.receivers_by_group.end()) take(group_it->second, k_group);
+      take(hosts.receivers_by_group[static_cast<std::size_t>(fleet.host(donor_host).group_id)],
+           k_group);
       take(hosts.receivers_by_load, k_total - static_cast<int>(targets.size()));
 
       VmCandidates vc;
       vc.vm = v;
       vc.begin = static_cast<int>(candidates.moves.size());
-      const bool has_aligned = periodic_cycle(fleet, detector, v) != nullptr;
       for (const int target : targets) {
         ScoredMove move;
         move.vm = v;
         move.source = donor_host;
         move.target = target;
-        move.has_aligned = has_aligned;
         candidates.moves.push_back(move);
       }
       vc.end = static_cast<int>(candidates.moves.size());
@@ -367,7 +346,7 @@ MoveVariant variant_of(const core::MigrationForecast& fc) {
   return MoveVariant{fc.total_energy(), fc.times.me, fc.downtime};
 }
 
-/// Stage 3b: prices every candidate's blind variant through the
+/// Stage 2b: prices every candidate's blind variant through the
 /// closed-form forecast (timings, then paper Eq. 4 over the forecast
 /// phases). One VM's moves are contiguous, so each run of equal (vm,
 /// source) is priced by one forecast_targets call; `timing_forecasts`
@@ -408,7 +387,7 @@ double price_candidates(const Fleet& fleet, CandidateSet& candidates,
   return seconds_since(start);
 }
 
-/// Stage 4: the strategy picks one candidate per donor VM.
+/// Stage 3: the strategy picks one candidate per donor VM.
 std::vector<int> choose_moves(const Fleet& fleet, const PlacementStrategy& strategy,
                               const CandidateSet& candidates, const PlannerConfig& config) {
   WAVM3_OBS_SPAN(span, "plan", "strategy");
@@ -417,14 +396,39 @@ std::vector<int> choose_moves(const Fleet& fleet, const PlacementStrategy& strat
   return chosen;
 }
 
+/// Stage 4: fills the fleet's cycle memo for the VMs of the chosen
+/// moves that have a history, the only cycles the schedule reads. Only
+/// memo misses run an analysis; `analyses` counts them. An estimate is
+/// a pure function of the VM's fixed history, so analysing it after
+/// selection rather than before changes no decision.
+void detect_cycles(Fleet& fleet, const CandidateSet& candidates, const std::vector<int>& chosen,
+                   const CycleDetector& detector, obs::Counter& analyses) {
+  WAVM3_OBS_SPAN(span, "plan", "cycle_detect");
+  const std::size_t analyses_before = fleet.cycle_analyses();
+  std::size_t lookups = 0;
+  std::size_t periodic = 0;
+  for (const int m : chosen) {
+    const int v = candidates.moves[static_cast<std::size_t>(m)].vm;
+    if (fleet.vm(v).history.empty()) continue;
+    ++lookups;
+    if (fleet.cycle(v, detector).periodic) ++periodic;
+  }
+  const std::size_t ran = fleet.cycle_analyses() - analyses_before;
+  analyses.inc(ran);
+  span.arg("traces", static_cast<double>(ran));
+  span.arg("memo_hits", static_cast<double>(lookups - ran));
+  span.arg("periodic", static_cast<double>(periodic));
+}
+
 /// Stage 5: schedules the chosen moves under per-host concurrency
-/// caps. A chosen move of a periodic VM is priced here at the cycle's
-/// low-window dirtying rate — the aligned variant, the same move with
-/// the same CPU signature (conservative: only the dirtying benefit of
-/// the window is claimed) — through the same forecast as the blind
-/// candidates, and counted in `timing_forecasts`. It snaps into the
-/// next low-dirtying window inside the horizon when that variant is no
-/// dearer; everything else starts as early as slots allow.
+/// caps. A chosen move of a periodic VM (its cycle memoised by
+/// detect_cycles) is priced here at the cycle's low-window dirtying
+/// rate — the aligned variant, the same move with the same CPU
+/// signature (conservative: only the dirtying benefit of the window is
+/// claimed) — through the same forecast as the blind candidates, and
+/// counted in `timing_forecasts`. It snaps into the next low-dirtying
+/// window inside the horizon when that variant is no dearer;
+/// everything else starts as early as slots allow.
 void schedule_moves(Fleet& fleet, const CandidateSet& candidates, const std::vector<int>& chosen,
                     const core::MigrationPlanner& forecaster, const PlannerConfig& config,
                     const CycleDetector* detector, double now, obs::Counter& timing_forecasts,
@@ -437,8 +441,7 @@ void schedule_moves(Fleet& fleet, const CandidateSet& candidates, const std::vec
     const ScoredMove& move = candidates.moves[static_cast<std::size_t>(m)];
     bool aligned = false;
     double start = 0.0;
-    const CycleEstimate* cycle =
-        move.has_aligned ? periodic_cycle(fleet, detector, move.vm) : nullptr;
+    const CycleEstimate* cycle = periodic_cycle(fleet, detector, move.vm);
     MoveVariant low;
     if (cycle != nullptr) {
       core::MigrationScenario scenario =
@@ -527,14 +530,16 @@ WavePlan MigrationPlanner::plan_wave(Fleet& fleet, const PlacementStrategy& stra
   const CycleDetector* detector = cycle_detector ? &*cycle_detector : nullptr;
 
   WaveHosts hosts = select_hosts(fleet, config_, now, plan);
-  if (detector != nullptr) detect_cycles(fleet, hosts.donors, *detector, metrics.cycle_analyses);
-  CandidateSet candidates = generate_candidates(fleet, hosts, config_, detector);
+  CandidateSet candidates = generate_candidates(fleet, hosts, config_);
   plan.candidates_scored = candidates.moves.size();
   plan.scoring_seconds =
       price_candidates(fleet, candidates, forecaster_, config_, metrics.timing_forecasts);
   metrics.candidates.inc(plan.candidates_scored);
   metrics.score_seconds.observe(plan.scoring_seconds);
   const std::vector<int> chosen = choose_moves(fleet, strategy, candidates, config_);
+  if (detector != nullptr) {
+    detect_cycles(fleet, candidates, chosen, *detector, metrics.cycle_analyses);
+  }
   schedule_moves(fleet, candidates, chosen, forecaster_, config_, detector, now,
                  metrics.timing_forecasts, plan);
   commit_wave(fleet, config_, commit, plan);

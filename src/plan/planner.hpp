@@ -6,11 +6,7 @@
 // One wave, one stage function each:
 //   1. refresh loads; pick donor hosts (underloaded, to be vacated)
 //      and receivers;
-//   2. detect workload cycles on every donor VM's dirtying history
-//      through the fleet's per-VM memo (Fleet::cycle): a history is
-//      analysed once, so a rolling wave only analyses VMs it has not
-//      seen before;
-//   3. generate (VM, source, target) candidates, scanning only the
+//   2. generate (VM, source, target) candidates, scanning only the
 //      receivers that can take the wave's smallest donor VM (an exact
 //      cut: the fit checks are monotone sums), then price each into a
 //      lean record (energy, duration, downtime) of its cycle-blind
@@ -21,9 +17,14 @@
 //      (bandwidth, link rate), and per target only its host-CPU clamps
 //      and the Eq. 4 sums. The scenario is rebuilt by move_scenario()
 //      for pricing and not kept;
-//   4. a PlacementStrategy picks targets (naive first-fit, or
+//   3. a PlacementStrategy picks targets (naive first-fit, or
 //      energy-aware beam search) donor by donor, all-or-nothing per
-//      donor (partial vacates save no host energy);
+//      donor (partial vacates save no host energy). No stage up to
+//      here reads a workload cycle;
+//   4. detect workload cycles on the dirtying histories of the chosen
+//      moves' VMs only, through the fleet's per-VM memo (Fleet::cycle):
+//      a history is analysed once, so a wave analyses at most one trace
+//      per scheduled move, and a rolling wave none it has seen before;
 //   5. moves are scheduled under per-host concurrency caps. Each chosen
 //      move of a periodic VM is priced once more, at its cycle's
 //      low-window dirtying rate (the cycle-aligned variant), and snaps
@@ -32,7 +33,7 @@
 //      donors power off).
 //
 // Every stage runs under its own obs:: span (category "plan": select,
-// cycle_detect, candidates, score_batch, strategy, schedule, commit,
+// candidates, score_batch, strategy, cycle_detect, schedule, commit,
 // all inside "wave") and feeds plan_* metrics, so planner runs are
 // traceable like serve requests.
 #pragma once
@@ -102,9 +103,10 @@ struct PlannerConfig {
 };
 
 /// Link payload rate (bytes/s) between two hosts: the topology-group
-/// rate capped by both NICs' payload rates.
-double link_payload_rate(const PlannerConfig& config, const cloud::HostSpec& source,
-                         const cloud::HostSpec& target);
+/// rate (same FleetHost::group_id or not) capped by both NICs' payload
+/// rates.
+double link_payload_rate(const PlannerConfig& config, const FleetHost& source,
+                         const FleetHost& target);
 
 /// What vacating one donor saves: its idle draw over the policy
 /// horizon. WavePlan::steady_saving_j sums it over vacated donors; the
@@ -132,15 +134,14 @@ struct MoveVariant {
 };
 
 /// One (VM, source, target) candidate with its priced blind variant.
-/// has_aligned marks a periodic VM (the fleet's memoised cycle): its
-/// aligned variant (low-cycle-window dirtying rate) is not priced here
-/// but by the schedule stage, for the chosen moves only, so no
-/// strategy can read it.
+/// It carries nothing about the VM's workload cycle: cycles are
+/// analysed after selection, for the chosen moves only, and the
+/// schedule stage prices a periodic VM's aligned variant (low-window
+/// dirtying rate) itself, so no strategy can read either.
 struct ScoredMove {
   int vm = -1;
   int source = -1;
   int target = -1;
-  bool has_aligned = false;
   MoveVariant blind;  ///< trailing-window dirtying rate
 
   /// The energy strategies optimise. Deliberately the *blind* price:

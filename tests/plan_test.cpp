@@ -410,6 +410,61 @@ TEST(Fleet, CsvRoundTripAndValidation) {
   EXPECT_THROW(Fleet::from_csv(ok_hosts, unknown_host), util::ContractError);
 }
 
+TEST(Fleet, GroupIdsInternGroupNames) {
+  // Hosts share a group id exactly when they share a group name, ids
+  // run 0..group_count()-1 in order of first appearance, and CSV loads
+  // and copies carry them.
+  std::istringstream hosts(
+      "name,vcpus,ram_gib,nic_gbit,group,max_migrations\n"
+      "a,32,64,10,rackA,1\n"
+      "b,32,64,10,rackB,1\n"
+      "c,32,64,10,rackA,1\n"
+      "d,32,64,10,,1\n");
+  std::istringstream vms("id,host,vcpus,ram_gib,cpu_vcpus,dirty_pages_per_s,working_set_pages\n");
+  const Fleet fleet = Fleet::from_csv(hosts, vms);
+  ASSERT_EQ(fleet.group_count(), 3u);
+  EXPECT_EQ(fleet.host(0).group_id, 0);
+  EXPECT_EQ(fleet.host(1).group_id, 1);
+  EXPECT_EQ(fleet.host(2).group_id, 0);
+  EXPECT_EQ(fleet.host(3).group_id, 2);
+  const Fleet copy = fleet;
+  for (int h = 0; h < 4; ++h) EXPECT_EQ(copy.host(h).group_id, fleet.host(h).group_id);
+
+  const Fleet synthetic = Fleet::synthetic(40, 40, 3);  // racks of 16
+  EXPECT_EQ(synthetic.group_count(), 3u);
+  for (int a = 0; a < 40; ++a) {
+    for (int b = 0; b < 40; ++b) {
+      EXPECT_EQ(synthetic.host(a).group_id == synthetic.host(b).group_id,
+                synthetic.host(a).spec.group == synthetic.host(b).spec.group);
+    }
+  }
+}
+
+TEST(Fleet, HistoryEndIsTheLatestSample) {
+  EXPECT_EQ(Fleet().history_end(), 0.0);
+  EXPECT_EQ(Fleet::synthetic(4, 8, 3).history_end(), SyntheticFleetOptions{}.history_s);
+
+  Fleet fleet;
+  cloud::HostSpec spec;
+  spec.name = "h";
+  spec.ram_bytes = util::gib(32.0);
+  fleet.add_host(spec);
+  const auto add = [&](const char* id, std::vector<double> t) {
+    FleetVm vm;
+    vm.id = id;
+    vm.history.cpu.assign(t.size(), 1.0);
+    vm.history.dirty.assign(t.size(), 1.0);
+    vm.history.t = std::move(t);
+    fleet.add_vm(vm, 0);
+  };
+  add("none", {});
+  EXPECT_EQ(fleet.history_end(), 0.0);
+  add("early", {0.0, 600.0});
+  add("late", {300.0, 900.0, 1500.0});
+  add("middle", {0.0, 1200.0});
+  EXPECT_EQ(fleet.history_end(), 1500.0);
+}
+
 TEST(Fleet, CsvRejectsMalformedSpecs) {
   const std::string host_header =
       "name,vcpus,ram_gib,nic_gbit,group,max_migrations\n";
@@ -649,6 +704,14 @@ class RecordingStrategy final : public PlacementStrategy {
   const PlacementStrategy& inner_;
 };
 
+/// Whether the wave planned under `config` treats `vm` as periodic: it
+/// plans cycle-aware and the VM's history shows a cycle.
+bool periodic_vm(Fleet& before, int vm, const PlannerConfig& config,
+                 const CycleDetector& detector) {
+  return config.cycle_aware && !before.vm(vm).history.empty() &&
+         before.cycle(vm, detector).periodic;
+}
+
 /// Replays the schedule stage over the moves `recording` saw chosen, in
 /// choice order. A periodic VM's move is priced once more at its
 /// cycle's low mean, bit-equal to forecast(): it goes aligned, at that
@@ -673,7 +736,7 @@ int expect_aligned_priced_at_schedule(Fleet& before, const RecordingStrategy& re
     bool aligned = false;
     double start = 0.0;
     core::MigrationForecast low;
-    if (c.has_aligned) {
+    if (periodic_vm(before, c.vm, config, detector)) {
       ++periodic;
       const CycleEstimate& cycle = before.cycle(c.vm, detector);
       core::MigrationScenario sc = move_scenario(before, c.vm, c.source, c.target, config);
@@ -747,9 +810,7 @@ TEST(MigrationPlanner, PricesEveryMoveWithTheClosedFormForecast) {
       EXPECT_EQ(fc.target_phase_energy[0] + fc.target_phase_energy[1] + fc.target_phase_energy[2],
                 fc.target_energy);
 
-      const CycleEstimate& cycle = before.cycle(c.vm, detector);
-      EXPECT_EQ(c.has_aligned, cycle_aware && cycle.periodic) << "vm " << c.vm;
-      if (c.has_aligned) ++periodic_candidates;
+      if (periodic_vm(before, c.vm, config, detector)) ++periodic_candidates;
     }
     // Aligned variants are priced for the chosen moves only.
     const int periodic_chosen =
@@ -851,6 +912,33 @@ std::uint64_t cycle_analyses_counted(const char* strategy) {
       .value();
 }
 
+/// Two plans of the same wave agree field for field, bar wall times.
+void expect_same_wave(const WavePlan& a, const WavePlan& b) {
+  ASSERT_EQ(a.moves.size(), b.moves.size());
+  for (std::size_t i = 0; i < a.moves.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "move " << i);
+    const ScheduledMove& x = a.moves[i];
+    const ScheduledMove& y = b.moves[i];
+    EXPECT_EQ(x.vm, y.vm);
+    EXPECT_EQ(x.source, y.source);
+    EXPECT_EQ(x.target, y.target);
+    EXPECT_EQ(x.start_s, y.start_s);
+    EXPECT_EQ(x.end_s, y.end_s);
+    EXPECT_EQ(x.cycle_aligned, y.cycle_aligned);
+    EXPECT_EQ(x.energy_j, y.energy_j);
+    EXPECT_EQ(x.downtime_s, y.downtime_s);
+  }
+  EXPECT_EQ(a.total_migration_energy_j, b.total_migration_energy_j);
+  EXPECT_EQ(a.total_downtime_s, b.total_downtime_s);
+  EXPECT_EQ(a.steady_saving_j, b.steady_saving_j);
+  EXPECT_EQ(a.donors_considered, b.donors_considered);
+  EXPECT_EQ(a.donors_vacated, b.donors_vacated);
+  EXPECT_EQ(a.moves_cycle_aligned, b.moves_cycle_aligned);
+  EXPECT_EQ(a.overloaded_hosts_before, b.overloaded_hosts_before);
+  EXPECT_EQ(a.overloaded_hosts_after, b.overloaded_hosts_after);
+  EXPECT_EQ(a.candidates_scored, b.candidates_scored);
+}
+
 TEST(MigrationPlanner, WarmMemoPlansIdentically) {
   const core::Wavm3Model model = make_model();
   Fleet fleet = Fleet::synthetic(32, 320, 37);
@@ -876,23 +964,39 @@ TEST(MigrationPlanner, WarmMemoPlansIdentically) {
 
   ASSERT_FALSE(cold.moves.empty());
   EXPECT_GT(cold.moves_cycle_aligned, 0);
-  for (const WavePlan* other : {&warm, &copy}) {
-    ASSERT_EQ(other->moves.size(), cold.moves.size());
-    for (std::size_t i = 0; i < cold.moves.size(); ++i) {
-      const ScheduledMove& a = cold.moves[i];
-      const ScheduledMove& b = other->moves[i];
-      EXPECT_EQ(a.vm, b.vm);
-      EXPECT_EQ(a.source, b.source);
-      EXPECT_EQ(a.target, b.target);
-      EXPECT_EQ(a.start_s, b.start_s);
-      EXPECT_EQ(a.end_s, b.end_s);
-      EXPECT_EQ(a.energy_j, b.energy_j);
-      EXPECT_EQ(a.downtime_s, b.downtime_s);
-      EXPECT_EQ(a.cycle_aligned, b.cycle_aligned);
-    }
-    EXPECT_EQ(other->total_migration_energy_j, cold.total_migration_energy_j);
-    EXPECT_EQ(other->candidates_scored, cold.candidates_scored);
+  expect_same_wave(warm, cold);
+  expect_same_wave(copy, cold);
+}
+
+TEST(MigrationPlanner, ColdMemoPlansLikeAPrefilledMemo) {
+  // Cycles are analysed after selection, for the chosen moves only. A
+  // fleet whose memo holds every VM's cycle before the first wave must
+  // plan every committed wave exactly like a fleet starting cold: a
+  // stage that read a cycle the planner had not filled would see it
+  // here and not there.
+  const core::Wavm3Model model = make_model();
+  const PlannerConfig config = test_config();
+  const double now = SyntheticFleetOptions{}.history_s;
+  Fleet cold = Fleet::synthetic(64, 640, 1);
+  Fleet warm = cold;
+  const CycleDetector detector(config.cycles);
+  for (int v = 0; v < static_cast<int>(warm.vm_count()); ++v) (void)warm.cycle(v, detector);
+  const std::size_t prefilled = warm.cycle_analyses();
+  ASSERT_EQ(prefilled, warm.vm_count());
+
+  const BeamSearchStrategy beam;
+  MigrationPlanner planner(model, config);
+  int aligned = 0;
+  for (int wave = 0; wave < 4; ++wave) {
+    SCOPED_TRACE(testing::Message() << "wave " << wave);
+    const WavePlan from_cold = planner.plan_wave(cold, beam, now);
+    const WavePlan from_warm = planner.plan_wave(warm, beam, now);
+    expect_same_wave(from_cold, from_warm);
+    aligned += from_cold.moves_cycle_aligned;
   }
+  EXPECT_GT(aligned, 0);
+  EXPECT_EQ(warm.cycle_analyses(), prefilled);
+  EXPECT_LT(cold.cycle_analyses(), prefilled);
 }
 
 TEST(MigrationPlanner, WavesRollForward) {
@@ -1074,6 +1178,83 @@ TEST(MigrationPlanner, OnlyUnderloadedHostsDonate) {
   for (const ScheduledMove& m : plan.moves) EXPECT_EQ(m.source, 0);
 }
 
+TEST(MigrationPlanner, LowWindowSearchUsesTheAlignedDuration) {
+  // One donor sends two periodic VMs over a slow link, one migration at
+  // a time. The bigger VM, chosen first, goes aligned into its low
+  // window. The smaller VM's window opens earlier, and the gap before
+  // the first move holds its aligned migration but not its blind one,
+  // which could only start after the first move, past the window. So a
+  // window search with the blind duration would lose this alignment.
+  const core::Wavm3Model model = make_model();
+  const core::MigrationPlanner forecaster(model);
+  const double now = 4.0 * 7200.0;
+  PlannerConfig config = test_config();
+  config.intra_group_payload_rate = 20e6;
+  config.cycles.low_window_fraction = 0.05;
+  const CycleDetector detector(config.cycles);
+
+  Fleet fleet = hosts_named({"donor", "receiver"});
+  FleetVm filler;
+  filler.id = "load";
+  filler.ram_bytes = util::gib(2);
+  filler.cpu_now = 12.0;
+  fleet.add_vm(filler, 1);
+  const auto add_periodic = [&](const char* id, double ram_gib, double phase) {
+    FleetVm vm;
+    vm.id = id;
+    vm.ram_bytes = util::gib(ram_gib);
+    vm.working_set_pages = 200000;
+    const auto [t, dirty] = sampled_signal(7200.0, now, 60.0, 0.0, 1u, phase);
+    vm.history.t = t;
+    vm.history.dirty = dirty;
+    vm.history.cpu.assign(t.size(), 1.0);
+    return fleet.add_vm(vm, 0);
+  };
+  const int first = add_periodic("first", 6, 5300.0);
+  const int second = add_periodic("second", 2, 5526.0);
+  Fleet before = fleet;
+  before.refresh_loads(now, config.load_window_s);
+
+  const BeamSearchStrategy beam;
+  const RecordingStrategy recording(beam);
+  MigrationPlanner planner(model, config);
+  const WavePlan plan = planner.plan_wave(fleet, recording, now, /*commit=*/false);
+  ASSERT_EQ(plan.moves.size(), 2u);
+  ASSERT_EQ(recording.chosen.size(), 2u);
+  const ScoredMove& to_first = recording.seen.moves[static_cast<std::size_t>(recording.chosen[0])];
+  const ScoredMove& to_second =
+      recording.seen.moves[static_cast<std::size_t>(recording.chosen[1])];
+  ASSERT_EQ(to_first.vm, first);
+  ASSERT_EQ(to_second.vm, second);
+  const ScheduledMove& a = plan.moves[0].vm == first ? plan.moves[0] : plan.moves[1];
+  const ScheduledMove& b = plan.moves[0].vm == second ? plan.moves[0] : plan.moves[1];
+
+  const CycleEstimate& cycle_a = before.cycle(first, detector);
+  const CycleEstimate& cycle_b = before.cycle(second, detector);
+  ASSERT_TRUE(cycle_a.periodic);
+  ASSERT_TRUE(cycle_b.periodic);
+  const double window_a = CycleDetector::next_low_window_start(cycle_a, now);
+  const double window_b = CycleDetector::next_low_window_start(cycle_b, now);
+  core::MigrationScenario sc = move_scenario(before, second, 0, to_second.target, config);
+  sc.vm_dirty_pages_per_s = cycle_b.low_mean;
+  const double aligned_s = forecaster.forecast(sc).times.me;
+
+  // The setting: the first move holds the source from its own window
+  // on, past the end of the second VM's window, and the gap before it
+  // is at least the second move's aligned duration but less than its
+  // blind one.
+  ASSERT_TRUE(a.cycle_aligned);
+  ASSERT_EQ(a.start_s, window_a);
+  ASSERT_LT(window_b, window_a);
+  ASSERT_GT(a.end_s, window_b + cycle_b.low_duration_s);
+  ASSERT_LE(aligned_s, window_a - window_b);
+  ASSERT_GT(to_second.blind.duration_s, window_a - window_b);
+
+  EXPECT_TRUE(b.cycle_aligned);
+  EXPECT_EQ(b.start_s, window_b);
+  EXPECT_EQ(b.end_s, window_b + aligned_s);
+}
+
 // ------------------------------------- per-VM pricing fan-out
 
 /// Runs of equal (vm, source) in `moves` with their distinct
@@ -1086,8 +1267,8 @@ struct VmRunKeys {
   std::size_t max_bandwidths = 0;  ///< most distinct bandwidths in one run
 };
 
-VmRunKeys vm_run_keys(const Fleet& before, const std::vector<ScoredMove>& moves,
-                      const PlannerConfig& config) {
+VmRunKeys vm_run_keys(Fleet& before, const std::vector<ScoredMove>& moves,
+                      const PlannerConfig& config, const CycleDetector& detector) {
   VmRunKeys out;
   for (std::size_t begin = 0, end = 0; begin < moves.size(); begin = end) {
     std::vector<std::pair<double, double>> keys;
@@ -1106,7 +1287,7 @@ VmRunKeys vm_run_keys(const Fleet& before, const std::vector<ScoredMove>& moves,
     ++out.runs;
     out.keys += keys.size();
     out.max_bandwidths = std::max(out.max_bandwidths, bandwidths.size());
-    if (moves[begin].has_aligned) ++out.aligned_runs;
+    if (periodic_vm(before, moves[begin].vm, config, detector)) ++out.aligned_runs;
   }
   return out;
 }
@@ -1208,7 +1389,7 @@ TEST(MigrationPlanner, PricesHeterogeneousTargetsWithTheClosedFormForecast) {
 
     // Not vacuous: some VM's targets span several bandwidths, so the
     // planner's per-VM fan-out misses its reuse inside a run.
-    const VmRunKeys keys = vm_run_keys(before, seen.moves, config);
+    const VmRunKeys keys = vm_run_keys(before, seen.moves, config, detector);
     EXPECT_GE(keys.max_bandwidths, 2u);
     EXPECT_GT(keys.keys, static_cast<std::size_t>(keys.runs));
     expect_priced_by_forecast(before, seen, forecaster, config);
@@ -1245,9 +1426,9 @@ TEST(MigrationPlanner, PricingRunsOneRecursionPerVmRunAndVariant) {
   const std::uint64_t timings = timing_forecasts_counted(beam.name()) - counted0;
 
   const CandidateSet& seen = recording.seen;
-  const VmRunKeys keys = vm_run_keys(before, seen.moves, config);
-  const core::MigrationPlanner forecaster(model);
   const CycleDetector detector(config.cycles);
+  const VmRunKeys keys = vm_run_keys(before, seen.moves, config, detector);
+  const core::MigrationPlanner forecaster(model);
   const int periodic_chosen = expect_aligned_priced_at_schedule(
       before, recording, plan, forecaster, config, detector, now);
   ASSERT_GT(keys.aligned_runs, 0);
@@ -1268,8 +1449,9 @@ using CandidateKey = std::tuple<int, int, int>;
 /// planner's three receiver orders: no receiver is dropped up front.
 struct ReferenceCandidates {
   std::vector<CandidateKey> moves;
-  std::vector<int> donors;  ///< donors whose every VM has a candidate
-  int never_fits = 0;       ///< receivers that can take no donor VM
+  std::vector<int> donors;    ///< donors whose every VM has a candidate
+  int never_fits = 0;         ///< receivers that can take no donor VM
+  std::size_t donor_vms = 0;  ///< VMs on every donor the wave considers
 };
 
 ReferenceCandidates reference_candidates(const Fleet& fleet, const PlannerConfig& config) {
@@ -1308,6 +1490,7 @@ ReferenceCandidates reference_candidates(const Fleet& fleet, const PlannerConfig
                config.policy.overload_fraction * static_cast<double>(host.spec.vcpus);
   };
   ReferenceCandidates out;
+  for (const int d : donors) out.donor_vms += fleet.host(d).vms.size();
   for (const int h : by_index) {
     bool takes_any = false;
     for (const int d : donors) {
@@ -1389,6 +1572,51 @@ TEST(MigrationPlanner, ReceiverPruningKeepsTheUnprunedCandidates) {
   // on were there to be dropped.
   EXPECT_GE(committed_waves, 3);
   EXPECT_GT(never_fits, 0);
+}
+
+TEST(MigrationPlanner, AnalysesCyclesOfTheChosenVmsOnly) {
+  // Committed beam waves at real load: each wave analyses exactly the
+  // distinct chosen VMs with a history that no earlier wave analysed,
+  // which is at most one trace per scheduled move and fewer than the
+  // wave's donor VMs.
+  const core::Wavm3Model model = make_model();
+  const PlannerConfig config = test_config();
+  const double now = SyntheticFleetOptions{}.history_s;
+  const BeamSearchStrategy beam;
+
+  for (const std::uint64_t seed : {1u, 2u}) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    Fleet fleet = Fleet::synthetic(64, 640, seed);
+    MigrationPlanner planner(model, config);
+    std::set<int> memoised;
+    int committed_waves = 0;
+    for (int wave = 0; wave < 4; ++wave) {
+      SCOPED_TRACE(testing::Message() << "wave " << wave);
+      Fleet before = fleet;
+      before.refresh_loads(now, config.load_window_s);
+      const std::size_t donor_vms = reference_candidates(before, config).donor_vms;
+
+      const RecordingStrategy recording(beam);
+      const std::size_t analyses0 = fleet.cycle_analyses();
+      const std::uint64_t counted0 = cycle_analyses_counted(beam.name());
+      const WavePlan plan = planner.plan_wave(fleet, recording, now);
+      const std::size_t analyses = fleet.cycle_analyses() - analyses0;
+
+      std::set<int> fresh;
+      for (const int m : recording.chosen) {
+        const int v = recording.seen.moves[static_cast<std::size_t>(m)].vm;
+        if (!fleet.vm(v).history.empty() && memoised.count(v) == 0) fresh.insert(v);
+      }
+      EXPECT_EQ(analyses, fresh.size());
+      EXPECT_EQ(cycle_analyses_counted(beam.name()) - counted0, analyses);
+      EXPECT_LE(analyses, plan.moves.size());
+      EXPECT_LT(analyses, donor_vms);
+      memoised.insert(fresh.begin(), fresh.end());
+      if (!plan.moves.empty()) ++committed_waves;
+    }
+    EXPECT_GE(committed_waves, 2);
+    EXPECT_GT(memoised.size(), 0u);
+  }
 }
 
 // ---------------------------------------------------------------- relief

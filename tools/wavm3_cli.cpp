@@ -807,9 +807,7 @@ int load_fleet_inputs(const Args& args, FleetInputs& in) {
     return 2;
   }
 
-  for (const plan::FleetVm& vm : in.fleet.vms()) {
-    if (!vm.history.empty()) in.now = std::max(in.now, vm.history.t.back());
-  }
+  in.now = in.fleet.history_end();
   return 0;
 }
 
