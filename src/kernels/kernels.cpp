@@ -24,6 +24,46 @@ double trapezoid_panels(const double* t, const double* y, std::size_t n) {
   return (acc[0] + acc[1]) + (acc[2] + acc[3]);
 }
 
+using Knot = WindowIndex::Knot;
+
+/// interp_at()'s knot for t[hi - 1] <= x < t[hi].
+Knot knot_below(std::span<const double> t, std::size_t hi, double x) {
+  const std::size_t lo = hi - 1;
+  return {lo, hi, (x - t[lo]) / (t[hi] - t[lo])};
+}
+
+Knot knot_at(std::span<const double> t, double x) {
+  if (x <= t.front()) return {0, 0, 0.0};
+  if (x >= t.back()) return {t.size() - 1, t.size() - 1, 0.0};
+  // upper_bound: at a repeated timestamp the later sample wins (a
+  // stalled meter followed by a step reads post-step at the step).
+  const auto it = std::upper_bound(t.begin(), t.end(), x);
+  return knot_below(t, static_cast<std::size_t>(it - t.begin()), x);
+}
+
+double value_at(const Knot& k, const double* y) {
+  return k.lo == k.hi ? y[k.lo] : y[k.lo] * (1.0 - k.f) + y[k.hi] * k.f;
+}
+
+/// Area of a kSpan window: one interpolated panel when no sample lies
+/// strictly inside, else left partial panel + blocked interior + right
+/// partial panel, summed in that fixed order.
+double span_area(const WindowIndex& w, const double* t, const double* y) {
+  const double ya = value_at(w.at_a, y);
+  const double yb = value_at(w.at_b, y);
+  if (w.first >= w.last) return trapezoid_panel(w.a, ya, w.b, yb);
+  double area = trapezoid_panel(w.a, ya, t[w.first], y[w.first]);
+  area += trapezoid_panels(t + w.first, y + w.first, w.last - w.first);
+  area += trapezoid_panel(t[w.last - 1], y[w.last - 1], w.b, yb);
+  return area;
+}
+
+void require_indexed(const WindowIndex& w, std::span<const double> t,
+                     std::span<const double> y) {
+  WAVM3_REQUIRE(t.size() == w.n, "window: time axis does not match the window index");
+  WAVM3_REQUIRE(y.size() == w.n, "window: time/value size mismatch");
+}
+
 }  // namespace
 
 double dot(std::span<const double> a, std::span<const double> b) {
@@ -77,57 +117,78 @@ double trapezoid_panel(double t0, double y0, double t1, double y1) {
 double interp_at(std::span<const double> t, std::span<const double> y, double x) {
   WAVM3_REQUIRE(t.size() == y.size(), "interp_at: time/value size mismatch");
   WAVM3_REQUIRE(!t.empty(), "interp_at: empty trace");
-  if (x <= t.front()) return y.front();
-  if (x >= t.back()) return y.back();
-  // upper_bound: at a repeated timestamp the later sample wins (a
-  // stalled meter followed by a step reads post-step at the step).
-  const auto it = std::upper_bound(t.begin(), t.end(), x);
-  const std::size_t hi = static_cast<std::size_t>(it - t.begin());
-  const std::size_t lo = hi - 1;
-  const double f = (x - t[lo]) / (t[hi] - t[lo]);  // t[lo] <= x < t[hi]
-  return y[lo] * (1.0 - f) + y[hi] * f;
+  return value_at(knot_at(t, x), y.data());
+}
+
+WindowIndex window_index(std::span<const double> t, double t0, double t1) {
+  WindowIndex w;
+  w.n = t.size();
+  if (w.n == 0) return w;
+  if (w.n == 1) {
+    w.overlap = WindowIndex::Overlap::kPoint;  // at_a is the one sample
+    return w;
+  }
+  w.a = std::max(t0, t.front());
+  w.b = std::min(t1, t.back());
+  if (w.b < w.a) return w;
+  if (w.b == w.a) {
+    // Zero-width overlap: the window degenerates to a point sample.
+    w.overlap = WindowIndex::Overlap::kPoint;
+    w.at_a = knot_at(t, w.a);
+    return w;
+  }
+  w.overlap = WindowIndex::Overlap::kSpan;
+  // Interior samples strictly inside (a, b): [upper_bound(a),
+  // lower_bound(b)), so duplicate-timestamp boundaries resolve as in
+  // trapezoid(). upper_bound(a) is also interp_at(a)'s upper neighbour
+  // (a < b <= t.back()), and interp_at(b)'s is the first sample after
+  // the duplicates of b at lower_bound(b), found by a short scan.
+  const auto fit = std::upper_bound(t.begin(), t.end(), w.a);
+  const auto lit = std::lower_bound(fit, t.end(), w.b);
+  w.first = static_cast<std::size_t>(fit - t.begin());
+  w.last = static_cast<std::size_t>(lit - t.begin());
+  if (w.a > t.front()) w.at_a = knot_below(t, w.first, w.a);
+  if (w.b >= t.back()) {
+    w.at_b = {w.n - 1, w.n - 1, 0.0};
+  } else {
+    std::size_t hi = w.last;
+    while (t[hi] <= w.b) ++hi;  // ends before t.back() > b
+    w.at_b = knot_below(t, hi, w.b);
+  }
+  return w;
+}
+
+double window_trapezoid(const WindowIndex& w, std::span<const double> t,
+                        std::span<const double> y) {
+  require_indexed(w, t, y);
+  if (w.overlap != WindowIndex::Overlap::kSpan) return 0.0;
+  return span_area(w, t.data(), y.data());
+}
+
+double window_mean(const WindowIndex& w, std::span<const double> t,
+                   std::span<const double> y) {
+  require_indexed(w, t, y);
+  switch (w.overlap) {
+    case WindowIndex::Overlap::kNone:
+      return 0.0;
+    case WindowIndex::Overlap::kPoint:
+      return value_at(w.at_a, y.data());
+    case WindowIndex::Overlap::kSpan:
+      break;
+  }
+  return span_area(w, t.data(), y.data()) / (w.b - w.a);
 }
 
 double window_trapezoid(std::span<const double> t, std::span<const double> y,
                         double t0, double t1) {
   WAVM3_REQUIRE(t.size() == y.size(), "window_trapezoid: time/value size mismatch");
   WAVM3_REQUIRE(t1 >= t0, "window_trapezoid: inverted window");
-  if (t.size() < 2) return 0.0;
-  const double a = std::max(t0, t.front());
-  const double b = std::min(t1, t.back());
-  if (b <= a) return 0.0;
-  const double ya = interp_at(t, y, a);
-  const double yb = interp_at(t, y, b);
-  // Interior samples strictly inside (a, b): [upper_bound(a),
-  // lower_bound(b)). Same bounds the panel walk used historically, so
-  // duplicate-timestamp boundaries resolve identically.
-  const auto fit = std::upper_bound(t.begin(), t.end(), a);
-  const auto lit = std::lower_bound(fit, t.end(), b);
-  const std::size_t fi = static_cast<std::size_t>(fit - t.begin());
-  const std::size_t li = static_cast<std::size_t>(lit - t.begin());
-  if (fi >= li) {
-    // Window falls between two samples: one interpolated panel.
-    return trapezoid_panel(a, ya, b, yb);
-  }
-  // Left partial panel + blocked interior + right partial panel,
-  // summed in that fixed order.
-  double area = trapezoid_panel(a, ya, t[fi], y[fi]);
-  area += trapezoid_panels(t.data() + fi, y.data() + fi, li - fi);
-  area += trapezoid_panel(t[li - 1], y[li - 1], b, yb);
-  return area;
+  return window_trapezoid(window_index(t, t0, t1), t, y);
 }
 
 double window_mean(std::span<const double> t, std::span<const double> y,
                    double t0, double t1) {
-  if (t.size() < 2) return t.size() == 1 ? y.front() : 0.0;
-  const double a = std::max(t0, t.front());
-  const double b = std::min(t1, t.back());
-  if (b <= a) {
-    // Zero-width overlap: the window degenerates to a point sample.
-    if (b == a) return interp_at(t, y, a);
-    return 0.0;
-  }
-  return window_trapezoid(t, y, t0, t1) / (b - a);
+  return window_mean(window_index(t, t0, t1), t, y);
 }
 
 void Scratch::require(std::size_t doubles) {

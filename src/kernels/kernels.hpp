@@ -80,16 +80,63 @@ double trapezoid_panel(double t0, double y0, double t1, double y1);
 /// Same semantics as the stats::interp_at wrapper.
 double interp_at(std::span<const double> t, std::span<const double> y, double x);
 
-/// Trapezoid integral restricted to [t0, t1] with interpolated
-/// boundary panels: left partial panel + trapezoid() over the interior
-/// samples + right partial panel, summed in that fixed order. Window
-/// clamping, empty-overlap-yields-0, and duplicate-timestamp semantics
-/// match the stats::window_trapezoid wrapper.
+/// Where a window [t0, t1] falls on one time axis, searched once by
+/// window_index() and then applied to any number of series sampled on
+/// that axis (the planner reads a VM's CPU and dirtying means off one
+/// shared axis). Holds the window clamped to the sampled extent
+/// [a, b], the interior samples [first, last) strictly inside it
+/// (upper_bound(a), lower_bound(b)) and interp_at()'s interpolation
+/// knot at each end.
+struct WindowIndex {
+  /// What the clamped window covers.
+  enum class Overlap : unsigned char {
+    kNone,   ///< nothing: no samples, or the window misses the extent
+    kPoint,  ///< one instant (b == a), or a one-sample axis
+    kSpan,   ///< a positive width b - a
+  };
+  /// y at one boundary: y[lo] when lo == hi (clamped to an end of the
+  /// extent), else y[lo] * (1 - f) + y[hi] * f, as interp_at() rounds it.
+  struct Knot {
+    std::size_t lo = 0;
+    std::size_t hi = 0;
+    double f = 0.0;
+  };
+
+  std::size_t n = 0;  ///< samples on the axis
+  Overlap overlap = Overlap::kNone;
+  double a = 0.0;
+  double b = 0.0;
+  std::size_t first = 0;
+  std::size_t last = 0;
+  Knot at_a;  ///< kPoint's value; kSpan's left boundary
+  Knot at_b;  ///< kSpan's right boundary
+};
+
+/// Searches time axis `t` for the window [t0, t1]. No ordering check:
+/// times must be non-decreasing, as for every kernel here.
+WindowIndex window_index(std::span<const double> t, double t0, double t1);
+
+/// Trapezoid integral of y over an indexed window: left partial panel
+/// + trapezoid() over the interior samples + right partial panel,
+/// summed in that fixed order; a window inside one panel is the one
+/// interpolated panel; kNone and kPoint integrate to 0. `t` is the
+/// axis the index was built on; t and y must have w.n samples.
+double window_trapezoid(const WindowIndex& w, std::span<const double> t,
+                        std::span<const double> y);
+
+/// Mean of y over an indexed window: window_trapezoid / (b - a) for
+/// kSpan, the interpolated point sample for kPoint (the one sample of
+/// a one-sample axis), 0 for kNone.
+double window_mean(const WindowIndex& w, std::span<const double> t,
+                   std::span<const double> y);
+
+/// window_trapezoid() over window_index(t, t0, t1); requires equal
+/// sizes and t1 >= t0. Duplicate-timestamp semantics match trapezoid()
+/// and interp_at(). The stats::window_trapezoid wrapper calls this.
 double window_trapezoid(std::span<const double> t, std::span<const double> y,
                         double t0, double t1);
 
-/// Mean of y over the clamped window; degenerate windows follow the
-/// stats::window_mean wrapper's rules (point sample on zero width).
+/// window_mean() over window_index(t, t0, t1).
 double window_mean(std::span<const double> t, std::span<const double> y,
                    double t0, double t1);
 

@@ -14,7 +14,8 @@
 //
 // The fleet also memoises each VM's workload cycle (cycle()): a VM's
 // history never changes once added, so rolling waves analyse it once,
-// not once per wave.
+// not once per wave. For the same reason refresh_loads() recomputes the
+// per-VM load means only when the instant or window changes.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +24,7 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cloud/host.hpp"
@@ -39,12 +41,6 @@ struct VmHistory {
   std::vector<double> dirty;  ///< page-dirtying rate, pages/s
 
   bool empty() const { return t.empty(); }
-
-  /// Mean CPU demand over [t0, t1] (stats::window_mean; clamped to the
-  /// sampled extent).
-  double mean_cpu(double t0, double t1) const;
-  /// Mean dirtying rate over [t0, t1].
-  double mean_dirty(double t0, double t1) const;
 };
 
 /// One VM as the planner sees it.
@@ -139,9 +135,22 @@ class Fleet {
   /// across copies.
   std::size_t cycle_analyses() const { return cycle_analyses_; }
 
-  /// Refreshes every VM's cpu_now/dirty_now to the trailing-window
-  /// means ending at `now`, and host loads to match. Call before
-  /// planning a wave at a new time.
+  /// Refreshes every VM with a history to its trailing-window means
+  /// over [now - window_s, now] (cpu_now, dirty_now: kernels::window_mean
+  /// of cpu and dirty, both read through one kernels::window_index of
+  /// the VM's times), then rebuilds every host's cpu_load as the sum of
+  /// its VMs' cpu_now in VM index order. Call before planning a wave at
+  /// a new time.
+  ///
+  /// Memo: a repeat call at the (now, window_s) of the last refresh,
+  /// with no add_vm since, skips the per-VM means and only rebuilds the
+  /// host sums. That is exact. The means read nothing but the
+  /// histories, which only add_vm sets (see vms_), so recomputing them
+  /// would give the same bits; and the host sums are rebuilt by the
+  /// same summation, so loads left by move_vm's incremental updates
+  /// come out equal to a fresh fleet's. Traced as plan/refresh_loads,
+  /// whose `vms` arg counts the VMs whose means were recomputed (0 on
+  /// a memo hit).
   void refresh_loads(double now, double window_s);
 
   /// Seeded scenario generator: `periodic_fraction` of the VMs get
@@ -159,16 +168,19 @@ class Fleet {
 
  private:
   std::vector<FleetHost> hosts_;
-  // Invariant behind the cycle memo: a VM's history is set once, by
-  // add_vm, and never changes. vms_ is private and vm()/vms() hand out
-  // const views; move_vm and refresh_loads touch only placement and
-  // cpu_now/dirty_now. So a memoised CycleEstimate is exact.
+  // Invariant behind the cycle and load memos: a VM's history is set
+  // once, by add_vm, and never changes. vms_ is private and vm()/vms()
+  // hand out const views; move_vm and refresh_loads touch only
+  // placement and cpu_now/dirty_now. So a memoised CycleEstimate is
+  // exact, and so are the means of the last refresh_loads.
   std::vector<FleetVm> vms_;
   std::unordered_map<std::string, int> host_by_name_;
   std::vector<std::string> group_names_;  ///< by FleetHost::group_id
   std::vector<std::optional<CycleEstimate>> cycles_;  ///< by VM index; filled lazily
   CycleDetectorConfig cycles_config_;                  ///< config cycles_ was filled under
   std::size_t cycle_analyses_ = 0;
+  /// (now, window_s) of the last refresh_loads; add_vm clears it.
+  std::optional<std::pair<double, double>> loads_at_;
 };
 
 }  // namespace wavm3::plan

@@ -36,9 +36,4 @@ double window_trapezoid(std::span<const double> t, std::span<const double> y,
   return kernels::window_trapezoid(t, y, t0, t1);
 }
 
-double window_mean(std::span<const double> t, std::span<const double> y,
-                   double t0, double t1) {
-  return kernels::window_mean(t, y, t0, t1);
-}
-
 }  // namespace wavm3::stats

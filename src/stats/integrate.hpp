@@ -43,18 +43,14 @@ double interp_at(std::span<const double> t, std::span<const double> y, double x)
 /// the window is clamped to the sampled extent and the boundary
 /// values are linearly interpolated, so splitting an interval is
 /// exact — window_trapezoid(a,c) == window_trapezoid(a,b) +
-/// window_trapezoid(b,c). This is the one implementation behind
-/// PowerTrace::energy_between and the planner's per-VM history
-/// windows; an empty overlap (or fewer than two samples) yields 0.
+/// window_trapezoid(b,c). This wraps kernels::window_trapezoid, the
+/// one implementation behind PowerTrace::energy_between and (through
+/// kernels::window_mean) the planner's per-VM history windows; an
+/// empty overlap (or fewer than two samples) yields 0.
 /// Duplicate timestamps follow trapezoid()'s collapse-to-last rule:
 /// repeated instants add zero area and a boundary landing exactly on
 /// one interpolates with the newest reading.
 double window_trapezoid(std::span<const double> t, std::span<const double> y,
                         double t0, double t1);
-
-/// Mean of y over the clamped window (window_trapezoid / overlap
-/// width); 0 on empty overlap.
-double window_mean(std::span<const double> t, std::span<const double> y,
-                   double t0, double t1);
 
 }  // namespace wavm3::stats

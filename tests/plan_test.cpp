@@ -18,6 +18,8 @@
 
 #include "cloud/instances.hpp"
 #include "core/planner.hpp"
+#include "kernels/kernels.hpp"
+#include "obs/trace.hpp"
 #include "obs/metrics.hpp"
 #include "plan/cycle_detector.hpp"
 #include "plan/fleet.hpp"
@@ -600,6 +602,184 @@ TEST(Fleet, RefreshLoadsTracksTrailingWindow) {
   EXPECT_NEAR(fleet.vm(0).dirty_now, 900.0, 1e-9);
   EXPECT_NEAR(fleet.host(0).cpu_load, 3.0, 1e-9);
   EXPECT_NEAR(fleet.host_utilisation(0), 3.0 / 8.0, 1e-9);
+}
+
+std::uint64_t double_bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// `after` is `before` refreshed at (now, window_s), field for field:
+/// every VM with a history holds kernels::window_mean of its cpu and
+/// dirty samples over [now - window_s, now], the others keep their
+/// loads, every host's cpu_load is its VMs' cpu_now summed in VM index
+/// order, and nothing else changed.
+void expect_refreshed(const Fleet& before, const Fleet& after, double now, double window_s) {
+  ASSERT_EQ(after.vm_count(), before.vm_count());
+  ASSERT_EQ(after.host_count(), before.host_count());
+  std::vector<double> load(before.host_count(), 0.0);
+  for (std::size_t i = 0; i < before.vm_count(); ++i) {
+    const FleetVm& b = before.vms()[i];
+    const FleetVm& a = after.vms()[i];
+    double cpu = b.cpu_now;
+    double dirty = b.dirty_now;
+    if (!b.history.empty()) {
+      cpu = kernels::window_mean(b.history.t, b.history.cpu, now - window_s, now);
+      dirty = kernels::window_mean(b.history.t, b.history.dirty, now - window_s, now);
+    }
+    EXPECT_EQ(double_bits(a.cpu_now), double_bits(cpu)) << a.id << " at " << now;
+    EXPECT_EQ(double_bits(a.dirty_now), double_bits(dirty)) << a.id << " at " << now;
+    EXPECT_EQ(a.id, b.id);
+    EXPECT_EQ(a.host, b.host);
+    EXPECT_EQ(double_bits(a.vcpus), double_bits(b.vcpus));
+    EXPECT_EQ(double_bits(a.ram_bytes), double_bits(b.ram_bytes));
+    EXPECT_EQ(a.working_set_pages, b.working_set_pages);
+    EXPECT_EQ(a.history.t, b.history.t);
+    EXPECT_EQ(a.history.cpu, b.history.cpu);
+    EXPECT_EQ(a.history.dirty, b.history.dirty);
+    load[static_cast<std::size_t>(b.host)] += cpu;
+  }
+  for (std::size_t h = 0; h < before.host_count(); ++h) {
+    const FleetHost& b = before.hosts()[h];
+    const FleetHost& a = after.hosts()[h];
+    EXPECT_EQ(double_bits(a.cpu_load), double_bits(load[h])) << b.spec.name << " at " << now;
+    EXPECT_EQ(double_bits(a.ram_committed), double_bits(b.ram_committed));
+    EXPECT_EQ(a.vms, b.vms);
+    EXPECT_EQ(a.powered_on, b.powered_on);
+    EXPECT_EQ(a.group_id, b.group_id);
+  }
+}
+
+/// The `vms` arg of every plan/refresh_loads span `run` emits.
+template <typename Run>
+std::vector<double> traced_refreshes(Run run) {
+  obs::Tracer& tracer = obs::tracer();
+  tracer.clear();
+  tracer.set_enabled(true);
+  run();
+  tracer.set_enabled(false);
+  std::vector<double> vms;
+  for (const obs::TraceEvent& e : tracer.drain()) {
+    if (std::string(e.category) != "plan" || std::string(e.name) != "refresh_loads") continue;
+    for (int k = 0; k < e.n_args; ++k) {
+      if (std::string(e.args[k].key) == "vms") vms.push_back(e.args[k].value);
+    }
+  }
+  tracer.clear();
+  return vms;
+}
+
+/// A fleet whose neighbouring VMs differ: no history, 1, 2 and 3
+/// samples, long histories on two sampling grids, and duplicate
+/// timestamps, so refresh_loads' prefetch hint is often clamped to a
+/// shorter neighbour's size or lands on an empty one.
+Fleet mixed_history_fleet() {
+  Fleet fleet;
+  for (int h = 0; h < 3; ++h) {
+    cloud::HostSpec spec;
+    spec.name = "h" + std::to_string(h);
+    spec.vcpus = 16;
+    spec.ram_bytes = util::gib(64.0);
+    fleet.add_host(spec);
+  }
+  const std::size_t lengths[] = {481, 0, 3, 481, 1, 2, 0, 481, 40, 481, 7, 2000, 0, 481, 5, 481, 1, 12};
+  for (std::size_t i = 0; i < std::size(lengths); ++i) {
+    FleetVm vm;
+    vm.id = "vm" + std::to_string(i);
+    vm.ram_bytes = util::gib(1.0);
+    vm.cpu_now = 0.25 * static_cast<double>(i);  // kept when there is no history
+    vm.dirty_now = 100.0 * static_cast<double>(i);
+    const double step = i % 2 == 0 ? 60.0 : 7.0;
+    const double start = lengths[i] == 2000 ? 15000.0 : 0.0;
+    for (std::size_t k = 0; k < lengths[i]; ++k) {
+      const std::size_t tick = k % 9 == 8 ? k - 1 : k;  // a duplicate every ninth sample
+      vm.history.t.push_back(start + static_cast<double>(tick) * step);
+      vm.history.cpu.push_back(1.0 + std::sin(0.1 * static_cast<double>(k + i)));
+      vm.history.dirty.push_back(500.0 + 400.0 * std::cos(0.07 * static_cast<double>(k * i)));
+    }
+    fleet.add_vm(std::move(vm), static_cast<int>(i % 3));
+  }
+  return fleet;
+}
+
+TEST(Fleet, RefreshLoadsBitEqualsWindowMean) {
+  const double window = PlannerConfig{}.load_window_s;
+  const Fleet synthetic = Fleet::synthetic(64, 640, 1);
+  const double end = synthetic.history_end();
+  for (const double now : {end, end - 1234.5, end - 20000.0, end + 7200.0}) {
+    Fleet fleet = synthetic;
+    fleet.refresh_loads(now, window);
+    expect_refreshed(synthetic, fleet, now, window);
+  }
+  const Fleet mixed = mixed_history_fleet();
+  for (const double now : {28800.0, 3000.0, 16000.0, 20000.0, 0.0, 1e6}) {
+    Fleet fleet = mixed;
+    fleet.refresh_loads(now, window);
+    expect_refreshed(mixed, fleet, now, window);
+  }
+}
+
+TEST(Fleet, RepeatRefreshAtSameInstantRebuildsHostLoads) {
+  const double window = PlannerConfig{}.load_window_s;
+  const Fleet initial = Fleet::synthetic(64, 640, 1);
+  const double now = initial.history_end() - 1234.5;
+  const std::pair<int, int> moves[] = {{0, 5}, {64, 5}, {3, 40}, {200, 0}, {0, 63}, {511, 5}};
+
+  Fleet fleet = initial;
+  Fleet fresh = initial;
+  const std::vector<double> vms = traced_refreshes([&] {
+    fleet.refresh_loads(now, window);
+    for (const auto& [v, to] : moves) fleet.move_vm(v, to);
+    fleet.refresh_loads(now, window);  // memo hit: host sums only
+
+    for (const auto& [v, to] : moves) fresh.move_vm(v, to);
+    fresh.refresh_loads(now, window);
+  });
+  // The repeat recomputed no mean; the fresh fleet recomputed them all.
+  EXPECT_EQ(vms, (std::vector<double>{640.0, 0.0, 640.0}));
+  for (std::size_t h = 0; h < fleet.host_count(); ++h) {
+    const int hi = static_cast<int>(h);
+    EXPECT_EQ(double_bits(fleet.host(hi).cpu_load), double_bits(fresh.host(hi).cpu_load)) << h;
+    EXPECT_EQ(fleet.host(hi).vms, fresh.host(hi).vms) << h;
+  }
+  for (std::size_t i = 0; i < fleet.vm_count(); ++i) {
+    const int v = static_cast<int>(i);
+    EXPECT_EQ(double_bits(fleet.vm(v).cpu_now), double_bits(fresh.vm(v).cpu_now)) << i;
+    EXPECT_EQ(double_bits(fleet.vm(v).dirty_now), double_bits(fresh.vm(v).dirty_now)) << i;
+  }
+  Fleet moved = initial;
+  for (const auto& [v, to] : moves) moved.move_vm(v, to);
+  expect_refreshed(moved, fleet, now, window);
+
+  // A different window or instant is a new refresh.
+  EXPECT_EQ(traced_refreshes([&] { fleet.refresh_loads(now, window / 2.0); }),
+            std::vector<double>{640.0});
+  EXPECT_EQ(traced_refreshes([&] { fleet.refresh_loads(now + 60.0, window / 2.0); }),
+            std::vector<double>{640.0});
+  expect_refreshed(moved, fleet, now + 60.0, window / 2.0);
+}
+
+TEST(Fleet, AddVmInvalidatesTheLoadMemo) {
+  const double window = PlannerConfig{}.load_window_s;
+  Fleet fleet = mixed_history_fleet();
+  const double now = 28800.0;
+  fleet.refresh_loads(now, window);
+
+  FleetVm late;
+  late.id = "late";
+  late.ram_bytes = util::gib(1.0);
+  late.cpu_now = 99.0;  // stale until refreshed
+  late.dirty_now = 99.0;
+  for (int k = 0; k <= 480; ++k) {
+    late.history.t.push_back(60.0 * k);
+    late.history.cpu.push_back(0.5 + 0.001 * k);
+    late.history.dirty.push_back(1000.0 - k);
+  }
+  fleet.add_vm(late, 1);
+  const Fleet before = fleet;
+  const auto with_history = std::count_if(before.vms().begin(), before.vms().end(),
+                                          [](const FleetVm& vm) { return !vm.history.empty(); });
+  EXPECT_EQ(traced_refreshes([&] { fleet.refresh_loads(now, window); }),
+            std::vector<double>{static_cast<double>(with_history)});
+  expect_refreshed(before, fleet, now, window);
+  EXPECT_NE(fleet.vms().back().cpu_now, 99.0);
 }
 
 // --------------------------------------------------------------- planner

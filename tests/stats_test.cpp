@@ -224,17 +224,6 @@ TEST(Integrate, WindowTrapezoidSplitsExactly) {
   EXPECT_DOUBLE_EQ(window_trapezoid(t, y, 10.0, 20.0), 0.0);
 }
 
-TEST(Integrate, WindowMeanEdgeCases) {
-  const std::vector<double> t = {0.0, 2.0};
-  const std::vector<double> y = {1.0, 3.0};
-  EXPECT_DOUBLE_EQ(window_mean(t, y, 0.0, 2.0), 2.0);
-  // Zero-width window degenerates to the interpolated value.
-  EXPECT_DOUBLE_EQ(window_mean(t, y, 1.0, 1.0), 2.0);
-  // Single-sample history: that sample is the mean.
-  EXPECT_DOUBLE_EQ(window_mean(std::vector<double>{5.0}, std::vector<double>{7.0}, 0.0, 10.0),
-                   7.0);
-}
-
 TEST(Integrate, IsNonDecreasingScreensIngestAxes) {
   EXPECT_TRUE(is_non_decreasing(std::vector<double>{0.0, 1.0, 1.0, 2.5}));
   EXPECT_TRUE(is_non_decreasing(std::vector<double>{}));
