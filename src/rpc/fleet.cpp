@@ -53,6 +53,14 @@ void FleetClient::add_node(int node) {
   nodes_.push_back(node);
   breakers_.emplace(node,
                     std::make_unique<serve::CircuitBreaker>(config_.breaker));
+  for (const migration::MigrationType type :
+       {migration::MigrationType::kNonLive, migration::MigrationType::kLive,
+        migration::MigrationType::kPostCopy}) {
+    for (const models::HostRole role : {models::HostRole::kSource, models::HostRole::kTarget}) {
+      const SliceKey key{type, role};
+      groups_[slice_index(key)] = ring_.replicas(key, config_.replication);
+    }
+  }
 }
 
 serve::CircuitBreaker& FleetClient::breaker(int node) {
@@ -69,7 +77,7 @@ core::MigrationForecast FleetClient::predict(const core::MigrationScenario& scen
   // roles); the role bit spreads one type's traffic over two groups.
   const SliceKey key{scenario.type, (mix & 1U) != 0 ? models::HostRole::kTarget
                                                     : models::HostRole::kSource};
-  const std::vector<int> group = ring_.replicas(key, config_.replication);
+  const std::vector<int>& group = groups_[slice_index(key)];
   if (group.empty()) {
     throw RpcError(RpcErrorCode::kNodeDown, "fleet has no nodes");
   }
@@ -78,7 +86,7 @@ core::MigrationForecast FleetClient::predict(const core::MigrationScenario& scen
   // Rotate the starting replica by scenario hash so replicas share
   // load; remaining replicas are the failover chain.
   const std::size_t offset = (mix >> 1U) % group.size();
-  std::string last_error = "no replica attempted";
+  std::string last_error;  // formatted only when a replica fails
   for (std::size_t i = 0; i < group.size(); ++i) {
     const int node = group[(offset + i) % group.size()];
     serve::CircuitBreaker& brk = breaker(node);

@@ -29,6 +29,7 @@
 // the same epoch.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -86,8 +87,9 @@ class FleetClient {
  public:
   explicit FleetClient(Transport& transport, FleetClientConfig config = {});
 
-  /// Registers a node address. Setup-phase only: call before serving
-  /// traffic (the ring is read lock-free on the predict path).
+  /// Registers a node address and recomputes every slice's replica
+  /// group. Setup-phase only: call before serving traffic (the groups
+  /// are read lock-free on the predict path).
   void add_node(int node);
   std::size_t node_count() const { return nodes_.size(); }
 
@@ -121,6 +123,9 @@ class FleetClient {
   FleetClientConfig config_;
   HashRing ring_;
   std::vector<int> nodes_;
+  /// Replica group of every (migration type, host role) slice, indexed
+  /// by slice_index(); rebuilt by add_node.
+  std::array<std::vector<int>, kSliceCount> groups_;
   std::map<int, std::unique_ptr<serve::CircuitBreaker>> breakers_;
 
   std::mutex publish_mutex_;

@@ -1,10 +1,19 @@
 #include "rpc/messages.hpp"
 
+#include <utility>
+
 #include "serve/scenario_key.hpp"
 
 namespace wavm3::rpc {
 
 namespace {
+
+/// Payload sizes, so each encoder's writer allocates once: a forecast
+/// is 15 doubles, the round count (u32), the degeneration flag (u8),
+/// then epoch and store version (u64 each); a coefficient table is 2
+/// roles x 3 phases x 5 doubles.
+constexpr std::size_t kPredictResponseBytes = 15 * 8 + 4 + 1 + 2 * 8;
+constexpr std::size_t kTableDoubles = 2 * 3 * 5;
 
 void check_type(const FrameView& frame, MsgType expected) {
   if (frame.type != static_cast<std::uint16_t>(expected)) {
@@ -46,6 +55,11 @@ core::RoleCoefficients get_role(WireReader& r) {
   return role;
 }
 
+/// Hands the writer's frame out with the message type stamped in.
+std::vector<std::uint8_t> finish(WireWriter&& w, MsgType type) {
+  return std::move(w).frame(static_cast<std::uint16_t>(type));
+}
+
 migration::MigrationType get_migration_type(WireReader& r) {
   const std::uint8_t raw = r.u8();
   if (raw > static_cast<std::uint8_t>(migration::MigrationType::kPostCopy)) {
@@ -58,9 +72,9 @@ migration::MigrationType get_migration_type(WireReader& r) {
 }  // namespace
 
 std::vector<std::uint8_t> encode_predict_request(const PredictRequest& msg) {
-  WireWriter w;
+  WireWriter w(serve::kScenarioFieldCount * 8);
   for (const double f : serve::scenario_fields(msg.scenario)) w.f64(f);
-  return w.frame(static_cast<std::uint16_t>(MsgType::kPredictRequest));
+  return finish(std::move(w), MsgType::kPredictRequest);
 }
 
 PredictRequest decode_predict_request(const FrameView& frame) {
@@ -81,7 +95,7 @@ PredictRequest decode_predict_request(const FrameView& frame) {
 }
 
 std::vector<std::uint8_t> encode_predict_response(const PredictResponse& msg) {
-  WireWriter w;
+  WireWriter w(kPredictResponseBytes);
   const core::MigrationForecast& f = msg.forecast;
   w.f64(f.times.ms);
   w.f64(f.times.ts);
@@ -98,7 +112,7 @@ std::vector<std::uint8_t> encode_predict_response(const PredictResponse& msg) {
   for (const double e : f.target_phase_energy) w.f64(e);
   w.u64(msg.epoch);
   w.u64(msg.coeff_version);
-  return w.frame(static_cast<std::uint16_t>(MsgType::kPredictResponse));
+  return finish(std::move(w), MsgType::kPredictResponse);
 }
 
 PredictResponse decode_predict_response(const FrameView& frame) {
@@ -126,10 +140,10 @@ PredictResponse decode_predict_response(const FrameView& frame) {
 }
 
 std::vector<std::uint8_t> encode_error_response(const ErrorResponse& msg) {
-  WireWriter w;
+  WireWriter w(2 + 4 + msg.detail.size());
   w.u16(msg.code);
   w.str(msg.detail);
-  return w.frame(static_cast<std::uint16_t>(MsgType::kErrorResponse));
+  return finish(std::move(w), MsgType::kErrorResponse);
 }
 
 ErrorResponse decode_error_response(const FrameView& frame) {
@@ -143,7 +157,7 @@ ErrorResponse decode_error_response(const FrameView& frame) {
 }
 
 std::vector<std::uint8_t> encode_epoch_prepare(const EpochPrepare& msg) {
-  WireWriter w;
+  WireWriter w(8 + 1 + msg.tables.size() * (1 + kTableDoubles * 8));
   w.u64(msg.epoch);
   w.u8(static_cast<std::uint8_t>(msg.tables.size()));
   for (const auto& [type, table] : msg.tables) {
@@ -151,7 +165,7 @@ std::vector<std::uint8_t> encode_epoch_prepare(const EpochPrepare& msg) {
     put_role(w, table.source);
     put_role(w, table.target);
   }
-  return w.frame(static_cast<std::uint16_t>(MsgType::kEpochPrepare));
+  return finish(std::move(w), MsgType::kEpochPrepare);
 }
 
 EpochPrepare decode_epoch_prepare(const FrameView& frame) {
@@ -176,9 +190,9 @@ EpochPrepare decode_epoch_prepare(const FrameView& frame) {
 }
 
 std::vector<std::uint8_t> encode_epoch_commit(const EpochCommit& msg) {
-  WireWriter w;
+  WireWriter w(8);
   w.u64(msg.epoch);
-  return w.frame(static_cast<std::uint16_t>(MsgType::kEpochCommit));
+  return finish(std::move(w), MsgType::kEpochCommit);
 }
 
 EpochCommit decode_epoch_commit(const FrameView& frame) {
@@ -191,9 +205,9 @@ EpochCommit decode_epoch_commit(const FrameView& frame) {
 }
 
 std::vector<std::uint8_t> encode_epoch_rollback(const EpochRollback& msg) {
-  WireWriter w;
+  WireWriter w(8);
   w.u64(msg.epoch);
-  return w.frame(static_cast<std::uint16_t>(MsgType::kEpochRollback));
+  return finish(std::move(w), MsgType::kEpochRollback);
 }
 
 EpochRollback decode_epoch_rollback(const FrameView& frame) {
@@ -206,11 +220,11 @@ EpochRollback decode_epoch_rollback(const FrameView& frame) {
 }
 
 std::vector<std::uint8_t> encode_epoch_ack(const EpochAck& msg) {
-  WireWriter w;
+  WireWriter w(8 + 1 + 4 + msg.reason.size());
   w.u64(msg.epoch);
   w.u8(msg.accepted ? 1 : 0);
   w.str(msg.reason);
-  return w.frame(static_cast<std::uint16_t>(MsgType::kEpochAck));
+  return finish(std::move(w), MsgType::kEpochAck);
 }
 
 EpochAck decode_epoch_ack(const FrameView& frame) {
@@ -225,16 +239,16 @@ EpochAck decode_epoch_ack(const FrameView& frame) {
 }
 
 std::vector<std::uint8_t> encode_status_request() {
-  return WireWriter{}.frame(static_cast<std::uint16_t>(MsgType::kStatusRequest));
+  return finish(WireWriter{}, MsgType::kStatusRequest);
 }
 
 std::vector<std::uint8_t> encode_status_response(const StatusResponse& msg) {
-  WireWriter w;
+  WireWriter w(4 * 8);
   w.u64(msg.committed_epoch);
   w.u64(msg.staged_epoch);
   w.u64(msg.coeff_version);
   w.u64(msg.requests_served);
-  return w.frame(static_cast<std::uint16_t>(MsgType::kStatusResponse));
+  return finish(std::move(w), MsgType::kStatusResponse);
 }
 
 StatusResponse decode_status_response(const FrameView& frame) {

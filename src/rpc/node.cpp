@@ -49,8 +49,7 @@ FleetNode::FleetNode(std::shared_ptr<const core::Wavm3Model> model,
 }
 
 std::uint64_t FleetNode::committed_epoch() const {
-  std::lock_guard<std::mutex> lock(epoch_mutex_);
-  return committed_epoch_;
+  return committed_epoch_.load(std::memory_order_acquire);
 }
 
 std::uint64_t FleetNode::staged_epoch() const {
@@ -93,14 +92,34 @@ std::vector<std::uint8_t> FleetNode::handle(std::span<const std::uint8_t> frame)
 
 std::vector<std::uint8_t> FleetNode::handle_predict(const FrameView& frame) {
   const PredictRequest req = decode_predict_request(frame);
+  const serve::CoefficientStore& store = service_.coeff_store();
   PredictResponse resp;
-  resp.forecast = service_.predict(req.scenario);
-  {
-    std::lock_guard<std::mutex> lock(epoch_mutex_);
-    resp.epoch = committed_epoch_;
+  for (;;) {
+    // Read the stamp before and after pricing, lock-free. The answer
+    // goes out only if no epoch switch and no other model swap
+    // overlapped the pricing; otherwise it may have been priced with
+    // coefficients other than those of the epoch read here. Every read
+    // is an acquire, so none moves out of the window it checks.
+    const std::uint64_t seq = switch_seq_.load(std::memory_order_acquire);
+    resp.coeff_version = store.version();
+    resp.forecast = service_.predict(req.scenario);
+    resp.epoch = committed_epoch_.load(std::memory_order_acquire);
+    if (seq % 2 == 0 && store.version() == resp.coeff_version &&
+        switch_seq_.load(std::memory_order_acquire) == seq) {
+      return encode_predict_response(resp);
+    }
   }
-  resp.coeff_version = service_.coeff_store().version();
-  return encode_predict_response(resp);
+}
+
+void FleetNode::switch_epoch(std::shared_ptr<const core::Wavm3Model> model,
+                             std::uint64_t epoch) {
+  // Both stores in between release, so a reader that sees either one
+  // also sees the sequence number odd or moved on.
+  switch_seq_.fetch_add(1, std::memory_order_relaxed);
+  service_.swap_model(std::move(model));
+  committed_epoch_.store(epoch, std::memory_order_release);
+  switch_seq_.fetch_add(1, std::memory_order_release);
+  if (m_epoch_ != nullptr) m_epoch_->set(static_cast<double>(epoch));
 }
 
 std::vector<std::uint8_t> FleetNode::handle_prepare(const FrameView& frame) {
@@ -144,11 +163,9 @@ std::vector<std::uint8_t> FleetNode::handle_commit(const FrameView& frame) {
   undo.epoch = req.epoch;
   undo.prev_epoch = committed_epoch_;
   undo.prev_model = service_.coeff_store().snapshot().model;
-  service_.swap_model(staged_->model);
+  switch_epoch(std::move(staged_->model), req.epoch);
   last_commit_ = std::move(undo);
-  committed_epoch_ = req.epoch;
   staged_.reset();
-  if (m_epoch_ != nullptr) m_epoch_->set(static_cast<double>(committed_epoch_));
   return ack_frame(req.epoch, true);
 }
 
@@ -163,10 +180,8 @@ std::vector<std::uint8_t> FleetNode::handle_rollback(const FrameView& frame) {
       committed_epoch_ == req.epoch) {
     // The commit went through before the coordinator aborted the
     // round: undo it by swapping the remembered previous model back.
-    service_.swap_model(last_commit_->prev_model);
-    committed_epoch_ = last_commit_->prev_epoch;
+    switch_epoch(std::move(last_commit_->prev_model), last_commit_->prev_epoch);
     last_commit_.reset();
-    if (m_epoch_ != nullptr) m_epoch_->set(static_cast<double>(committed_epoch_));
     return ack_frame(req.epoch, true);
   }
   // Nothing to undo (never prepared here, or already superseded) —

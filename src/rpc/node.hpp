@@ -21,6 +21,7 @@
 // {"node": "<id>"} label, so one scrape shows the whole fleet.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -76,11 +77,22 @@ class FleetNode final : public RpcHandler {
     std::shared_ptr<const core::Wavm3Model> prev_model;
   };
 
+  /// Swaps `model` in and makes `epoch` the committed one, as one step
+  /// for handle_predict's lock-free stamp check. Caller holds
+  /// epoch_mutex_.
+  void switch_epoch(std::shared_ptr<const core::Wavm3Model> model, std::uint64_t epoch);
+
   FleetNodeConfig config_;
   serve::PredictionService service_;
 
+  /// Serializes the epoch state machine; predicts never take it.
   mutable std::mutex epoch_mutex_;
-  std::uint64_t committed_epoch_ = 0;
+  /// Written only by switch_epoch; read lock-free.
+  std::atomic<std::uint64_t> committed_epoch_{0};
+  /// Odd while switch_epoch runs. A predict whose pricing overlapped a
+  /// switch sees it move and prices again, so every answer carries the
+  /// epoch and store version whose coefficients priced it.
+  std::atomic<std::uint64_t> switch_seq_{0};
   std::uint64_t highest_seen_epoch_ = 0;
   std::optional<Staged> staged_;
   std::optional<LastCommit> last_commit_;

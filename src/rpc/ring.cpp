@@ -38,15 +38,6 @@ void HashRing::add_node(int node) {
   ++nodes_;
 }
 
-void HashRing::remove_node(int node) {
-  const std::size_t before = points_.size();
-  points_.erase(std::remove_if(points_.begin(), points_.end(),
-                               [&](const Point& p) { return p.node == node; }),
-                points_.end());
-  WAVM3_REQUIRE(points_.size() != before, "node is not on the ring");
-  --nodes_;
-}
-
 std::vector<int> HashRing::replicas(const SliceKey& key, std::size_t count) const {
   std::vector<int> group;
   if (points_.empty() || count == 0) return group;

@@ -5,11 +5,12 @@
 // projects `vnodes` virtual points onto a 64-bit ring; a slice's
 // replica group is the first `count` *distinct* nodes clockwise from
 // the slice's hash. Virtual points smooth the load split and keep
-// reassignment local when a node joins or leaves (only slices adjacent
-// to its points move — the property that makes consistent hashing
-// worth its salt over hash-mod-N).
+// reassignment local when a node joins (only slices adjacent to its
+// points move — the property that makes consistent hashing worth its
+// salt over hash-mod-N).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -24,6 +25,14 @@ struct SliceKey {
   models::HostRole role = models::HostRole::kSource;
 };
 
+/// Number of distinct slices: 3 migration types x 2 host roles.
+inline constexpr std::size_t kSliceCount = 6;
+
+/// Dense index of a slice in [0, kSliceCount).
+inline std::size_t slice_index(const SliceKey& key) {
+  return static_cast<std::size_t>(key.type) * 2 + static_cast<std::size_t>(key.role);
+}
+
 /// Stable 64-bit hash of a slice (independent of ring contents).
 std::uint64_t slice_hash(const SliceKey& key);
 
@@ -33,7 +42,6 @@ class HashRing {
 
   /// Adds a node's virtual points. Re-adding an id is rejected.
   void add_node(int node);
-  void remove_node(int node);
 
   bool empty() const { return points_.empty(); }
   std::size_t node_count() const { return nodes_; }

@@ -9,7 +9,6 @@ namespace wavm3::rpc {
 
 void LoopbackTransport::register_node(int node, RpcHandler* handler) {
   WAVM3_REQUIRE(handler != nullptr, "handler must not be null");
-  std::lock_guard<std::mutex> lock(mutex_);
   WAVM3_REQUIRE(endpoints_.find(node) == endpoints_.end(),
                 "node id is already registered");
   auto endpoint = std::make_unique<Endpoint>();
@@ -18,12 +17,11 @@ void LoopbackTransport::register_node(int node, RpcHandler* handler) {
 }
 
 LoopbackTransport::Endpoint& LoopbackTransport::endpoint(int node) const {
-  std::lock_guard<std::mutex> lock(mutex_);
   const auto it = endpoints_.find(node);
   if (it == endpoints_.end()) {
     throw RpcError(RpcErrorCode::kNodeDown, "no node " + std::to_string(node));
   }
-  return *it->second;  // map nodes are pointer-stable; knobs are atomics
+  return *it->second;  // the table is frozen; knobs are atomics
 }
 
 void LoopbackTransport::set_down(int node, bool value) {

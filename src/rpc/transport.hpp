@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -45,9 +44,11 @@ class Transport {
 
 /// In-process transport: call() runs the target handler inline.
 ///
-/// register_node() is setup-phase only (before concurrent call()
-/// traffic); the fault knobs (set_down / set_drop_rate) are atomics
-/// and safe to flip mid-traffic — that is their whole point.
+/// register_node() is setup-phase only: every registration must
+/// happen before any other member is called, and the endpoint table is
+/// frozen from then on, so call() finds its endpoint without a lock.
+/// The fault knobs (set_down / set_drop_rate) are atomics and safe to
+/// flip mid-traffic — that is their whole point.
 class LoopbackTransport final : public Transport {
  public:
   explicit LoopbackTransport(std::uint64_t drop_seed = 2015) : drop_seed_(drop_seed) {}
@@ -81,8 +82,7 @@ class LoopbackTransport final : public Transport {
 
   Endpoint& endpoint(int node) const;
 
-  mutable std::mutex mutex_;  // guards the map shape only
-  std::map<int, std::unique_ptr<Endpoint>> endpoints_;
+  std::map<int, std::unique_ptr<Endpoint>> endpoints_;  ///< frozen after set-up
   std::uint64_t drop_seed_;
   std::atomic<std::uint64_t> drop_ticket_{0};
 };

@@ -1,42 +1,38 @@
 #include "rpc/wire.hpp"
 
+#include <algorithm>
 #include <array>
-#include <bit>
+#include <cstring>
+#include <utility>
 
 namespace wavm3::rpc {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/// tables[0] is the classic byte-at-a-time table; tables[k][b] is the
+/// CRC of byte b followed by k zero bytes, so one step can fold eight
+/// input bytes with eight independent lookups.
+constexpr CrcTables make_crc_tables() {
+  CrcTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1U) != 0 ? 0xEDB88320U ^ (c >> 1U) : c >> 1U;
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8U) ^ tables[0][prev & 0xFFU];
+    }
+  }
+  return tables;
 }
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xFFU));
-  out.push_back(static_cast<std::uint8_t>(v >> 8U));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint16_t get_u16(std::span<const std::uint8_t> in, std::size_t at) {
-  return static_cast<std::uint16_t>(in[at] | (in[at + 1] << 8U));
-}
-
-std::uint32_t get_u32(std::span<const std::uint8_t> in, std::size_t at) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8U) | in[at + static_cast<std::size_t>(i)];
-  return v;
-}
+constexpr CrcTables kCrcTables = make_crc_tables();
 
 }  // namespace
 
@@ -60,29 +56,19 @@ RpcError::RpcError(RpcErrorCode code, const std::string& detail)
     : std::runtime_error(std::string(to_string(code)) + ": " + detail), code_(code) {}
 
 std::uint32_t crc32(std::span<const std::uint8_t> data) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  const CrcTables& t = kCrcTables;
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
   std::uint32_t c = 0xFFFFFFFFU;
-  for (const std::uint8_t byte : data) {
-    c = table[(c ^ byte) & 0xFFU] ^ (c >> 8U);
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = load_le32(p) ^ c;
+    const std::uint32_t hi = load_le32(p + 4);
+    c = t[7][lo & 0xFFU] ^ t[6][(lo >> 8U) & 0xFFU] ^ t[5][(lo >> 16U) & 0xFFU] ^
+        t[4][lo >> 24U] ^ t[3][hi & 0xFFU] ^ t[2][(hi >> 8U) & 0xFFU] ^
+        t[1][(hi >> 16U) & 0xFFU] ^ t[0][hi >> 24U];
   }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFFU] ^ (c >> 8U);
   return c ^ 0xFFFFFFFFU;
-}
-
-std::vector<std::uint8_t> encode_frame(std::uint16_t type,
-                                       std::span<const std::uint8_t> payload) {
-  if (payload.size() > kMaxPayloadBytes) {
-    throw RpcError(RpcErrorCode::kOversize,
-                   "payload of " + std::to_string(payload.size()) + " bytes");
-  }
-  std::vector<std::uint8_t> frame;
-  frame.reserve(kFrameHeaderBytes + payload.size());
-  put_u32(frame, kFrameMagic);
-  put_u16(frame, kProtocolVersion);
-  put_u16(frame, type);
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  put_u32(frame, crc32(payload));
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  return frame;
 }
 
 FrameView decode_frame(std::span<const std::uint8_t> frame) {
@@ -91,17 +77,18 @@ FrameView decode_frame(std::span<const std::uint8_t> frame) {
                    "frame of " + std::to_string(frame.size()) + " bytes, header needs " +
                        std::to_string(kFrameHeaderBytes));
   }
-  if (get_u32(frame, 0) != kFrameMagic) {
+  const std::uint8_t* header = frame.data();
+  if (load_le32(header) != kFrameMagic) {
     throw RpcError(RpcErrorCode::kBadMagic, "first 4 bytes are not a frame");
   }
-  const std::uint16_t version = get_u16(frame, 4);
+  const std::uint16_t version = load_le16(header + 4);
   if (version != kProtocolVersion) {
     throw RpcError(RpcErrorCode::kBadVersion,
                    "version " + std::to_string(version) + ", expected " +
                        std::to_string(kProtocolVersion));
   }
-  const std::uint16_t type = get_u16(frame, 6);
-  const std::uint32_t declared = get_u32(frame, 8);
+  const std::uint16_t type = load_le16(header + 6);
+  const std::uint32_t declared = load_le32(header + 8);
   if (declared > kMaxPayloadBytes) {
     throw RpcError(RpcErrorCode::kOversize,
                    "declared payload of " + std::to_string(declared) + " bytes");
@@ -119,80 +106,49 @@ FrameView decode_frame(std::span<const std::uint8_t> frame) {
                        " trailing bytes after declared payload");
   }
   const std::span<const std::uint8_t> payload = frame.subspan(kFrameHeaderBytes, declared);
-  const std::uint32_t expected_crc = get_u32(frame, 12);
-  const std::uint32_t actual_crc = crc32(payload);
-  if (expected_crc != actual_crc) {
+  if (load_le32(header + 12) != crc32(payload)) {
     throw RpcError(RpcErrorCode::kBadCrc, "payload checksum mismatch");
   }
   return FrameView{type, payload};
 }
 
-void WireWriter::u16(std::uint16_t v) { put_u16(buf_, v); }
-void WireWriter::u32(std::uint32_t v) { put_u32(buf_, v); }
-
-void WireWriter::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void WireWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
 void WireWriter::str(const std::string& v) {
   u32(static_cast<std::uint32_t>(v.size()));
-  buf_.insert(buf_.end(), v.begin(), v.end());
+  if (!v.empty()) std::memcpy(grow(v.size()), v.data(), v.size());
 }
 
-std::vector<std::uint8_t> WireWriter::frame(std::uint16_t type) const {
-  return encode_frame(type, buf_);
+void WireWriter::enlarge(std::size_t n) {
+  buf_.resize(std::max(end_ + n, 2 * buf_.size()));
 }
 
-void WireReader::need(std::size_t n) const {
-  if (data_.size() - pos_ < n) {
-    throw RpcError(RpcErrorCode::kMalformedPayload,
-                   "payload needs " + std::to_string(n) + " more bytes, " +
-                       std::to_string(data_.size() - pos_) + " remain");
+std::vector<std::uint8_t> WireWriter::frame(std::uint16_t type) && {
+  const std::span<const std::uint8_t> payload = bytes();
+  if (payload.size() > kMaxPayloadBytes) {
+    throw RpcError(RpcErrorCode::kOversize,
+                   "payload of " + std::to_string(payload.size()) + " bytes");
   }
+  std::uint8_t* header = buf_.data();
+  store_le32(header, kFrameMagic);
+  store_le16(header + 4, kProtocolVersion);
+  store_le16(header + 6, type);
+  store_le32(header + 8, static_cast<std::uint32_t>(payload.size()));
+  store_le32(header + 12, crc32(payload));
+  buf_.resize(end_);  // drops the spare room; never reallocates
+  return std::move(buf_);
 }
 
-std::uint8_t WireReader::u8() {
-  need(1);
-  return data_[pos_++];
+void WireReader::overrun(std::size_t n) const {
+  throw RpcError(RpcErrorCode::kMalformedPayload,
+                 "payload needs " + std::to_string(n) + " more bytes, " +
+                     std::to_string(remaining()) + " remain");
 }
-
-std::uint16_t WireReader::u16() {
-  need(2);
-  const std::uint16_t v = get_u16(data_, pos_);
-  pos_ += 2;
-  return v;
-}
-
-std::uint32_t WireReader::u32() {
-  need(4);
-  const std::uint32_t v = get_u32(data_, pos_);
-  pos_ += 4;
-  return v;
-}
-
-std::uint64_t WireReader::u64() {
-  need(8);
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8U) | data_[pos_ + static_cast<std::size_t>(i)];
-  }
-  pos_ += 8;
-  return v;
-}
-
-double WireReader::f64() { return std::bit_cast<double>(u64()); }
 
 std::string WireReader::str() {
   const std::uint32_t len = u32();
-  // Length sanity before the bulk read: remaining() can never satisfy
-  // a lying prefix, so this is the same check need() does, but with a
-  // message that names the string.
-  need(len);
-  std::string v(reinterpret_cast<const char*>(data_.data() + pos_), len);
-  pos_ += len;
-  return v;
+  // take() checks the length against what remains before the bulk
+  // read: a lying prefix can never be satisfied.
+  const std::uint8_t* at = take(len);
+  return std::string(reinterpret_cast<const char*>(at), len);
 }
 
 void WireReader::expect_done() const {

@@ -11,13 +11,22 @@
 //   12      4     crc         CRC-32 (IEEE, reflected) of the payload
 //
 // Decoding is strict and total: every malformed input — truncated at
-// any boundary, oversize length prefix, wrong magic/version, corrupted
-// CRC — produces a typed RpcError and never reads out of bounds. The
-// codec helpers (WireWriter/WireReader) serialize scalars little-endian
-// byte-by-byte, so frames are byte-identical across hosts regardless of
-// native endianness.
+// any boundary, oversize length prefix, wrong magic/version, trailing
+// bytes, corrupted CRC — produces a typed RpcError and never reads out
+// of bounds; every frame is checked for all of them.
+//
+// The codec works in place. WireWriter reserves the header up front,
+// writes the payload behind it through little-endian store helpers and
+// patches length and CRC into the same buffer, so a frame costs one
+// allocation. WireReader reads scalars through the matching load
+// helpers. The helpers assemble and split values with shifts, so frames
+// are byte-identical on every host whatever its byte order; on a
+// little-endian host the compiler folds each to one load or store.
+// crc32 is slicing-by-8: eight 256-entry tables, eight payload bytes
+// per step, a byte-wise tail.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -63,6 +72,38 @@ inline constexpr std::size_t kMaxPayloadBytes = 1U << 20U;
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
 std::uint32_t crc32(std::span<const std::uint8_t> data);
 
+// Little-endian scalar stores and loads (see the header comment).
+inline void store_le16(std::uint8_t* p, std::uint16_t v) {
+  p[0] = static_cast<std::uint8_t>(v);
+  p[1] = static_cast<std::uint8_t>(v >> 8U);
+}
+
+inline void store_le32(std::uint8_t* p, std::uint32_t v) {
+  p[0] = static_cast<std::uint8_t>(v);
+  p[1] = static_cast<std::uint8_t>(v >> 8U);
+  p[2] = static_cast<std::uint8_t>(v >> 16U);
+  p[3] = static_cast<std::uint8_t>(v >> 24U);
+}
+
+inline void store_le64(std::uint8_t* p, std::uint64_t v) {
+  store_le32(p, static_cast<std::uint32_t>(v));
+  store_le32(p + 4, static_cast<std::uint32_t>(v >> 32U));
+}
+
+inline std::uint16_t load_le16(const std::uint8_t* p) {
+  return static_cast<std::uint16_t>(p[0] | (p[1] << 8U));
+}
+
+inline std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8U) |
+         (static_cast<std::uint32_t>(p[2]) << 16U) | (static_cast<std::uint32_t>(p[3]) << 24U);
+}
+
+inline std::uint64_t load_le64(const std::uint8_t* p) {
+  return static_cast<std::uint64_t>(load_le32(p)) |
+         (static_cast<std::uint64_t>(load_le32(p + 4)) << 32U);
+}
+
 /// Decoded view into a validated frame. `payload` aliases the input
 /// buffer — it is valid only as long as the buffer outlives it.
 struct FrameView {
@@ -70,34 +111,53 @@ struct FrameView {
   std::span<const std::uint8_t> payload;
 };
 
-/// Builds a frame around `payload`. Throws RpcError(kOversize) when the
-/// payload exceeds kMaxPayloadBytes.
-std::vector<std::uint8_t> encode_frame(std::uint16_t type,
-                                       std::span<const std::uint8_t> payload);
-
 /// Validates and splits a frame. Throws RpcError on any defect;
 /// guarantees no read past `frame.size()`. Trailing bytes after the
 /// declared payload are a defect too (kMalformedPayload): a frame is a
 /// complete datagram, not a stream prefix.
 FrameView decode_frame(std::span<const std::uint8_t> frame);
 
-/// Little-endian scalar serializer for message payloads.
+/// Little-endian scalar serializer for message payloads, writing in
+/// place behind a reserved frame header.
 class WireWriter {
  public:
-  void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  void f64(double v);
+  /// Reserves the header plus `payload_bytes`: a writer sized to its
+  /// message allocates once. Writing more is fine; the buffer grows.
+  explicit WireWriter(std::size_t payload_bytes = 0)
+      : buf_(kFrameHeaderBytes + payload_bytes), end_(kFrameHeaderBytes) {}
+
+  void u8(std::uint8_t v) { *grow(1) = v; }
+  void u16(std::uint16_t v) { store_le16(grow(2), v); }
+  void u32(std::uint32_t v) { store_le32(grow(4), v); }
+  void u64(std::uint64_t v) { store_le64(grow(8), v); }
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
   /// u32 length prefix + raw bytes.
   void str(const std::string& v);
 
-  const std::vector<std::uint8_t>& bytes() const { return buf_; }
-  /// Wraps everything written so far into a frame of the given type.
-  std::vector<std::uint8_t> frame(std::uint16_t type) const;
+  /// The payload written so far.
+  std::span<const std::uint8_t> bytes() const {
+    return {buf_.data() + kFrameHeaderBytes, end_ - kFrameHeaderBytes};
+  }
+  /// Patches the header of a frame of the given type (length, CRC) in
+  /// front of the payload and hands the buffer out; the writer is
+  /// spent. Throws RpcError(kOversize) when the payload exceeds
+  /// kMaxPayloadBytes.
+  std::vector<std::uint8_t> frame(std::uint16_t type) &&;
 
  private:
-  std::vector<std::uint8_t> buf_;
+  /// Room for `n` more payload bytes, claimed; grows the buffer only
+  /// when a message outruns its size hint.
+  std::uint8_t* grow(std::size_t n) {
+    if (buf_.size() - end_ < n) enlarge(n);
+    std::uint8_t* at = buf_.data() + end_;
+    end_ += n;
+    return at;
+  }
+
+  void enlarge(std::size_t n);
+
+  std::vector<std::uint8_t> buf_;  ///< header, payload, then spare room
+  std::size_t end_;                ///< one past the last payload byte
 };
 
 /// Bounds-checked little-endian deserializer. Every read throws
@@ -106,11 +166,11 @@ class WireReader {
  public:
   explicit WireReader(std::span<const std::uint8_t> data) : data_(data) {}
 
-  std::uint8_t u8();
-  std::uint16_t u16();
-  std::uint32_t u32();
-  std::uint64_t u64();
-  double f64();
+  std::uint8_t u8() { return *take(1); }
+  std::uint16_t u16() { return load_le16(take(2)); }
+  std::uint32_t u32() { return load_le32(take(4)); }
+  std::uint64_t u64() { return load_le64(take(8)); }
+  double f64() { return std::bit_cast<double>(u64()); }
   std::string str();
 
   std::size_t remaining() const { return data_.size() - pos_; }
@@ -120,7 +180,14 @@ class WireReader {
   void expect_done() const;
 
  private:
-  void need(std::size_t n) const;
+  /// The next `n` bytes, consumed; throws when fewer remain.
+  const std::uint8_t* take(std::size_t n) {
+    if (remaining() < n) overrun(n);
+    const std::uint8_t* at = data_.data() + pos_;
+    pos_ += n;
+    return at;
+  }
+  [[noreturn]] void overrun(std::size_t n) const;
 
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;

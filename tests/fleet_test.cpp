@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <thread>
@@ -250,6 +251,135 @@ TEST(Epoch, StaleAndReplayedEpochsRejected) {
   const EpochAck sweep = decode_epoch_ack(
       decode_frame(node.handle(encode_epoch_rollback(EpochRollback{7}))));
   EXPECT_TRUE(sweep.accepted);
+}
+
+EpochPrepare prepare_of(std::uint64_t epoch, const core::Wavm3Model& model) {
+  EpochPrepare prepare;
+  prepare.epoch = epoch;
+  for (const MigrationType type : model.fitted_types()) {
+    prepare.tables.emplace_back(type, model.coefficients(type));
+  }
+  return prepare;
+}
+
+// A commit or rollback that lands while the node prices a request must
+// not stamp the answer with an epoch whose coefficients did not price
+// it. The simulated backend switches the node's epoch from inside its
+// first call of each request, the widest such race there is.
+TEST(Epoch, AnswerIsStampedWithTheEpochThatPricedIt) {
+  const core::Wavm3Model model_a = make_model();
+  const core::Wavm3Model model_b = make_model(1.25);
+  std::function<void()> on_first_call;
+  int backend_calls = 0;
+  FleetNodeConfig cfg;
+  cfg.service.threads = 1;
+  cfg.service.fidelity = serve::Fidelity::kSimulated;
+  cfg.service.simulated_backend = [&](const core::Wavm3Model& m,
+                                      const core::MigrationScenario& sc) {
+    ++backend_calls;
+    if (on_first_call) {
+      const std::function<void()> hook = std::move(on_first_call);
+      on_first_call = nullptr;
+      hook();
+    }
+    return core::MigrationPlanner(m).forecast(sc);
+  };
+  FleetNode node(std::make_shared<const core::Wavm3Model>(model_a), cfg);
+  const auto epoch_call = [&](const std::vector<std::uint8_t>& frame) {
+    return decode_epoch_ack(decode_frame(node.handle(frame))).accepted;
+  };
+  const auto routed = [&](const core::MigrationScenario& sc) {
+    return decode_predict_response(
+        decode_frame(node.handle(encode_predict_request(PredictRequest{sc}))));
+  };
+
+  // Commit epoch 1 (model B) while the first pricing runs on model A.
+  ASSERT_TRUE(epoch_call(encode_epoch_prepare(prepare_of(1, model_b))));
+  on_first_call = [&] { ASSERT_TRUE(epoch_call(encode_epoch_commit(EpochCommit{1}))); };
+  const core::MigrationScenario sc1 = make_scenario(1);
+  const PredictResponse committed = routed(sc1);
+  EXPECT_EQ(committed.epoch, 1U);
+  EXPECT_EQ(committed.coeff_version, 2U);
+  EXPECT_EQ(committed.forecast.source_energy,
+            core::MigrationPlanner(model_b).forecast(sc1).source_energy);
+  EXPECT_EQ(committed.forecast.target_energy,
+            core::MigrationPlanner(model_b).forecast(sc1).target_energy);
+  EXPECT_NE(committed.forecast.source_energy,
+            core::MigrationPlanner(model_a).forecast(sc1).source_energy);
+  EXPECT_EQ(backend_calls, 2);  // the answer priced on model A was dropped
+
+  // Roll epoch 1 back (model A again) while the next pricing runs on B.
+  on_first_call = [&] { ASSERT_TRUE(epoch_call(encode_epoch_rollback(EpochRollback{1}))); };
+  const core::MigrationScenario sc2 = make_scenario(2);
+  const PredictResponse rolled_back = routed(sc2);
+  EXPECT_EQ(rolled_back.epoch, 0U);
+  EXPECT_EQ(rolled_back.coeff_version, 3U);
+  EXPECT_EQ(rolled_back.forecast.source_energy,
+            core::MigrationPlanner(model_a).forecast(sc2).source_energy);
+  EXPECT_EQ(rolled_back.forecast.target_energy,
+            core::MigrationPlanner(model_a).forecast(sc2).target_energy);
+  EXPECT_EQ(backend_calls, 4);
+
+  // Nothing moves during a plain request: it is priced once.
+  const PredictResponse steady = routed(make_scenario(3));
+  EXPECT_EQ(steady.epoch, 0U);
+  EXPECT_EQ(steady.coeff_version, 3U);
+  EXPECT_EQ(backend_calls, 5);
+}
+
+// The same property under real contention (and under TSan in CI):
+// readers predict through one node while a writer commits epoch after
+// epoch, each with its own coefficients. Every answer must equal the
+// forecast of the model its stamped epoch committed.
+TEST(Epoch, ConcurrentSwitchesNeverMisstampAnAnswer) {
+  constexpr int kEpochs = 40;
+  constexpr int kScenarios = 8;
+  std::vector<core::Wavm3Model> models;
+  std::vector<std::vector<double>> expected(kEpochs + 1);
+  for (int e = 0; e <= kEpochs; ++e) {
+    models.push_back(make_model(1.0 + 0.01 * e));
+    for (int i = 0; i < kScenarios; ++i) {
+      expected[e].push_back(
+          core::MigrationPlanner(models.back()).forecast(make_scenario(i)).source_energy);
+    }
+  }
+  FleetNodeConfig cfg;
+  cfg.service.threads = 1;
+  FleetNode node(std::make_shared<const core::Wavm3Model>(models[0]), cfg);
+  std::vector<std::vector<std::uint8_t>> requests;
+  for (int i = 0; i < kScenarios; ++i) {
+    requests.push_back(encode_predict_request(PredictRequest{make_scenario(i)}));
+  }
+  std::atomic<bool> done{false};
+  std::atomic<int> misstamped{0};
+  std::atomic<int> answered{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      for (int i = t; !done.load(std::memory_order_relaxed) || i < t + kScenarios; ++i) {
+        const PredictResponse resp =
+            decode_predict_response(decode_frame(node.handle(requests[i % kScenarios])));
+        if (resp.epoch > kEpochs ||
+            resp.forecast.source_energy != expected[resp.epoch][i % kScenarios]) {
+          misstamped.fetch_add(1, std::memory_order_relaxed);
+        }
+        answered.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (std::uint64_t e = 1; e <= kEpochs; ++e) {
+    const auto ack = [&](const std::vector<std::uint8_t>& frame) {
+      return decode_epoch_ack(decode_frame(node.handle(frame))).accepted;
+    };
+    EXPECT_TRUE(ack(encode_epoch_prepare(prepare_of(e, models[e]))));
+    EXPECT_TRUE(ack(encode_epoch_commit(EpochCommit{e})));
+    std::this_thread::yield();
+  }
+  done.store(true, std::memory_order_relaxed);
+  for (std::thread& r : readers) r.join();
+  EXPECT_EQ(misstamped.load(), 0);
+  EXPECT_GE(answered.load(), 3 * kScenarios);
+  EXPECT_EQ(node.committed_epoch(), static_cast<std::uint64_t>(kEpochs));
 }
 
 TEST(Epoch, NonFiniteTablesRejectedAtPrepare) {
