@@ -21,10 +21,6 @@ migration::MigrationType FeedbackBuffer::slice_type(std::size_t type_slice) {
                          : migration::MigrationType::kLive;
 }
 
-const char* FeedbackBuffer::slice_name(std::size_t type_slice) {
-  return type_slice == 0 ? "nonlive" : "live";
-}
-
 void FeedbackBuffer::push_row(Slice& slice, const core::MigrationScenario& scenario,
                               double energy, double duration_s, std::uint64_t seq) {
   if (slice.size() >= capacity_) {
@@ -55,11 +51,8 @@ std::optional<std::uint64_t> FeedbackBuffer::push(const core::MigrationScenario&
                                                   double target_energy_j, double duration_s) {
   const bool valid = std::isfinite(source_energy_j) && std::isfinite(target_energy_j) &&
                      std::isfinite(duration_s) && duration_s > 0.0;
+  if (!valid) return std::nullopt;
   std::lock_guard<std::mutex> lock(mutex_);
-  if (!valid) {
-    ++rejected_;
-    return std::nullopt;
-  }
   const std::uint64_t seq = next_seq_++;
   const std::size_t ts = type_slice(scenario.type);
   push_row(slices_[ts][0], scenario, source_energy_j, duration_s, seq);
@@ -85,21 +78,9 @@ FeedbackBuffer::Window FeedbackBuffer::window(std::size_t type_slice,
   return w;
 }
 
-std::size_t FeedbackBuffer::size(std::size_t type_slice, models::HostRole role) const {
-  WAVM3_REQUIRE(type_slice < kTypeSlices, "type slice out of range");
-  const std::size_t r = role == models::HostRole::kSource ? 0 : 1;
-  std::lock_guard<std::mutex> lock(mutex_);
-  return slices_[type_slice][r].size();
-}
-
 std::uint64_t FeedbackBuffer::total_ingested() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return ingested_;
-}
-
-std::uint64_t FeedbackBuffer::rejected() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return rejected_;
 }
 
 std::uint64_t FeedbackBuffer::last_seq() const {

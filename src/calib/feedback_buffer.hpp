@@ -61,11 +61,9 @@ class FeedbackBuffer {
   };
   Window window(std::size_t type_slice, models::HostRole role) const;
 
-  std::size_t size(std::size_t type_slice, models::HostRole role) const;
   std::size_t capacity() const { return capacity_; }
 
   std::uint64_t total_ingested() const;  ///< accepted samples (not rows)
-  std::uint64_t rejected() const;        ///< samples failing validation
   std::uint64_t last_seq() const;        ///< highest sequence assigned (0 = none)
 
   /// Which coefficient-table slice a migration type recalibrates.
@@ -73,7 +71,6 @@ class FeedbackBuffer {
   /// The representative migration type of a slice (what
   /// set_coefficients / the planner are keyed on).
   static migration::MigrationType slice_type(std::size_t type_slice);
-  static const char* slice_name(std::size_t type_slice);
 
  private:
   struct Slice {
@@ -94,7 +91,6 @@ class FeedbackBuffer {
   Slice slices_[kTypeSlices][kRoles];
   std::uint64_t next_seq_ = 1;
   std::uint64_t ingested_ = 0;
-  std::uint64_t rejected_ = 0;
 };
 
 }  // namespace wavm3::calib

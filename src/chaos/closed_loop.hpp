@@ -38,7 +38,6 @@ struct WaveOutcome {
   int deferred = 0;            ///< refunded: could not start before the deadline
   int invalidated = 0;         ///< refunded: fleet drifted under a pending retry
   int shed = 0;                ///< refunded: retry budget exhausted
-  int live_aborted = 0;        ///< refunded: live degeneration abort (src/stream/)
   int hosts_powered_off = 0;
   bool degraded = false;       ///< policy in degraded mode after the wave
   LedgerSnapshot ledger;       ///< running totals after the wave

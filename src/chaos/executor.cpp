@@ -5,7 +5,6 @@
 #include <cmath>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "cloud/datacenter.hpp"
@@ -35,7 +34,6 @@ struct ChaosMetrics {
   obs::Counter& sheds;
   obs::Counter& deferred;
   obs::Counter& superseded;
-  obs::Counter& live_aborts;
   obs::Counter& relief_moves;
   obs::Counter& relief_unplaced;
   obs::Counter& invariant_violations;
@@ -61,8 +59,6 @@ ChaosMetrics chaos_metrics(const char* strategy) {
       r.counter("chaos_deferred_total", "Moves refunded at the wave deadline", labels),
       r.counter("chaos_superseded_total", "Planner moves dropped: VM already tracked",
                 labels),
-      r.counter("chaos_live_aborts_total",
-                "Attempts refunded by a stream degeneration abort", labels),
       r.counter("chaos_relief_moves_total", "Emergency overload-relief moves accepted",
                 labels),
       r.counter("chaos_relief_unplaced_total",
@@ -254,15 +250,6 @@ WaveOutcome WaveExecutor::run_wave(plan::Fleet& fleet, const plan::PlacementStra
       out);
 
   // --- 2. Execute, re-serialising per host on realised durations.
-  // Live-abort flags raised since the last wave (stream degeneration
-  // alerts, possibly from serve worker threads) are consumed exactly
-  // once, here at the wave boundary — mid-wave arrivals hit the next
-  // wave, keeping execution deterministic for a given flag set.
-  std::unordered_set<int> aborted_vms;
-  {
-    std::lock_guard<std::mutex> lock(abort_mutex_);
-    aborted_vms.swap(live_abort_vms_);
-  }
   std::vector<ExecutedInterval> intervals;
   {
     WAVM3_OBS_SPAN(exec_span, "chaos", "execute");
@@ -275,12 +262,6 @@ WaveOutcome WaveExecutor::run_wave(plan::Fleet& fleet, const plan::PlacementStra
     std::unordered_map<int, double> last_start;
     for (const int id : attempts) {
       const plan::ScheduledMove& move = loop_.entry(id).move;
-      if (aborted_vms.count(move.vm) != 0) {
-        // The live forecast said this migration is degenerating:
-        // refund instead of executing; next wave's planner re-prices.
-        loop_.refund(id, out.live_aborted);
-        continue;
-      }
       if (!loop_.revalidate(fleet, id, out)) continue;
       double t_min = std::max(now, move.start_s);
       for (const int h : {move.source, move.target}) {
@@ -345,7 +326,6 @@ WaveOutcome WaveExecutor::run_wave(plan::Fleet& fleet, const plan::PlacementStra
   metrics.sheds.inc(static_cast<std::uint64_t>(out.shed));
   metrics.deferred.inc(static_cast<std::uint64_t>(out.deferred));
   metrics.superseded.inc(static_cast<std::uint64_t>(out.superseded));
-  metrics.live_aborts.inc(static_cast<std::uint64_t>(out.live_aborted));
   metrics.relief_moves.inc(static_cast<std::uint64_t>(out.relief_moves));
   metrics.relief_unplaced.inc(static_cast<std::uint64_t>(out.relief_unplaced));
   metrics.invariant_violations.inc(static_cast<std::uint64_t>(out.violations.size()));
@@ -371,7 +351,7 @@ ChaosReport WaveExecutor::run(plan::Fleet& fleet, const plan::PlacementStrategy&
     const bool quiescent = out.planned_moves == 0 && out.relief_moves == 0 &&
                            out.retries_attempted == 0 && out.executed == 0 &&
                            out.deferred == 0 && out.invalidated == 0 &&
-                           out.live_aborted == 0 && loop_.pending().empty();
+                           loop_.pending().empty();
     report.invariant_violations += static_cast<int>(out.violations.size());
     report.waves.push_back(std::move(out));
     if (quiescent) {
@@ -397,23 +377,6 @@ ChaosReport WaveExecutor::run(plan::Fleet& fleet, const plan::PlacementStrategy&
   }
   report.ledger = report.waves.back().ledger;  // max_waves >= 1
   return report;
-}
-
-void WaveExecutor::request_live_abort(int vm) {
-  std::lock_guard<std::mutex> lock(abort_mutex_);
-  live_abort_vms_.insert(vm);
-  ++live_abort_requests_;
-}
-
-std::uint64_t WaveExecutor::live_abort_requests() const {
-  std::lock_guard<std::mutex> lock(abort_mutex_);
-  return live_abort_requests_;
-}
-
-stream::DegenerationCallback make_live_abort_hook(WaveExecutor& executor) {
-  return [&executor](const stream::DegenerationAlert& alert) {
-    if (alert.plan_vm >= 0) executor.request_live_abort(alert.plan_vm);
-  };
 }
 
 }  // namespace wavm3::chaos

@@ -5,7 +5,7 @@
 // degraded mode, the energy ledger and the audit are ClosedLoop's
 // rules (closed_loop.hpp), which dcsim's controller runs too; the
 // executor adds the storm, the cells, per-host re-serialisation, the
-// wave deadline, live aborts, donor power-off and chaos_* metrics.
+// wave deadline, donor power-off and chaos_* metrics.
 //
 // Each attempt runs in its own two-host simulation cell (source and
 // target with the migrating VM plus an aggregate background-load VM
@@ -18,15 +18,12 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <unordered_set>
 #include <vector>
 
 #include "chaos/closed_loop.hpp"
 #include "faults/fault_plan.hpp"
 #include "plan/planner.hpp"
 #include "plan/strategy.hpp"
-#include "stream/session.hpp"
 
 namespace wavm3::chaos {
 
@@ -99,30 +96,10 @@ class WaveExecutor {
   WaveOutcome run_wave(plan::Fleet& fleet, const plan::PlacementStrategy& strategy, int wave,
                       double now);
 
-  /// Flags `vm` for live abort: at the next wave boundary any attempt
-  /// moving it is refunded (kReplanned) instead of executed, so the
-  /// planner re-prices the move — the re-plan hook behind a stream
-  /// degeneration alert. Thread-safe: the callback fires from serve
-  /// worker threads while run_wave owns the ledger. Requests are
-  /// consumed once per wave; flags for untracked VMs expire silently.
-  void request_live_abort(int vm);
-
-  /// Total request_live_abort() calls (monotonic; diagnostics).
-  std::uint64_t live_abort_requests() const;
-
  private:
   ChaosConfig config_;
   plan::MigrationPlanner planner_;
   ClosedLoop loop_;  ///< relief, retry, ledger and audit rules
-  mutable std::mutex abort_mutex_;       ///< guards the two fields below only
-  std::unordered_set<int> live_abort_vms_;  ///< flagged since the last wave
-  std::uint64_t live_abort_requests_ = 0;
 };
-
-/// Adapts an executor into the stream degeneration-alert consumer:
-/// alerts carrying a planner VM id (plan_vm >= 0) request_live_abort it;
-/// others are ignored. Install via serve::PredictionService::
-/// set_degeneration_callback; the executor must outlive the service.
-stream::DegenerationCallback make_live_abort_hook(WaveExecutor& executor);
 
 }  // namespace wavm3::chaos

@@ -18,35 +18,11 @@ Host* DataCenter::host(const std::string& name) {
   return it == hosts_.end() ? nullptr : it->second.get();
 }
 
-const Host* DataCenter::host(const std::string& name) const {
-  const auto it = hosts_.find(name);
-  return it == hosts_.end() ? nullptr : it->second.get();
-}
-
-std::vector<Host*> DataCenter::hosts() {
-  std::vector<Host*> out;
-  out.reserve(hosts_.size());
-  for (auto& [name, h] : hosts_) out.push_back(h.get());
-  return out;
-}
-
 std::vector<const Host*> DataCenter::hosts() const {
   std::vector<const Host*> out;
   out.reserve(hosts_.size());
   for (const auto& [name, h] : hosts_) out.push_back(h.get());
   return out;
-}
-
-Host* DataCenter::host_of_vm(const std::string& vm_id) {
-  for (auto& [name, h] : hosts_)
-    if (h->has_vm(vm_id)) return h.get();
-  return nullptr;
-}
-
-std::size_t DataCenter::total_vm_count() const {
-  std::size_t n = 0;
-  for (const auto& [name, h] : hosts_) n += h->vm_count();
-  return n;
 }
 
 }  // namespace wavm3::cloud

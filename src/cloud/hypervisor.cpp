@@ -14,18 +14,4 @@ double Hypervisor::vmm_demand(std::size_t running_vms) const {
          params_.per_vm_overhead_vcpus * static_cast<double>(running_vms);
 }
 
-std::vector<double> Hypervisor::arbitrate(const std::vector<double>& demands, double capacity) {
-  WAVM3_REQUIRE(capacity > 0.0, "capacity must be positive");
-  double total = 0.0;
-  for (const double d : demands) {
-    WAVM3_REQUIRE(d >= 0.0, "demands must be nonnegative");
-    total += d;
-  }
-  std::vector<double> grants = demands;
-  if (total <= capacity || total == 0.0) return grants;
-  const double scale = capacity / total;
-  for (double& g : grants) g *= scale;
-  return grants;
-}
-
 }  // namespace wavm3::cloud

@@ -3,13 +3,13 @@
 //
 // The VMM (dom-0) consumes a base share plus a per-guest bookkeeping
 // overhead; when aggregate demand exceeds the host capacity, guests are
-// multiplexed with proportional-share scheduling (a simplification of
-// Xen's credit scheduler that preserves the property the paper relies
-// on: total utilisation saturates at the hardware limit).
+// multiplexed with proportional-share scheduling (Host::cpu_granted_to,
+// a simplification of Xen's credit scheduler that preserves the
+// property the paper relies on: total utilisation saturates at the
+// hardware limit).
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 namespace wavm3::cloud {
 
@@ -19,7 +19,7 @@ struct HypervisorParams {
   double per_vm_overhead_vcpus = 0.05;  ///< per running guest bookkeeping
 };
 
-/// Stateless arbitration helper.
+/// The VMM's own CPU demand (CPUVMM of Eq. 2).
 class Hypervisor {
  public:
   explicit Hypervisor(HypervisorParams params = {});
@@ -28,11 +28,6 @@ class Hypervisor {
 
   /// CPUVMM(V): dom-0 demand given the number of running guests.
   double vmm_demand(std::size_t running_vms) const;
-
-  /// Proportional-share grant: returns per-entity grants that sum to at
-  /// most `capacity`. When total demand fits, grants equal demands;
-  /// otherwise each demand is scaled by capacity/total.
-  static std::vector<double> arbitrate(const std::vector<double>& demands, double capacity);
 
  private:
   HypervisorParams params_;

@@ -41,16 +41,6 @@ VmSpec migrating_mem_spec() {
   return s;
 }
 
-VmSpec dom0_spec() {
-  VmSpec s;
-  s.instance_type = "dom-0";
-  s.vcpus = 1;
-  s.ram_bytes = mib(512);
-  s.storage_bytes = gib(115);
-  s.linux_kernel = "3.11.4";
-  return s;
-}
-
 VmSpec migrating_net_spec() {
   VmSpec s;
   s.instance_type = "migrating-net";

@@ -18,9 +18,6 @@ VmSpec migrating_cpu_spec();
 /// VmSpec for `migrating-mem`: 1 vCPU, 4 GB RAM, pagedirtier, 6 GB storage.
 VmSpec migrating_mem_spec();
 
-/// VmSpec for `dom-0`: 1 vCPU, 512 MB RAM, the VMM itself.
-VmSpec dom0_spec();
-
 /// Creates a started `load-cpu` VM running matrixmult on all 4 vCPUs.
 VmPtr make_load_cpu_vm(const std::string& id);
 

@@ -8,15 +8,6 @@
 
 namespace wavm3::cloud {
 
-const char* to_string(VmState s) {
-  switch (s) {
-    case VmState::kStopped: return "stopped";
-    case VmState::kRunning: return "running";
-    case VmState::kSuspended: return "suspended";
-  }
-  return "?";
-}
-
 Vm::Vm(std::string id, VmSpec spec)
     : id_(std::move(id)),
       spec_(std::move(spec)),

@@ -14,8 +14,6 @@ namespace wavm3::cloud {
 /// Lifecycle states relevant to migration (SIII-A).
 enum class VmState { kStopped, kRunning, kSuspended };
 
-const char* to_string(VmState s);
-
 /// Static VM sizing, mirroring Table IIb.
 struct VmSpec {
   std::string instance_type;  ///< e.g. "migrating-cpu"

@@ -323,9 +323,14 @@ inline void target_samples(const TargetHalf& half, const TargetSide& target,
 }
 
 /// Eq. 4 with constant per-phase features for one role: each phase's
-/// predicted power times its duration, and their sum.
-void role_energy(const RoleCoefficients& k, const MigrationSample (&samples)[3],
-                 const double (&duration)[3], double (&phase_energy)[3], double& energy) {
+/// predicted power times its duration, and their sum. Always inlined:
+/// GCC's own choice flips with the number of callers in this file, and
+/// out of line its array arguments go through memory, which nearly
+/// doubles the benchmark's core.attach_energy_ns.
+[[gnu::always_inline]] inline void role_energy(const RoleCoefficients& k,
+                                               const MigrationSample (&samples)[3],
+                                               const double (&duration)[3],
+                                               double (&phase_energy)[3], double& energy) {
   phase_energy[0] = evaluate(MigrationPhase::kInitiation, k.initiation, samples[0]) * duration[0];
   phase_energy[1] = evaluate(MigrationPhase::kTransfer, k.transfer, samples[1]) * duration[1];
   phase_energy[2] = evaluate(MigrationPhase::kActivation, k.activation, samples[2]) * duration[2];
@@ -371,17 +376,6 @@ PhaseRepresentatives representative_features(const MigrationScenario& sc,
   target_samples(prepare_target(sc, sc.link_payload_rate, fc), target_of(sc), rep.target);
   phase_durations(fc, rep.duration);
   return rep;
-}
-
-void attach_source_energy(const Wavm3Model& model, const MigrationScenario& sc,
-                          MigrationForecast& fc) {
-  attach_source(coefficients_for(model, sc), sc, sc.link_payload_rate, fc);
-}
-
-void attach_target_energy(const Wavm3Model& model, const MigrationScenario& sc,
-                          MigrationForecast& fc) {
-  attach_target(coefficients_for(model, sc), prepare_target(sc, sc.link_payload_rate, fc),
-                target_of(sc), fc);
 }
 
 void attach_energy(const Wavm3Model& model, const MigrationScenario& sc,

@@ -9,19 +9,18 @@
 //
 // A forecast splits at three seams. The target host enters the timings
 // only through the transfer bandwidth (transfer_bandwidth), and the
-// energy splits into a source half and a target half
-// (attach_source_energy / attach_target_energy). The target half
-// splits once more: all it reads besides the target host's load and
-// capacity — the resolved target coefficients, the receive CPU, the
-// phase durations and the VM's CPU on the target — depends only on
-// (bandwidth, link rate). So pricing one VM's move to many targets
-// (MigrationPlanner::forecast_targets) runs the pre-copy recursion, the
-// source half and that key-only part once per distinct (bandwidth,
-// link rate), and each target pays only its three host-CPU clamps and
-// the Eq. 4 sums (the inline core::evaluate). Every target energy,
-// batched or not, comes from the same prepare/apply pair, and
-// forecast() is a batch of one of forecast_targets, so every caller
-// prices through one code path.
+// energy splits into a source half and a target half (the two halves
+// of attach_energy). The target half splits once more: all it reads
+// besides the target host's load and capacity — the resolved target
+// coefficients, the receive CPU, the phase durations and the VM's CPU
+// on the target — depends only on (bandwidth, link rate). So pricing
+// one VM's move to many targets (MigrationPlanner::forecast_targets)
+// runs the pre-copy recursion, the source half and that key-only part
+// once per distinct (bandwidth, link rate), and each target pays only
+// its three host-CPU clamps and the Eq. 4 sums (the inline
+// core::evaluate). Every target energy, batched or not, comes from the
+// same prepare/apply pair, and forecast() is a batch of one of
+// forecast_targets, so every caller prices through one code path.
 //
 // The timing recursion itself is one step function over a per-scenario
 // lane. forecast_targets runs it as a single lane; forecast_batch,
@@ -174,24 +173,14 @@ PhaseRepresentatives representative_features(const MigrationScenario& scenario,
                                              const MigrationForecast& fc);
 
 /// Fills the energy fields of `fc` from the fitted model, given the
-/// scenario and already-computed timings/traffic: attach_source_energy
-/// then attach_target_energy. Exposed so forecasts whose timings come
-/// from elsewhere (e.g. an engine simulation run by
+/// scenario and already-computed timings/traffic: the source half
+/// (source_phase_energy and source_energy, which read no target host
+/// field) then the target half (target_phase_energy and
+/// target_energy). Exposed so forecasts whose timings come from
+/// elsewhere (e.g. an engine simulation run by
 /// serve::simulate_forecast) get the exact same energy attribution as
 /// the closed-form planner.
 void attach_energy(const Wavm3Model& model, const MigrationScenario& scenario,
                    MigrationForecast& fc);
-
-/// The source half of attach_energy: fills source_phase_energy and
-/// source_energy, leaving the target fields alone. Reads no target
-/// host field, so one result serves every target with the same
-/// (bandwidth, link rate).
-void attach_source_energy(const Wavm3Model& model, const MigrationScenario& scenario,
-                          MigrationForecast& fc);
-
-/// The target half of attach_energy: fills target_phase_energy and
-/// target_energy, leaving the source fields alone.
-void attach_target_energy(const Wavm3Model& model, const MigrationScenario& scenario,
-                          MigrationForecast& fc);
 
 }  // namespace wavm3::core

@@ -264,14 +264,6 @@ void Wavm3Model::predict_phase_batch(const FeatureBatch& batch, MigrationPhase p
   }
 }
 
-double Wavm3Model::predict_phase_energy(const models::MigrationObservation& obs,
-                                        MigrationPhase phase) const {
-  const FeatureBatch batch = FeatureBatch::of(obs);
-  double out = 0.0;
-  predict_phase_batch(batch, phase, std::span<double>(&out, 1));
-  return out;
-}
-
 void Wavm3Model::apply_idle_bias_correction(double idle_delta_watts) {
   for (auto& [type, table] : fits_) {
     for (RoleCoefficients* rc : {&table.source, &table.target}) {

@@ -107,11 +107,6 @@ class Wavm3Model final : public models::EnergyModel {
   void predict_phase_batch(const models::FeatureBatch& batch, migration::MigrationPhase phase,
                            std::span<double> out) const;
 
-  /// Predicted energy of one phase of an observation (Eq. 3 split) — a
-  /// batch-of-one wrapper over predict_phase_batch.
-  double predict_phase_energy(const models::MigrationObservation& obs,
-                              migration::MigrationPhase phase) const;
-
   /// Fitted coefficient table for one migration type; throws when the
   /// training set had no such migrations.
   const Wavm3Coefficients& coefficients(migration::MigrationType type) const;

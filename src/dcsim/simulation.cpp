@@ -103,7 +103,7 @@ struct DataCenterSimulation::Runtime {
 
   /// Ground-truth bookkeeping of one finished migration.
   void account_migration(const migration::MigrationRecord& r) {
-    if (r.completed) {
+    if (r.outcome == migration::MigrationOutcome::kCompleted) {
       ++report.migrations_executed;
       performance_sum += r.vm_mean_performance;
     } else {

@@ -207,7 +207,9 @@ RunResult ExperimentRunner::run(const ScenarioConfig& scenario, int run_index) {
   });
 
   sim.run_to_completion();
-  WAVM3_REQUIRE(record.completed, "migration did not complete: " + run_key);
+  WAVM3_REQUIRE(completed_at >= 0.0 &&
+                    record.outcome == migration::MigrationOutcome::kCompleted,
+                "migration did not complete: " + run_key);
 
   // --- Assemble the result. ---
   RunResult result;

@@ -170,11 +170,6 @@ std::optional<double> FaultPlan::loss_offset_in(FaultPhase phase) const {
   return best;
 }
 
-bool FaultPlan::empty() const {
-  return degradations_.empty() && flaps_.empty() && stalls_.empty() && overloads_.empty() &&
-         losses_.empty();
-}
-
 bool FaultPlan::has_link_faults() const {
   return !degradations_.empty() || !flaps_.empty() || !stalls_.empty();
 }

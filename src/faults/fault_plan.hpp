@@ -10,11 +10,10 @@
 // failure experiments are exactly reproducible (the property the
 // resilience tests rely on).
 //
-// Layering: faults sits between net and migration. It implements
-// net::LinkConditioner (so the bandwidth model can consume it without
-// knowing about fault schedules) and is consumed by
-// migration::MigrationEngine (which maps connection losses onto its
-// own phase machinery; see the abort semantics in migration/engine.cpp).
+// Layering: faults sits below migration. It is consumed by
+// migration::MigrationEngine, which scales its transfer bandwidth by the
+// plan's link factor and maps connection losses onto its own phase
+// machinery (see the abort semantics in migration/engine.cpp).
 #pragma once
 
 #include <cstdint>
@@ -22,8 +21,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include "net/bandwidth_model.hpp"
 
 namespace wavm3::faults {
 
@@ -134,7 +131,7 @@ struct FaultPlanOptions {
 /// overlapping faults were add()ed never changes link_factor, so two
 /// overlapping 0.5 degradations yield 0.25 over the intersection no
 /// matter which was added first.
-class FaultPlan final : public net::LinkConditioner {
+class FaultPlan {
  public:
   FaultPlan() = default;
 
@@ -145,12 +142,12 @@ class FaultPlan final : public net::LinkConditioner {
   FaultPlan& add(const ConnectionLoss& l);
 
   /// Product of every active link fault's factor at time `t`, in [0,1].
-  double link_factor(double t) const override;
+  double link_factor(double t) const;
 
   /// Exact mean of link_factor over [t0, t1] (piecewise integration;
   /// falls back to dense midpoint sampling only for pathologically
   /// fine flap schedules).
-  double average_link_factor(double t0, double t1) const override;
+  double average_link_factor(double t0, double t1) const;
 
   /// Summed extra vCPU demand injected on `host` at time `t`.
   double host_overload(std::string_view host, double t) const;
@@ -168,8 +165,6 @@ class FaultPlan final : public net::LinkConditioner {
   const std::vector<LinkFlap>& flaps() const { return flaps_; }
   const std::vector<TransferStall>& stalls() const { return stalls_; }
   const std::vector<HostOverload>& overloads() const { return overloads_; }
-
-  bool empty() const;
 
   /// True when any fault affects link capacity (degradation, flap or
   /// stall) — lets consumers skip the averaging work on quiet plans.

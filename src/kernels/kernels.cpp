@@ -203,9 +203,4 @@ std::span<double> Scratch::take(std::size_t n) {
   return s;
 }
 
-Scratch& tls_scratch() {
-  thread_local Scratch scratch;
-  return scratch;
-}
-
 }  // namespace wavm3::kernels

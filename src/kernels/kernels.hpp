@@ -184,9 +184,4 @@ class Scratch {
   std::size_t used_ = 0;
 };
 
-/// Per-thread scratch arena shared by the model predict paths and the
-/// serve workers — one warm arena per worker thread, sized by the
-/// largest request it has seen.
-Scratch& tls_scratch();
-
 }  // namespace wavm3::kernels

@@ -88,24 +88,6 @@ const char* to_string(MigrationOutcome o) {
   return "?";
 }
 
-MigrationConfig xm_toolstack_config() {
-  MigrationConfig cfg;
-  cfg.initiation_duration = 4.5;          // python toolstack startup
-  cfg.source_cleanup_duration = 3.0;
-  cfg.target_resume_duration = 4.5;
-  cfg.adaptive_rate_limit = false;
-  return cfg;
-}
-
-MigrationConfig xl_toolstack_config() {
-  MigrationConfig cfg;
-  cfg.initiation_duration = 2.2;          // libxl is leaner
-  cfg.source_cleanup_duration = 1.5;
-  cfg.target_resume_duration = 3.0;
-  cfg.adaptive_rate_limit = true;
-  return cfg;
-}
-
 MigrationEngine::MigrationEngine(sim::Simulator& simulator, cloud::DataCenter& datacenter,
                                  net::BandwidthModel bandwidth_model, MigrationConfig config)
     : sim_(simulator), dc_(datacenter), bandwidth_model_(bandwidth_model), config_(config) {
@@ -116,10 +98,6 @@ MigrationEngine::MigrationEngine(sim::Simulator& simulator, cloud::DataCenter& d
                 "resume point must fall inside the activation phase");
   WAVM3_REQUIRE(config_.postcopy_restart_duration > 0.0,
                 "post-copy restart duration must be positive");
-}
-
-const MigrationRecord* MigrationEngine::active_record() const {
-  return active_ ? &active_->record : nullptr;
 }
 
 void MigrationEngine::migrate(const std::string& vm_id, const std::string& source_host,
@@ -286,7 +264,6 @@ void MigrationEngine::abort_active(const std::string& reason) {
   st.record.times.te = now;
   st.record.times.me = now;
   st.record.wasted_bytes = st.record.total_bytes;
-  st.record.completed = false;
   st.record.outcome = outcome;
   st.record.failure_phase = phase;
   st.record.failure_reason = reason;
@@ -624,7 +601,6 @@ void MigrationEngine::on_activation_end() {
   st.record.times.me = sim_.now();
   const double span = st.record.times.total_duration();
   st.record.vm_mean_performance = span > 0.0 ? st.perf_integral / span : 1.0;
-  st.record.completed = true;
   st.record.outcome = MigrationOutcome::kCompleted;
   cancel_fault_events();
   st.source_lifecycle = false;
@@ -669,17 +645,6 @@ double MigrationEngine::current_dirty_ratio() const {
   const double tau = sim_.now() - st.round_start;
   const double fresh = fresh_dirty_pages(tau);
   return st.mem_pages > 0.0 ? std::min(1.0, fresh / st.mem_pages) : 0.0;
-}
-
-double MigrationEngine::migrating_vm_cpu() const {
-  if (!active_) return 0.0;
-  const ActiveState& st = *active_;
-  const double t = sim_.now();
-  if (st.vm->state() != cloud::VmState::kRunning) return 0.0;
-  // The VM runs on the source until te, on the target afterwards.
-  if (st.source->has_vm(st.vm->id())) return st.source->cpu_granted_to(st.vm->id(), t);
-  if (st.target->has_vm(st.vm->id())) return st.target->cpu_granted_to(st.vm->id(), t);
-  return 0.0;
 }
 
 power::HostActivity MigrationEngine::activity_of(const cloud::Host& host) const {

@@ -129,14 +129,6 @@ struct MigrationConfig {
   double resume_point_fraction = 0.4;
 };
 
-/// Preset matching the legacy python `xm` toolstack the paper also ran
-/// (Table IIc): slower setup/teardown, no sender rate limiting.
-MigrationConfig xm_toolstack_config();
-
-/// Preset matching the `xl` toolstack: leaner setup plus Clark-style
-/// dynamic rate limiting of pre-copy rounds.
-MigrationConfig xl_toolstack_config();
-
 /// Per-run environment jitter (drawn by the experiment runner) so that
 /// repeated runs differ the way real testbed runs do.
 struct RunJitter {
@@ -171,8 +163,6 @@ struct MigrationRecord {
   /// This is the quantitative form of Table I's "slowdown" column.
   double vm_mean_performance = 1.0;
   bool degenerated_to_nonlive = false;  ///< pre-copy aborted by caps (high DR)
-  /// True iff outcome == kCompleted (kept for compatibility).
-  bool completed = false;
   MigrationOutcome outcome = MigrationOutcome::kCompleted;
   /// Phase the failure hit (kNormal when the migration completed).
   MigrationPhase failure_phase = MigrationPhase::kNormal;
@@ -228,9 +218,6 @@ class MigrationEngine {
 
   bool migration_active() const { return active_.has_value(); }
 
-  /// The in-flight record (times partially filled), or nullptr.
-  const MigrationRecord* active_record() const;
-
   /// All finished migrations, in completion order.
   const std::vector<MigrationRecord>& completed() const { return completed_; }
 
@@ -245,10 +232,6 @@ class MigrationEngine {
   /// accumulated in the current pre-copy round relative to VM memory.
   /// Zero when no live transfer is running or the VM is suspended.
   double current_dirty_ratio() const;
-
-  /// CPU(v,t): CPU granted to the migrating VM on whichever host runs
-  /// it right now (0 while suspended).
-  double migrating_vm_cpu() const;
 
   /// Assembles the instantaneous power-model activity of `host`,
   /// including migration traffic, tracking overhead, and lifecycle

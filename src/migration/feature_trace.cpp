@@ -1,7 +1,5 @@
 #include "migration/feature_trace.hpp"
 
-#include <algorithm>
-
 #include "util/error.hpp"
 
 namespace wavm3::migration {
@@ -10,47 +8,6 @@ void FeatureTrace::add(const FeatureSample& sample) {
   WAVM3_REQUIRE(samples_.empty() || sample.time >= samples_.back().time,
                 "feature samples must be time-ordered");
   samples_.push_back(sample);
-}
-
-const FeatureSample& FeatureTrace::at_or_before(double t) const {
-  WAVM3_REQUIRE(!samples_.empty(), "empty feature trace");
-  const auto it = std::upper_bound(
-      samples_.begin(), samples_.end(), t,
-      [](double value, const FeatureSample& s) { return value < s.time; });
-  if (it == samples_.begin()) return samples_.front();
-  return *(it - 1);
-}
-
-FeatureSample FeatureTrace::phase_mean(MigrationPhase p) const {
-  FeatureSample mean;
-  mean.phase = p;
-  std::size_t n = 0;
-  for (const auto& s : samples_) {
-    if (s.phase != p) continue;
-    ++n;
-    mean.time += s.time;
-    mean.cpu_source += s.cpu_source;
-    mean.cpu_target += s.cpu_target;
-    mean.cpu_vm += s.cpu_vm;
-    mean.dirty_ratio += s.dirty_ratio;
-    mean.bandwidth += s.bandwidth;
-  }
-  if (n == 0) return mean;
-  const double inv = 1.0 / static_cast<double>(n);
-  mean.time *= inv;
-  mean.cpu_source *= inv;
-  mean.cpu_target *= inv;
-  mean.cpu_vm *= inv;
-  mean.dirty_ratio *= inv;
-  mean.bandwidth *= inv;
-  return mean;
-}
-
-std::vector<FeatureSample> FeatureTrace::between(double t0, double t1) const {
-  std::vector<FeatureSample> out;
-  for (const auto& s : samples_)
-    if (s.time >= t0 && s.time <= t1) out.push_back(s);
-  return out;
 }
 
 }  // namespace wavm3::migration

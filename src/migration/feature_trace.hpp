@@ -38,17 +38,6 @@ class FeatureTrace {
   const std::vector<FeatureSample>& samples() const { return samples_; }
   const FeatureSample& operator[](std::size_t i) const { return samples_[i]; }
 
-  /// Nearest sample at or before time t (first sample when t precedes
-  /// the trace). Throws on empty trace.
-  const FeatureSample& at_or_before(double t) const;
-
-  /// Mean of each feature over samples with phase == p.
-  /// Returns a zeroed sample (with phase p) when no sample matches.
-  FeatureSample phase_mean(MigrationPhase p) const;
-
-  /// Samples within [t0, t1].
-  std::vector<FeatureSample> between(double t0, double t1) const;
-
  private:
   std::string label_;
   std::vector<FeatureSample> samples_;

@@ -16,23 +16,6 @@ const char* to_string(HostRole r) {
   return "?";
 }
 
-namespace {
-
-/// Unfiltered trapezoidal integral of `value(sample)` over the
-/// observation's sample times, via the shared stats::trapezoid kernel.
-double integrate(const MigrationObservation& obs,
-                 const std::function<double(const MigrationSample&)>& value) {
-  std::vector<double> t(obs.samples.size());
-  std::vector<double> y(obs.samples.size());
-  for (std::size_t i = 0; i < obs.samples.size(); ++i) {
-    t[i] = obs.samples[i].time;
-    y[i] = value(obs.samples[i]);
-  }
-  return stats::trapezoid(t, y);
-}
-
-}  // namespace
-
 bool MigrationObservation::has_monotonic_timeline() const {
   std::vector<double> t(samples.size());
   for (std::size_t i = 0; i < samples.size(); ++i) t[i] = samples[i].time;
@@ -40,7 +23,15 @@ bool MigrationObservation::has_monotonic_timeline() const {
 }
 
 double MigrationObservation::observed_energy() const {
-  return integrate(*this, [](const MigrationSample& s) { return s.power_watts; });
+  // Unfiltered trapezoidal integral of the measured power over the
+  // sample times, via the shared stats::trapezoid kernel.
+  std::vector<double> t(samples.size());
+  std::vector<double> y(samples.size());
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    t[i] = samples[i].time;
+    y[i] = samples[i].power_watts;
+  }
+  return stats::trapezoid(t, y);
 }
 
 double MigrationObservation::observed_phase_energy(migration::MigrationPhase phase) const {
@@ -61,19 +52,6 @@ std::vector<const MigrationObservation*> Dataset::select(migration::MigrationTyp
   for (const auto& obs : observations)
     if (obs.type == type && obs.role == role) out.push_back(&obs);
   return out;
-}
-
-std::pair<Dataset, Dataset> Dataset::split(double train_fraction, std::uint64_t seed) const {
-  WAVM3_REQUIRE(observations.size() >= 2, "need at least two observations to split");
-  const stats::IndexSplit idx =
-      stats::train_test_split(observations.size(), train_fraction, seed);
-  Dataset train;
-  train.name = name + "/train";
-  Dataset test;
-  test.name = name + "/test";
-  for (const std::size_t i : idx.train) train.observations.push_back(observations[i]);
-  for (const std::size_t i : idx.test) test.observations.push_back(observations[i]);
-  return {std::move(train), std::move(test)};
 }
 
 std::pair<Dataset, Dataset> Dataset::split_stratified(double train_fraction,
@@ -107,11 +85,6 @@ std::pair<Dataset, Dataset> Dataset::split_stratified(double train_fraction,
   }
   WAVM3_REQUIRE(!test.observations.empty(), "stratified split produced an empty test set");
   return {std::move(train), std::move(test)};
-}
-
-double integrate_predicted_power(const MigrationObservation& obs,
-                                 const std::function<double(const MigrationSample&)>& predictor) {
-  return integrate(obs, predictor);
 }
 
 }  // namespace wavm3::models

@@ -7,7 +7,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -76,21 +75,12 @@ struct Dataset {
 
   std::size_t size() const { return observations.size(); }
 
-  /// Splits observation indices into train/test deterministically.
-  /// (The paper trains on 20% of its m01-m02 readings.)
-  std::pair<Dataset, Dataset> split(double train_fraction, std::uint64_t seed) const;
-
-  /// Stratified split: partitions *within each experiment* so that every
-  /// scenario contributes training observations (at least one per
-  /// experiment), like the paper's readings-level 20% split which by
-  /// construction covers all scenarios. Prefer this for model fitting.
+  /// Stratified train/test split, deterministic in `seed`: partitions
+  /// *within each experiment* so that every scenario contributes
+  /// training observations (at least one per experiment), like the
+  /// paper's readings-level 20% split of its m01-m02 readings, which by
+  /// construction covers all scenarios.
   std::pair<Dataset, Dataset> split_stratified(double train_fraction, std::uint64_t seed) const;
 };
-
-/// Integrates a per-sample power predictor over an observation's
-/// samples (trapezoidal), yielding predicted migration energy. The
-/// predictor receives each sample's features.
-double integrate_predicted_power(const MigrationObservation& obs,
-                                 const std::function<double(const MigrationSample&)>& predictor);
 
 }  // namespace wavm3::models

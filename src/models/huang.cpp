@@ -30,10 +30,6 @@ void fill_total_integral(const FeatureBatch& batch, FeatureBatch::Column col,
 
 }  // namespace
 
-double HuangModel::regressor_value(const MigrationSample& sample) const {
-  return regressor_ == CpuRegressor::kHostCpu ? sample.cpu_host : sample.cpu_vm;
-}
-
 void HuangModel::fit(const Dataset& train) {
   fits_.clear();
   FeatureBatch::BuildOptions build;
@@ -63,11 +59,6 @@ HuangModel::Coefficients HuangModel::coefficients(HostRole role) const {
   const auto it = fits_.find(role);
   WAVM3_REQUIRE(it != fits_.end(), "HUANG: not fitted for this role");
   return it->second;
-}
-
-double HuangModel::predict_power(HostRole role, const MigrationSample& sample) const {
-  const Coefficients c = coefficients(role);
-  return c.alpha * regressor_value(sample) + c.c;
 }
 
 void HuangModel::predict_batch(const FeatureBatch& batch, std::span<double> out) const {

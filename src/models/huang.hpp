@@ -47,12 +47,7 @@ class HuangModel final : public EnergyModel {
   };
   Coefficients coefficients(HostRole role) const;
 
-  /// Per-sample power prediction (exposed for trace-level diagnostics).
-  double predict_power(HostRole role, const MigrationSample& sample) const;
-
  private:
-  double regressor_value(const MigrationSample& sample) const;
-
   CpuRegressor regressor_;
   std::map<HostRole, Coefficients> fits_;
 };

@@ -25,15 +25,4 @@ double BandwidthModel::achievable_bandwidth(const Link& link, double source_head
   return link.max_payload_rate() * eff;
 }
 
-double BandwidthModel::achievable_bandwidth(const Link& link, double source_headroom,
-                                            double target_headroom,
-                                            const LinkConditioner& conditioner, double t0,
-                                            double t1) const {
-  WAVM3_REQUIRE(t1 >= t0, "conditioning window must be ordered");
-  const double factor = std::clamp(
-      t1 > t0 ? conditioner.average_link_factor(t0, t1) : conditioner.link_factor(t0), 0.0,
-      1.0);
-  return achievable_bandwidth(link, source_headroom, target_headroom) * factor;
-}
-
 }  // namespace wavm3::net

@@ -23,22 +23,6 @@ struct BandwidthModelParams {
   double cpu_for_wire_speed = 2.0;
 };
 
-/// Time-varying multiplicative condition of a link. Implementations
-/// live above net (faults::FaultPlan injects degradations, flaps and
-/// stalls through this); the bandwidth model only consumes the factor,
-/// so it stays ignorant of fault schedules.
-class LinkConditioner {
- public:
-  virtual ~LinkConditioner() = default;
-
-  /// Capacity multiplier in [0, 1] at absolute time `t`.
-  virtual double link_factor(double t) const = 0;
-
-  /// Mean multiplier over [t0, t1] (t1 >= t0) — what a transfer
-  /// spanning that window effectively sees.
-  virtual double average_link_factor(double t0, double t1) const = 0;
-};
-
 /// Computes endpoint and end-to-end migration bandwidth.
 class BandwidthModel {
  public:
@@ -54,13 +38,6 @@ class BandwidthModel {
   /// `link` given both endpoints' CPU headrooms.
   double achievable_bandwidth(const Link& link, double source_headroom,
                               double target_headroom) const;
-
-  /// Same, conditioned by a time-varying link state: the capacity is
-  /// scaled by the conditioner's factor averaged over [t0, t1] (pass
-  /// t1 == t0 for the instantaneous factor).
-  double achievable_bandwidth(const Link& link, double source_headroom,
-                              double target_headroom, const LinkConditioner& conditioner,
-                              double t0, double t1) const;
 
  private:
   BandwidthModelParams params_;

@@ -16,6 +16,7 @@ using ClockFn = std::uint64_t (*)();
 /// The real clock: steady_clock nanoseconds since an arbitrary epoch.
 std::uint64_t steady_now_ns();
 
+// Test support: no production binary installs a clock.
 /// Installs `fn` as the process-wide observability clock (nullptr
 /// restores the steady clock). Not meant for the hot path — call at
 /// setup or in tests.
@@ -24,6 +25,7 @@ void set_clock(ClockFn fn);
 /// Current observability time in nanoseconds.
 std::uint64_t now_ns();
 
+// Test support: the clock tests pin time with.
 /// Test clock: a process-wide manual time source. install() routes
 /// now_ns() through an atomic counter that only advance()/set() move,
 /// so latencies and QPS denominators become deterministic. Always

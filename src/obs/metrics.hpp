@@ -38,6 +38,7 @@ class Counter {
  public:
   void inc(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
   std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
+  // Test support: isolates metric state between tests.
   void reset() { v_.store(0, std::memory_order_relaxed); }
 
  private:
@@ -51,6 +52,7 @@ class Gauge {
   void set(double v) { v_.store(v, std::memory_order_relaxed); }
   void add(double d);
   double value() const { return v_.load(std::memory_order_relaxed); }
+  // Test support: isolates metric state between tests.
   void reset() { v_.store(0.0, std::memory_order_relaxed); }
 
  private:
@@ -103,6 +105,7 @@ class Histogram {
 
   HistogramSnapshot snapshot() const;
 
+  // Test support: isolates metric state between tests.
   void reset();
 
  private:
@@ -157,9 +160,11 @@ class MetricRegistry {
   /// snapshot taken mid-burst may be off by in-flight increments).
   RegistrySnapshot snapshot() const;
 
+  // Test support: isolates metric state between tests.
   /// Zeroes every metric (families stay registered).
   void reset();
 
+  // Test support: how many metrics are registered.
   std::size_t size() const;
 
  private:

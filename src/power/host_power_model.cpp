@@ -43,10 +43,4 @@ double HostPowerModel::true_power(const HostActivity& activity) const {
          lifecycle_watts;
 }
 
-double HostPowerModel::full_load_power() const {
-  HostActivity a;
-  a.cpu_used_vcpus = params_.vcpus;
-  return true_power(a);
-}
-
 }  // namespace wavm3::power

@@ -55,9 +55,6 @@ class HostPowerModel {
   /// Idle draw (activity all-zero); convenience for bias calibration.
   double idle_power() const { return params_.idle_watts; }
 
-  /// Power at full CPU load with no migration activity.
-  double full_load_power() const;
-
  private:
   HostPowerParams params_;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "kernels/kernels.hpp"
 #include "stats/integrate.hpp"
 #include "util/error.hpp"
 
@@ -28,7 +29,7 @@ double PowerTrace::end_time() const {
 
 double PowerTrace::power_at(double t) const {
   WAVM3_REQUIRE(!samples_.empty(), "empty trace");
-  return stats::interp_at(times_, watts_, t);
+  return kernels::interp_at(times_, watts_, t);
 }
 
 double PowerTrace::energy_between(double t0, double t1) const {

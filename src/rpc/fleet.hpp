@@ -102,8 +102,7 @@ class FleetClient {
   core::MigrationForecast predict(const core::MigrationScenario& scenario);
 
   /// Two-phase publish of `model`'s coefficient tables as the next
-  /// epoch. Serialized internally; safe to call from calib callbacks
-  /// on any node's worker thread.
+  /// epoch. Serialized internally; safe to call from any thread.
   PublishReport publish(const core::Wavm3Model& model);
 
   /// Polls every node. Cheap enough to call mid-bench.

@@ -56,6 +56,7 @@ class FleetNode final : public RpcHandler {
   serve::PredictionService& service() { return service_; }
   int id() const { return config_.node_id; }
 
+  // Test support: probes of the epoch protocol's state.
   std::uint64_t committed_epoch() const;
   /// 0 when nothing is staged.
   std::uint64_t staged_epoch() const;

@@ -59,8 +59,10 @@ class LoopbackTransport final : public Transport {
 
   /// Marks a node unreachable (calls throw kNodeDown) or back up.
   void set_down(int node, bool down);
+  // Test support: reads the knob set_down() flips.
   bool down(int node) const;
 
+  // Test support: no production path drops calls.
   /// Fraction of calls to `node` dropped in transit (throw kTimeout)
   /// after reaching a live node, drawn from a seeded deterministic
   /// stream. Models a flaky path rather than a dead node.
@@ -68,6 +70,7 @@ class LoopbackTransport final : public Transport {
 
   std::vector<std::uint8_t> call(int node, std::span<const std::uint8_t> frame) override;
 
+  // Test support: per-node call and failure counters.
   std::uint64_t calls(int node) const;
   std::uint64_t failures(int node) const;
 

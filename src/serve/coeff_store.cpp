@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "core/coeff_io.hpp"
 #include "util/error.hpp"
 
 namespace wavm3::serve {
@@ -43,12 +42,6 @@ std::uint64_t CoefficientStore::swap(std::shared_ptr<const core::Wavm3Model> mod
   // `retired` releases outside the lock; in-flight readers holding it
   // keep the old coefficients alive until they finish.
   return v;
-}
-
-std::uint64_t CoefficientStore::reload_csv(const std::string& path) {
-  core::Wavm3Model loaded = core::load_coefficients_csv(path);
-  WAVM3_REQUIRE(loaded.is_fitted(), "no coefficient tables loaded from " + path);
-  return swap(std::make_shared<const core::Wavm3Model>(std::move(loaded)));
 }
 
 }  // namespace wavm3::serve

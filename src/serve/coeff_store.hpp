@@ -2,19 +2,18 @@
 //
 // Readers call snapshot() — a brief pointer copy under a light mutex —
 // and then predict lock-free against an immutable Wavm3Model for as
-// long as they like. Writers build a *new* model (from a coefficients
-// CSV or in memory) and publish it atomically with swap(); in-flight
-// predictions keep their old snapshot alive through shared ownership
-// and are never blocked or torn. Every publish bumps a version counter
-// that the service folds into its cache keys, so results computed
-// against superseded coefficients can never be served after a reload.
+// long as they like. Writers build a *new* model and publish it
+// atomically with swap(); in-flight predictions keep their old
+// snapshot alive through shared ownership and are never blocked or
+// torn. Every publish bumps a version counter that the service folds
+// into its cache keys, so results computed against superseded
+// coefficients can never be served after a swap.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
 
 #include "core/wavm3_model.hpp"
 
@@ -38,11 +37,6 @@ class CoefficientStore {
   /// Publishes `model` as the new current snapshot; never waits for
   /// readers. Returns the new version.
   std::uint64_t swap(std::shared_ptr<const core::Wavm3Model> model);
-
-  /// Loads a coefficients CSV (core::load_coefficients_csv) and
-  /// publishes it. Throws util::ContractError on malformed or
-  /// unreadable input, leaving the current snapshot untouched.
-  std::uint64_t reload_csv(const std::string& path);
 
   std::uint64_t version() const { return version_.load(std::memory_order_acquire); }
 

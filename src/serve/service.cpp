@@ -569,10 +569,6 @@ std::vector<core::MigrationForecast> PredictionService::predict_batch(
   return out;
 }
 
-std::uint64_t PredictionService::reload(const std::string& coeffs_csv_path) {
-  return store_.reload_csv(coeffs_csv_path);
-}
-
 std::uint64_t PredictionService::swap_model(
     std::shared_ptr<const core::Wavm3Model> model) {
   return store_.swap(std::move(model));
@@ -582,11 +578,6 @@ void PredictionService::set_feedback_sink(FeedbackSink sink) {
   auto shared = std::make_shared<const FeedbackSink>(std::move(sink));
   std::lock_guard<std::mutex> lock(feedback_mutex_);
   feedback_sink_ = std::move(shared);
-}
-
-void PredictionService::clear_feedback_sink() {
-  std::lock_guard<std::mutex> lock(feedback_mutex_);
-  feedback_sink_.reset();
 }
 
 bool PredictionService::record_feedback(const core::MigrationScenario& scenario,
@@ -605,9 +596,8 @@ bool PredictionService::record_feedback(const core::MigrationScenario& scenario,
     feedback_dropped_.inc();
     return false;
   }
-  // The job owns its copy of the sink handle, so a concurrent
-  // clear_feedback_sink() (or a racing replacement) never invalidates
-  // a sample already in flight.
+  // The job owns its copy of the sink handle, so a racing replacement
+  // never invalidates a sample already in flight.
   const bool queued = pool_.try_submit([this, sink = std::move(sink), scenario, feedback] {
     WAVM3_OBS_SPAN(span, "serve", "feedback");
     try {
@@ -628,7 +618,7 @@ bool PredictionService::record_feedback(const core::MigrationScenario& scenario,
 }
 
 void PredictionService::open_stream(std::uint64_t session,
-                                    const core::MigrationScenario& scenario, int plan_vm) {
+                                    const core::MigrationScenario& scenario) {
   // One snapshot prices the whole open: the baseline forecast and both
   // roles' representative features come from the same coefficients.
   const CoefficientStore::Snapshot snap = store_.snapshot();
@@ -636,7 +626,6 @@ void PredictionService::open_stream(std::uint64_t session,
   stream::SessionOptions options;
   options.type = scenario.type;
   options.scenario = scenario;
-  options.plan_vm = plan_vm;
   options.source_prior =
       stream::PhasePrior::from_scenario(scenario, fc, models::HostRole::kSource);
   options.target_prior =
@@ -671,27 +660,6 @@ stream::LiveForecast PredictionService::predict_live(std::uint64_t session) {
   return fc;
 }
 
-std::future<stream::LiveForecast> PredictionService::submit_predict_live(
-    std::uint64_t session) {
-  // Promise shared with the job: unlike submit(), there is no cache
-  // fast path — every live revision reprices against fresh state.
-  auto promise = std::make_shared<std::promise<stream::LiveForecast>>();
-  std::future<stream::LiveForecast> future = promise->get_future();
-  const bool queued = pool_.submit([this, session, promise] {
-    try {
-      promise->set_value(predict_live(session));
-    } catch (...) {
-      promise->set_exception(std::current_exception());
-    }
-  });
-  if (!queued) {
-    rejected_after_shutdown_.inc();
-    promise->set_exception(std::make_exception_ptr(
-        PredictError(PredictErrorCode::kShutdown, "prediction service is shut down")));
-  }
-  return future;
-}
-
 PredictionService::StreamCloseReport PredictionService::close_stream(
     std::uint64_t session) {
   StreamCloseReport report;
@@ -710,10 +678,6 @@ PredictionService::StreamCloseReport PredictionService::close_stream(
     report.feedback_recorded = record_feedback(*closed->options().scenario, feedback);
   }
   return report;
-}
-
-void PredictionService::set_degeneration_callback(stream::DegenerationCallback callback) {
-  stream_registry_.set_degeneration_callback(std::move(callback));
 }
 
 ServiceStats PredictionService::stats() const {

@@ -16,7 +16,7 @@
 // predict(), submit(), try_submit() and simulated batches share one
 // sharded LRU result cache (keyed on the quantized scenario +
 // coefficient version, see scenario_key.hpp). All entry points share
-// one RCU-style coefficient store: reload()/swap_model() publish new
+// one RCU-style coefficient store: swap_model() publishes new
 // coefficients without blocking in-flight predictions, and the version
 // baked into every cache key retires stale results automatically.
 #pragma once
@@ -243,17 +243,13 @@ class PredictionService {
   std::vector<core::MigrationForecast> predict_batch(
       const std::vector<core::MigrationScenario>& scenarios);
 
-  /// Publishes coefficients from a CSV (throws util::ContractError on
-  /// bad input, current coefficients stay live). Never blocks
+  /// Publishes an already-built model (must be fitted). Never blocks
   /// in-flight predictions. Returns the new coefficient version.
-  std::uint64_t reload(const std::string& coeffs_csv_path);
-
-  /// Publishes an already-built model (must be fitted).
   std::uint64_t swap_model(std::shared_ptr<const core::Wavm3Model> model);
 
   std::uint64_t model_version() const { return store_.version(); }
 
-  /// The RCU coefficient store behind reload()/swap_model(). Exposed
+  /// The RCU coefficient store behind swap_model(). Exposed
   /// so the recalibration loop can snapshot the incumbent model and
   /// publish/roll back candidates with compare-on-version semantics.
   CoefficientStore& coeff_store() { return store_; }
@@ -262,9 +258,6 @@ class PredictionService {
   /// previous one). The sink is invoked on worker-pool threads; pass
   /// a callable that owns (or keeps alive) everything it touches.
   void set_feedback_sink(FeedbackSink sink);
-
-  /// Removes the sink; subsequent feedback is counted as dropped.
-  void clear_feedback_sink();
 
   /// Reports one observed migration outcome. Non-blocking: the sample
   /// is handed to the worker pool and the sink runs asynchronously.
@@ -281,11 +274,8 @@ class PredictionService {
   /// Extrapolation priors, the degeneration baseline, and the
   /// revision-delta normalisation all come from the closed-form
   /// forecast of `scenario` under the current coefficient snapshot.
-  /// `plan_vm` tags degeneration alerts with the plan::-side VM id so
-  /// the chaos re-plan hook can abort the right move. Throws
-  /// stream::StreamError(kDuplicateSession / kSessionLimit).
-  void open_stream(std::uint64_t session, const core::MigrationScenario& scenario,
-                   int plan_vm = -1);
+  /// Throws stream::StreamError(kDuplicateSession / kSessionLimit).
+  void open_stream(std::uint64_t session, const core::MigrationScenario& scenario);
 
   /// Opens a session without a scenario (trace replay, unknown
   /// provenance): the prior carries durations only — from the
@@ -304,14 +294,9 @@ class PredictionService {
   /// Revised live forecast under the current coefficient snapshot —
   /// the same RCU discipline as predict(), so a reload mid-migration
   /// simply prices the next revision with the new coefficients.
-  /// Degeneration alerts fire on the returning revision, outside all
-  /// stream locks.
+  /// The revision that trips the degeneration policy carries the
+  /// (latched) alert.
   stream::LiveForecast predict_live(std::uint64_t session);
-
-  /// predict_live() on the worker pool, sharing its queue and
-  /// backpressure with submit(). After shutdown the returned future
-  /// carries PredictError(kShutdown).
-  std::future<stream::LiveForecast> submit_predict_live(std::uint64_t session);
 
   /// What close_stream() did.
   struct StreamCloseReport {
@@ -325,11 +310,6 @@ class PredictionService {
   /// routed through record_feedback() — i.e. straight into the calib
   /// recalibration ingest when a sink is installed.
   StreamCloseReport close_stream(std::uint64_t session);
-
-  /// Installs the degeneration-alert consumer (replacing any previous
-  /// one); e.g. chaos::make_live_abort_hook. Invoked outside all
-  /// stream locks, on whichever thread called predict_live().
-  void set_degeneration_callback(stream::DegenerationCallback callback);
 
   /// The registry behind the stream entry points (tests/diagnostics).
   stream::SessionRegistry& stream_registry() { return stream_registry_; }

@@ -34,13 +34,6 @@ bool Simulator::cancel(EventId id) {
   return true;
 }
 
-bool Simulator::is_pending(EventId id) const {
-  const auto it = live_.find(id);
-  if (it == live_.end()) return false;
-  const auto ev = it->second.lock();
-  return ev && !ev->cancelled;
-}
-
 std::shared_ptr<Simulator::Event> Simulator::pop_next() {
   while (!queue_.empty()) {
     auto ev = queue_.top();

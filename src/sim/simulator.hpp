@@ -43,9 +43,6 @@ class Simulator {
   /// Cancels a pending event; returns false when already fired/cancelled.
   bool cancel(EventId id);
 
-  /// True when an event with this id is still pending.
-  bool is_pending(EventId id) const;
-
   /// Runs events until the queue empties or the next event is past
   /// `until`; the clock then advances to exactly `until`.
   void run_until(double until);

@@ -40,8 +40,6 @@ double quantile(std::vector<double> values, double q) {
   return values[lo] * (1.0 - frac) + values[hi] * frac;
 }
 
-double median(std::vector<double> values) { return quantile(std::move(values), 0.5); }
-
 void OnlineStats::add(double x) {
   ++count_;
   const double delta = x - mean_;
@@ -55,20 +53,5 @@ double OnlineStats::variance() const {
 }
 
 double OnlineStats::stddev() const { return std::sqrt(variance()); }
-
-void OnlineStats::merge(const OnlineStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double n1 = static_cast<double>(count_);
-  const double n2 = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = n1 + n2;
-  mean_ += delta * n2 / n;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / n;
-  count_ += other.count_;
-}
 
 }  // namespace wavm3::stats

@@ -39,9 +39,6 @@ double variance(const std::vector<double>& values);
 /// and sorted internally. Throws on empty input.
 double quantile(std::vector<double> values, double q);
 
-/// Median shorthand.
-double median(std::vector<double> values);
-
 /// Welford online mean/variance accumulator.
 class OnlineStats {
  public:
@@ -52,9 +49,6 @@ class OnlineStats {
   /// Unbiased sample variance; 0 for fewer than two observations.
   double variance() const;
   double stddev() const;
-
-  /// Merges another accumulator (parallel Welford combine).
-  void merge(const OnlineStats& other);
 
  private:
   std::size_t count_ = 0;

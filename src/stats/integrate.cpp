@@ -27,10 +27,6 @@ double trapezoid(std::span<const double> t, std::span<const double> y) {
   return kernels::trapezoid(t, y);
 }
 
-double interp_at(std::span<const double> t, std::span<const double> y, double x) {
-  return kernels::interp_at(t, y, x);
-}
-
 double window_trapezoid(std::span<const double> t, std::span<const double> y,
                         double t0, double t1) {
   return kernels::window_trapezoid(t, y, t0, t1);

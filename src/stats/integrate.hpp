@@ -28,16 +28,11 @@ bool is_non_decreasing(std::span<const double> t);
 /// area, and the later sample becomes the left endpoint of the next
 /// panel — i.e. y(t) is treated as jumping to the newest reading at
 /// the repeated instant (a stalled meter followed by a step reads
-/// post-step from the step on). interp_at() implements the same rule
-/// via upper_bound, window_trapezoid() inherits it from both, and the
-/// streaming IncrementalExtractor (src/stream/) reproduces it
+/// post-step from the step on). kernels::interp_at() implements the
+/// same rule via upper_bound, window_trapezoid() inherits it from both,
+/// and the streaming IncrementalExtractor (src/stream/) reproduces it
 /// bit-for-bit — regression-pinned in stats_test and stream_test.
 double trapezoid(std::span<const double> t, std::span<const double> y);
-
-/// y at time x by linear interpolation between the neighbouring
-/// samples, clamped to the first/last value outside the sampled
-/// extent. Times must be non-decreasing and non-empty.
-double interp_at(std::span<const double> t, std::span<const double> y, double x);
 
 /// Trapezoidal integral of y(t) restricted to the window [t0, t1]:
 /// the window is clamped to the sampled extent and the boundary

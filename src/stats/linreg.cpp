@@ -7,27 +7,10 @@
 
 namespace wavm3::stats {
 
-double LinearFit::predict(const std::vector<double>& features) const {
-  const std::size_t n_features = coefficients.size() - (has_intercept ? 1 : 0);
-  WAVM3_REQUIRE(features.size() == n_features, "feature count mismatch in predict");
-  double y = has_intercept ? coefficients.back() : 0.0;
-  for (std::size_t i = 0; i < n_features; ++i) y += coefficients[i] * features[i];
-  return y;
-}
+namespace {
 
-Matrix design_matrix(const std::vector<std::vector<double>>& features, bool add_intercept) {
-  WAVM3_REQUIRE(!features.empty(), "need at least one sample");
-  const std::size_t n_features = features.front().size();
-  const std::size_t cols = n_features + (add_intercept ? 1 : 0);
-  Matrix x(features.size(), cols);
-  for (std::size_t r = 0; r < features.size(); ++r) {
-    WAVM3_REQUIRE(features[r].size() == n_features, "ragged feature rows");
-    for (std::size_t c = 0; c < n_features; ++c) x.at(r, c) = features[r][c];
-    if (add_intercept) x.at(r, n_features) = 1.0;
-  }
-  return x;
-}
-
+/// The design matrix of `columns`, with a constant-1 column appended
+/// when `add_intercept`.
 Matrix design_matrix(std::span<const std::span<const double>> columns, bool add_intercept) {
   WAVM3_REQUIRE(!columns.empty(), "need at least one regressor column");
   const std::size_t rows = columns.front().size();
@@ -42,8 +25,6 @@ Matrix design_matrix(std::span<const std::span<const double>> columns, bool add_
   }
   return x;
 }
-
-namespace {
 
 /// Solves the (ridge-regularised) normal equations, falling back to QR
 /// when the Gram matrix is ill-conditioned.
@@ -133,13 +114,6 @@ LinearFit fit_linear_on_design(const Matrix& x, const std::vector<double>& targe
 }
 
 }  // namespace
-
-LinearFit fit_linear(const std::vector<std::vector<double>>& features,
-                     const std::vector<double>& targets, const LinregOptions& options) {
-  WAVM3_REQUIRE(!features.empty(), "need at least one sample");
-  return fit_linear_on_design(design_matrix(features, options.add_intercept), targets,
-                              options);
-}
 
 LinearFit fit_linear(std::span<const std::span<const double>> columns,
                      std::span<const double> targets, const LinregOptions& options) {

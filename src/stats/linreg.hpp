@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "stats/matrix.hpp"
@@ -17,9 +18,6 @@ struct LinearFit {
   double r2 = 0.0;                   ///< coefficient of determination on the training data
   double residual_rmse = 0.0;        ///< RMSE of training residuals
   std::size_t n_samples = 0;
-
-  /// Predicts y for one feature row (without the intercept column).
-  double predict(const std::vector<double>& features) const;
 };
 
 /// Options for fitting.
@@ -29,27 +27,14 @@ struct LinregOptions {
   bool nonnegative = false;      ///< clamp-and-refit active-set projection to coeffs >= 0
 };
 
-/// Fits min ||X b - y|| over rows of `features` (each row one sample).
-/// With options.nonnegative, runs a simple active-set scheme: fit OLS,
-/// clamp negative coefficients to zero, refit on the remaining columns,
-/// and repeat until all free coefficients are nonnegative. The intercept
-/// is never clamped.
-LinearFit fit_linear(const std::vector<std::vector<double>>& features,
-                     const std::vector<double>& targets, const LinregOptions& options = {});
-
-/// Columnar entry point: each element of `columns` is one regressor
-/// column (equal lengths), the layout FeatureBatch exposes. Builds the
-/// design matrix directly from the columns — no per-observation row
-/// copies — and produces bit-identical results to the row overload on
-/// the same data.
+/// Fits min ||X b - y||, where each element of `columns` is one
+/// regressor column (equal lengths), the layout FeatureBatch exposes;
+/// the design matrix is built straight from the columns. With
+/// options.nonnegative, runs a simple active-set scheme: fit OLS, clamp
+/// negative coefficients to zero, refit on the remaining columns, and
+/// repeat until all free coefficients are nonnegative. The intercept is
+/// never clamped.
 LinearFit fit_linear(std::span<const std::span<const double>> columns,
                      std::span<const double> targets, const LinregOptions& options = {});
-
-/// Builds the design matrix (optionally with intercept column appended).
-Matrix design_matrix(const std::vector<std::vector<double>>& features, bool add_intercept);
-
-/// Columnar design-matrix builder: same matrix, assembled from SoA
-/// columns instead of per-sample rows.
-Matrix design_matrix(std::span<const std::span<const double>> columns, bool add_intercept);
 
 }  // namespace wavm3::stats

@@ -10,22 +10,6 @@ namespace wavm3::stats {
 Matrix::Matrix(std::size_t rows, std::size_t cols)
     : rows_(rows), cols_(cols), data_(rows * cols, 0.0) {}
 
-Matrix Matrix::from_rows(const std::vector<std::vector<double>>& rows) {
-  WAVM3_REQUIRE(!rows.empty(), "from_rows needs at least one row");
-  Matrix m(rows.size(), rows.front().size());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    WAVM3_REQUIRE(rows[r].size() == m.cols_, "ragged rows in from_rows");
-    for (std::size_t c = 0; c < m.cols_; ++c) m.at(r, c) = rows[r][c];
-  }
-  return m;
-}
-
-Matrix Matrix::identity(std::size_t n) {
-  Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m.at(i, i) = 1.0;
-  return m;
-}
-
 double& Matrix::at(std::size_t r, std::size_t c) {
   WAVM3_ASSERT(r < rows_ && c < cols_, "matrix index out of range");
   return data_[r * cols_ + c];
@@ -34,26 +18,6 @@ double& Matrix::at(std::size_t r, std::size_t c) {
 double Matrix::at(std::size_t r, std::size_t c) const {
   WAVM3_ASSERT(r < rows_ && c < cols_, "matrix index out of range");
   return data_[r * cols_ + c];
-}
-
-Matrix Matrix::transpose() const {
-  Matrix t(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = 0; c < cols_; ++c) t.at(c, r) = at(r, c);
-  return t;
-}
-
-Matrix Matrix::multiply(const Matrix& rhs) const {
-  WAVM3_REQUIRE(cols_ == rhs.rows_, "inner dimensions must agree");
-  Matrix out(rows_, rhs.cols_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t k = 0; k < cols_; ++k) {
-      const double a = at(r, k);
-      if (a == 0.0) continue;
-      for (std::size_t c = 0; c < rhs.cols_; ++c) out.at(r, c) += a * rhs.at(k, c);
-    }
-  }
-  return out;
 }
 
 Matrix Matrix::gram() const {
@@ -88,48 +52,6 @@ std::vector<double> Matrix::transpose_times(const std::vector<double>& v) const 
     kernels::axpy(v[r], data.subspan(r * cols_, cols_), out);
   }
   return out;
-}
-
-std::vector<double> Matrix::times(const std::vector<double>& v) const {
-  std::vector<double> out(rows_, 0.0);
-  times(std::span<const double>(v), std::span<double>(out));
-  return out;
-}
-
-void Matrix::times(std::span<const double> v, std::span<double> out) const {
-  WAVM3_REQUIRE(v.size() == cols_, "vector length must equal column count");
-  WAVM3_REQUIRE(out.size() == rows_, "output length must equal row count");
-  // Rows are contiguous in the row-major layout, so each output is one
-  // blocked kernel dot against the coefficient vector.
-  const std::span<const double> data(data_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    out[r] = kernels::dot(data.subspan(r * cols_, cols_), v);
-  }
-}
-
-Matrix Matrix::from_columns(std::span<const std::span<const double>> columns) {
-  WAVM3_REQUIRE(!columns.empty(), "from_columns needs at least one column");
-  const std::size_t rows = columns.front().size();
-  Matrix m(rows, columns.size());
-  for (std::size_t c = 0; c < columns.size(); ++c) {
-    WAVM3_REQUIRE(columns[c].size() == rows, "ragged columns in from_columns");
-    for (std::size_t r = 0; r < rows; ++r) m.at(r, c) = columns[c][r];
-  }
-  return m;
-}
-
-double dot(std::span<const double> a, std::span<const double> b) {
-  return kernels::dot(a, b);
-}
-
-void axpy(double a, std::span<const double> x, std::span<double> y) {
-  kernels::axpy(a, x, y);
-}
-
-double Matrix::frobenius_norm() const {
-  double sum = 0.0;
-  for (const double v : data_) sum += v * v;
-  return std::sqrt(sum);
 }
 
 std::vector<double> cholesky_solve(const Matrix& a, const std::vector<double>& b) {
@@ -218,39 +140,6 @@ std::vector<double> qr_least_squares(const Matrix& a, const std::vector<double>&
     for (std::size_t k = i + 1; k < n; ++k) sum -= r.at(i, k) * x[k];
     WAVM3_REQUIRE(std::abs(r.at(i, i)) > 1e-12, "rank-deficient design matrix in QR");
     x[i] = sum / r.at(i, i);
-  }
-  return x;
-}
-
-std::vector<double> gaussian_solve(Matrix a, std::vector<double> b) {
-  const std::size_t n = a.rows();
-  WAVM3_REQUIRE(a.cols() == n, "gaussian_solve needs a square matrix");
-  WAVM3_REQUIRE(b.size() == n, "rhs length mismatch");
-
-  for (std::size_t k = 0; k < n; ++k) {
-    // Partial pivot.
-    std::size_t pivot = k;
-    for (std::size_t i = k + 1; i < n; ++i)
-      if (std::abs(a.at(i, k)) > std::abs(a.at(pivot, k))) pivot = i;
-    WAVM3_REQUIRE(std::abs(a.at(pivot, k)) > 1e-12, "singular matrix in gaussian_solve");
-    if (pivot != k) {
-      for (std::size_t c = 0; c < n; ++c) std::swap(a.at(k, c), a.at(pivot, c));
-      std::swap(b[k], b[pivot]);
-    }
-    for (std::size_t i = k + 1; i < n; ++i) {
-      const double f = a.at(i, k) / a.at(k, k);
-      if (f == 0.0) continue;
-      for (std::size_t c = k; c < n; ++c) a.at(i, c) -= f * a.at(k, c);
-      b[i] -= f * b[k];
-    }
-  }
-
-  std::vector<double> x(n);
-  for (std::size_t ii = 0; ii < n; ++ii) {
-    const std::size_t i = n - 1 - ii;
-    double sum = b[i];
-    for (std::size_t k = i + 1; k < n; ++k) sum -= a.at(i, k) * x[k];
-    x[i] = sum / a.at(i, i);
   }
   return x;
 }

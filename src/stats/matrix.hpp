@@ -1,11 +1,10 @@
 // Dense row-major matrix with just the linear algebra the regression
-// pipeline needs: products, transposes, Cholesky and Householder-QR
-// solves. Sizes here are tiny (a handful of regressors), so clarity wins
-// over blocking/vectorisation tricks.
+// pipeline needs: the Gram products of the normal equations, Cholesky
+// and Householder-QR solves. Sizes here are tiny (a handful of
+// regressors), so clarity wins over blocking/vectorisation tricks.
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 namespace wavm3::stats {
@@ -18,18 +17,6 @@ class Matrix {
   /// rows x cols matrix, zero-initialised.
   Matrix(std::size_t rows, std::size_t cols);
 
-  /// Builds from nested initialiser data; all rows must have equal width.
-  static Matrix from_rows(const std::vector<std::vector<double>>& rows);
-
-  /// Builds from column views (the SoA layout FeatureBatch exposes):
-  /// all columns must have equal length. The result is the same
-  /// row-major matrix `from_rows` would build from the transposed
-  /// data, so downstream factorisations are bit-identical.
-  static Matrix from_columns(std::span<const std::span<const double>> columns);
-
-  /// Identity matrix of size n.
-  static Matrix identity(std::size_t n);
-
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
 
@@ -40,24 +27,11 @@ class Matrix {
   std::vector<double>& data() { return data_; }
   const std::vector<double>& data() const { return data_; }
 
-  Matrix transpose() const;
-  Matrix multiply(const Matrix& rhs) const;
-
   /// this^T * this — the Gram matrix used by normal equations.
   Matrix gram() const;
 
   /// this^T * v for a column vector v (v.size() == rows()).
   std::vector<double> transpose_times(const std::vector<double>& v) const;
-
-  /// this * v for a column vector v (v.size() == cols()).
-  std::vector<double> times(const std::vector<double>& v) const;
-
-  /// this * v written into a caller-provided buffer (out.size() ==
-  /// rows()); the allocation-free form batch prediction hot paths use.
-  void times(std::span<const double> v, std::span<double> out) const;
-
-  /// Frobenius norm.
-  double frobenius_norm() const;
 
  private:
   std::size_t rows_ = 0;
@@ -73,21 +47,5 @@ std::vector<double> cholesky_solve(const Matrix& a, const std::vector<double>& b
 /// column-pivot-free factorisation. Requires rows >= cols and full
 /// column rank; throws util::ContractError on rank deficiency.
 std::vector<double> qr_least_squares(const Matrix& a, const std::vector<double>& b);
-
-/// Solves the square system A x = b by Gaussian elimination with
-/// partial pivoting. Throws on (near-)singular A.
-std::vector<double> gaussian_solve(Matrix a, std::vector<double> b);
-
-// BLAS-1 style kernels over contiguous columns, the primitives the
-// columnar (SoA) prediction path composes its matrix-vector products
-// from without gathering rows first. Both forward to the
-// runtime-dispatched src/kernels/ implementations (scalar/AVX2/NEON,
-// fixed blocked-4 reduction order — see kernels/kernels.hpp).
-
-/// Inner product of two equal-length columns (blocked-4 reduction).
-double dot(std::span<const double> a, std::span<const double> b);
-
-/// y += a * x elementwise (equal lengths).
-void axpy(double a, std::span<const double> x, std::span<double> y);
 
 }  // namespace wavm3::stats

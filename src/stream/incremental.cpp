@@ -109,7 +109,6 @@ void IncrementalExtractor::push(const models::MigrationSample& sample) {
   const int dense = static_cast<int>(effective_phase_index(sample.phase));
   current_phase_ = dense;
   if (dense > deepest_phase_) deepest_phase_ = dense;
-  if (std::isnan(phase_entered_[dense])) phase_entered_[dense] = sample.time;
 }
 
 double IncrementalExtractor::integral(models::FeatureBatch::Column col, std::size_t phase,
@@ -121,11 +120,6 @@ double IncrementalExtractor::integral(models::FeatureBatch::Column col, std::siz
 
 double IncrementalExtractor::phase_coverage(std::size_t phase) const {
   return integral(FeatureBatch::Column::kOne, phase);
-}
-
-double IncrementalExtractor::phase_entered_at(std::size_t phase) const {
-  WAVM3_REQUIRE(phase < FeatureBatch::kPhases, "stream: phase index out of range");
-  return phase_entered_[phase];
 }
 
 models::FeatureBatch IncrementalExtractor::to_batch() const {

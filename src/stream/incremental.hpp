@@ -33,7 +33,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 
 #include "models/feature_batch.hpp"
 #include "stream/errors.hpp"
@@ -104,9 +103,6 @@ class IncrementalExtractor {
   int deepest_phase() const { return deepest_phase_; }
   /// Dense phase index of the newest sample (effective mapping).
   int current_phase() const { return current_phase_; }
-  /// First time a sample carrying dense phase p (effective) arrived;
-  /// NaN when that phase has produced no sample yet.
-  double phase_entered_at(std::size_t phase) const;
 
   /// The accumulated aggregate state, FeatureBatch layout, with the
   /// observed-energy panel sum finalised — feed to
@@ -126,9 +122,6 @@ class IncrementalExtractor {
   double last_time_ = 0.0;
   int deepest_phase_ = -1;
   int current_phase_ = -1;
-  double phase_entered_[3] = {std::numeric_limits<double>::quiet_NaN(),
-                              std::numeric_limits<double>::quiet_NaN(),
-                              std::numeric_limits<double>::quiet_NaN()};
   std::uint64_t gaps_bridged_ = 0;
   std::uint64_t synthetic_samples_ = 0;
 };

@@ -10,34 +10,11 @@
 
 namespace wavm3::stream {
 
-// ------------------------------------------------------------- ring
-
-void SampleRing::push(models::HostRole role, const models::MigrationSample& sample) {
-  ++total_;
-  if (capacity_ == 0) return;
-  if (entries_.size() < capacity_) {
-    entries_.push_back({role, sample});
-  } else {
-    entries_[next_] = {role, sample};
-    next_ = (next_ + 1) % capacity_;
-  }
-}
-
-std::vector<SampleRing::Entry> SampleRing::snapshot() const {
-  std::vector<Entry> out;
-  out.reserve(entries_.size());
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    out.push_back(entries_[(next_ + i) % entries_.size()]);
-  }
-  return out;
-}
-
 // ---------------------------------------------------------- session
 
 StreamSession::StreamSession(std::uint64_t id, SessionOptions options,
-                             ExtractorConfig extractor, std::size_t ring_capacity,
-                             DegenerationPolicy policy)
-    : id_(id), options_(std::move(options)), policy_(policy), ring_(ring_capacity) {
+                             ExtractorConfig extractor, DegenerationPolicy policy)
+    : id_(id), options_(std::move(options)), policy_(policy) {
   source_.extractor = IncrementalExtractor(options_.type, models::HostRole::kSource, extractor);
   target_.extractor = IncrementalExtractor(options_.type, models::HostRole::kTarget, extractor);
   if (options_.scenario.has_value()) {
@@ -55,7 +32,6 @@ void StreamSession::submit(models::HostRole role, const models::MigrationSample&
   RoleState& rs = role_state(role);
   rs.extractor.push(sample);  // throws before any state change below
   rs.tracker.observe(sample);
-  ring_.push(role, sample);
 }
 
 LiveForecast StreamSession::predict(const core::Wavm3Model& model) {
@@ -104,7 +80,6 @@ LiveForecast StreamSession::predict(const core::Wavm3Model& model) {
       degenerated_ = true;
       DegenerationAlert alert;
       alert.session = id_;
-      alert.plan_vm = options_.plan_vm;
       alert.baseline_j = options_.baseline_total_j;
       alert.revised_j = total;
       alert.rounds_observed = fc.rounds_observed;
@@ -147,11 +122,6 @@ SessionSummary StreamSession::summary() const {
   return s;
 }
 
-std::vector<SampleRing::Entry> StreamSession::recent_samples() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return ring_.snapshot();
-}
-
 // --------------------------------------------------------- registry
 
 SessionRegistry::SessionRegistry(RegistryConfig config) : config_(std::move(config)) {
@@ -161,7 +131,7 @@ SessionRegistry::SessionRegistry(RegistryConfig config) : config_(std::move(conf
 std::shared_ptr<StreamSession> SessionRegistry::open(std::uint64_t id,
                                                      SessionOptions options) {
   auto session = std::make_shared<StreamSession>(id, std::move(options), config_.extractor,
-                                                 config_.ring_capacity, config_.degeneration);
+                                                 config_.degeneration);
   session->touch(next_tick());
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -216,7 +186,7 @@ LiveForecast SessionRegistry::predict(std::uint64_t id, const core::Wavm3Model& 
   const std::shared_ptr<StreamSession> session = find(id);
   LiveForecast fc = session->predict(model);
   session->touch(next_tick());
-  if (fc.alert.has_value()) deliver(*fc.alert);
+  if (fc.alert.has_value()) WAVM3_OBS_INSTANT("stream", "degeneration");
   return fc;
 }
 
@@ -236,25 +206,9 @@ std::shared_ptr<StreamSession> SessionRegistry::close(std::uint64_t id) {
   return session;
 }
 
-void SessionRegistry::set_degeneration_callback(DegenerationCallback callback) {
-  auto shared = std::make_shared<const DegenerationCallback>(std::move(callback));
-  std::lock_guard<std::mutex> lock(mutex_);
-  callback_ = std::move(shared);
-}
-
 std::size_t SessionRegistry::active() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return sessions_.size();
-}
-
-void SessionRegistry::deliver(const DegenerationAlert& alert) {
-  WAVM3_OBS_INSTANT("stream", "degeneration");
-  std::shared_ptr<const DegenerationCallback> cb;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    cb = callback_;
-  }
-  if (cb != nullptr && *cb) (*cb)(alert);
 }
 
 }  // namespace wavm3::stream

@@ -2,14 +2,12 @@
 // serve::PredictionService's submit_sample / predict_live entry
 // points. One session tracks one in-flight migration: a pair of
 // IncrementalExtractors (source + target meters), a PhaseTracker per
-// role, a bounded ring of recent raw samples (diagnostics — the
-// extractors are O(1) and never need history), and the revision state
-// of its live forecast. The registry maps session ids to sessions,
-// bounds how many are in flight (least-recently-updated eviction, or
-// a typed kSessionLimit error when eviction is disabled), and routes
-// degeneration alerts — a live forecast crossing the policy threshold,
-// or the pre-copy round count running away — to one process-side
-// callback (the chaos::WaveExecutor abort-and-refund hook) plus an
+// role, and the revision state of its live forecast. The registry maps
+// session ids to sessions, bounds how many are in flight
+// (least-recently-updated eviction, or a typed kSessionLimit error when
+// eviction is disabled), and marks degeneration — a live forecast
+// crossing the policy threshold, or the pre-copy round count running
+// away — with a latched alert on the revision that trips it plus an
 // obs instant.
 //
 // Thread safety: the registry serialises its map under one mutex; each
@@ -22,13 +20,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "core/planner.hpp"
 #include "stream/incremental.hpp"
@@ -51,42 +47,10 @@ struct DegenerationPolicy {
 /// Raised (at most once per session) when the policy trips.
 struct DegenerationAlert {
   std::uint64_t session = 0;
-  int plan_vm = -1;          ///< plan::-side VM id, -1 when not planner-born
   double baseline_j = 0.0;
   double revised_j = 0.0;
   int rounds_observed = 0;
   std::string reason;
-};
-
-/// Invoked outside every stream lock; must be thread-safe.
-using DegenerationCallback = std::function<void(const DegenerationAlert&)>;
-
-/// Bounded ring of the most recent raw samples of one session.
-class SampleRing {
- public:
-  struct Entry {
-    models::HostRole role = models::HostRole::kSource;
-    models::MigrationSample sample;
-  };
-
-  explicit SampleRing(std::size_t capacity) : capacity_(capacity) {
-    entries_.reserve(capacity_);
-  }
-
-  void push(models::HostRole role, const models::MigrationSample& sample);
-
-  std::size_t size() const { return entries_.size(); }
-  std::size_t capacity() const { return capacity_; }
-  std::uint64_t total_pushed() const { return total_; }
-
-  /// Oldest-first copy of the retained window.
-  std::vector<Entry> snapshot() const;
-
- private:
-  std::size_t capacity_;
-  std::vector<Entry> entries_;
-  std::size_t next_ = 0;  ///< overwrite cursor once full
-  std::uint64_t total_ = 0;
 };
 
 /// How a session is opened.
@@ -105,7 +69,6 @@ struct SessionOptions {
   /// The scenario this migration realises, when known (serve keeps it
   /// to auto-convert the finished session into calib feedback).
   std::optional<core::MigrationScenario> scenario;
-  int plan_vm = -1;
 };
 
 /// One combined (source + target) live forecast revision.
@@ -142,18 +105,17 @@ struct SessionSummary {
 class StreamSession {
  public:
   StreamSession(std::uint64_t id, SessionOptions options, ExtractorConfig extractor,
-                std::size_t ring_capacity, DegenerationPolicy policy);
+                DegenerationPolicy policy);
 
   std::uint64_t id() const { return id_; }
   const SessionOptions& options() const { return options_; }
 
-  /// Feeds one sample to one role's extractor/tracker (and the ring).
+  /// Feeds one sample to one role's extractor and tracker.
   /// Error semantics are the extractor's (ContractError / StreamError).
   void submit(models::HostRole role, const models::MigrationSample& sample);
 
   /// Revised forecast under `model`. Thread-safe; bumps the revision
-  /// counter. The returned alert (if any) has NOT been delivered —
-  /// the registry/serve layer invokes the callback outside all locks.
+  /// counter.
   LiveForecast predict(const core::Wavm3Model& model);
 
   /// Marks both streams complete (predictions become exact-prefix
@@ -161,7 +123,6 @@ class StreamSession {
   void finish();
 
   SessionSummary summary() const;
-  std::vector<SampleRing::Entry> recent_samples() const;
 
   /// Registry bookkeeping: monotonically increasing last-touch tick.
   std::uint64_t last_used() const { return last_used_.load(std::memory_order_relaxed); }
@@ -183,7 +144,6 @@ class StreamSession {
   mutable std::mutex mutex_;
   RoleState source_;
   RoleState target_;
-  SampleRing ring_;
   bool finished_ = false;
   bool degenerated_ = false;
   std::uint64_t revisions_ = 0;
@@ -198,7 +158,6 @@ struct RegistryConfig {
   /// Full registry: evict the least-recently-updated session (true) or
   /// refuse the open with StreamError(kSessionLimit) (false).
   bool evict_on_full = true;
-  std::size_t ring_capacity = 1024;
   DegenerationPolicy degeneration;
 };
 
@@ -218,15 +177,13 @@ class SessionRegistry {
   void submit(std::uint64_t id, models::HostRole role,
               const models::MigrationSample& sample);
 
-  /// session->predict(model), delivering any degeneration alert to the
-  /// installed callback (outside all locks) and the obs tracer.
+  /// session->predict(model); a revision carrying a degeneration
+  /// alert also emits an obs instant.
   LiveForecast predict(std::uint64_t id, const core::Wavm3Model& model);
 
   /// finish()es and removes the session, returning it for final
   /// inspection (summary / feedback conversion).
   std::shared_ptr<StreamSession> close(std::uint64_t id);
-
-  void set_degeneration_callback(DegenerationCallback callback);
 
   std::size_t active() const;
   std::uint64_t evictions() const { return evictions_.load(std::memory_order_relaxed); }
@@ -237,12 +194,10 @@ class SessionRegistry {
 
  private:
   std::uint64_t next_tick() { return tick_.fetch_add(1, std::memory_order_relaxed) + 1; }
-  void deliver(const DegenerationAlert& alert);
 
   RegistryConfig config_;
   mutable std::mutex mutex_;
   std::unordered_map<std::uint64_t, std::shared_ptr<StreamSession>> sessions_;
-  std::shared_ptr<const DegenerationCallback> callback_;
   std::atomic<std::uint64_t> tick_{0};
   std::atomic<std::uint64_t> evictions_{0};
   std::atomic<std::uint64_t> opened_{0};

@@ -1,7 +1,5 @@
 #include "util/csv.hpp"
 
-#include <cstdio>
-
 #include "util/error.hpp"
 
 namespace wavm3::util {
@@ -10,18 +8,6 @@ void CsvWriter::header(const std::vector<std::string>& names) {
   WAVM3_REQUIRE(!header_written_ && rows_ == 0, "header must be written first and only once");
   write_cells(names);
   header_written_ = true;
-}
-
-void CsvWriter::row(const std::vector<double>& values) {
-  std::vector<std::string> cells;
-  cells.reserve(values.size());
-  for (const double v : values) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    cells.emplace_back(buf);
-  }
-  write_cells(cells);
-  ++rows_;
 }
 
 void CsvWriter::row_text(const std::vector<std::string>& cells) {
@@ -98,16 +84,6 @@ bool read_csv_file(const std::string& path, std::vector<std::string>& header,
     }
   }
   return !header.empty();
-}
-
-bool write_csv_file(const std::string& path, const std::vector<std::string>& header,
-                    const std::vector<std::vector<double>>& rows) {
-  std::ofstream out(path);
-  if (!out) return false;
-  CsvWriter csv(out);
-  csv.header(header);
-  for (const auto& r : rows) csv.row(r);
-  return static_cast<bool>(out);
 }
 
 }  // namespace wavm3::util

@@ -14,7 +14,7 @@ namespace wavm3::util {
 /// Example:
 ///   CsvWriter csv(out);
 ///   csv.header({"time_s", "power_w"});
-///   csv.row({1.0, 431.2});
+///   csv.row_text({"1", "431.2"});
 class CsvWriter {
  public:
   /// Writes to a caller-owned stream; the stream must outlive the writer.
@@ -22,9 +22,6 @@ class CsvWriter {
 
   /// Writes the header row. Call at most once, before any data row.
   void header(const std::vector<std::string>& names);
-
-  /// Writes one row of doubles rendered with full round-trip precision.
-  void row(const std::vector<double>& values);
 
   /// Writes one row of preformatted cells (quoted as needed).
   void row_text(const std::vector<std::string>& cells);
@@ -40,11 +37,6 @@ class CsvWriter {
   std::size_t rows_ = 0;
   bool header_written_ = false;
 };
-
-/// Convenience: writes an entire table (header + rows) to `path`.
-/// Returns false when the file cannot be opened.
-bool write_csv_file(const std::string& path, const std::vector<std::string>& header,
-                    const std::vector<std::vector<double>>& rows);
 
 /// Parses one CSV line into cells, honouring double-quote quoting and
 /// escaped quotes ("" -> "). The line must not contain the record

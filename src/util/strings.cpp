@@ -30,27 +30,4 @@ std::string fmt_percent(double fraction, int digits) {
   return format("%.*f%%", digits, fraction * 100.0);
 }
 
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = s.find(sep, start);
-    if (pos == std::string::npos) {
-      out.push_back(s.substr(start));
-      return out;
-    }
-    out.push_back(s.substr(start, pos - start));
-    start = pos + 1;
-  }
-}
-
-std::string join(const std::vector<std::string>& parts, const std::string& sep) {
-  std::string out;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i != 0) out += sep;
-    out += parts[i];
-  }
-  return out;
-}
-
 }  // namespace wavm3::util

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 namespace wavm3::util {
 
@@ -17,11 +16,5 @@ std::string fmt_sci(double v, int digits);
 
 /// Percentage rendering from a fraction, e.g. fmt_percent(0.118, 1) == "11.8%".
 std::string fmt_percent(double fraction, int digits);
-
-/// Splits `s` on `sep`, keeping empty fields.
-std::vector<std::string> split(const std::string& s, char sep);
-
-/// Joins strings with a separator.
-std::string join(const std::vector<std::string>& parts, const std::string& sep);
 
 }  // namespace wavm3::util

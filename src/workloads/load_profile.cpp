@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include <cstdlib>
-
-#include "util/csv.hpp"
 #include "util/error.hpp"
 
 namespace wavm3::workloads {
@@ -49,25 +46,6 @@ LoadProfile LoadProfile::diurnal(double low, double high, double period, double 
   return steps(std::move(points), period);
 }
 
-LoadProfile LoadProfile::from_csv(const std::string& path, double period) {
-  std::vector<std::string> header;
-  std::vector<std::vector<std::string>> rows;
-  WAVM3_REQUIRE(util::read_csv_file(path, header, rows), "cannot read profile CSV: " + path);
-  WAVM3_REQUIRE(header.size() == 2 && header[0] == "time_s" && header[1] == "fraction",
-                "profile CSV must have header time_s,fraction: " + path);
-  std::vector<LoadPoint> points;
-  points.reserve(rows.size());
-  for (const auto& r : rows) {
-    char* end = nullptr;
-    const double t = std::strtod(r[0].c_str(), &end);
-    WAVM3_REQUIRE(end != r[0].c_str(), "malformed time in profile CSV: " + r[0]);
-    const double f = std::strtod(r[1].c_str(), &end);
-    WAVM3_REQUIRE(end != r[1].c_str(), "malformed fraction in profile CSV: " + r[1]);
-    points.push_back({t, f});
-  }
-  return steps(std::move(points), period);
-}
-
 double LoadProfile::fraction_at(double t) const {
   WAVM3_REQUIRE(t >= 0.0, "time must be nonnegative");
   double local = t;
@@ -78,18 +56,6 @@ double LoadProfile::fraction_at(double t) const {
       [](double value, const LoadPoint& p) { return value < p.time; });
   if (it == points_.begin()) return points_.front().fraction;
   return (it - 1)->fraction;
-}
-
-double LoadProfile::mean_fraction() const {
-  if (points_.size() == 1) return points_.front().fraction;
-  const double end = period_ > 0.0 ? period_ : points_.back().time + 1.0;
-  double sum = 0.0;
-  for (std::size_t i = 0; i < points_.size(); ++i) {
-    const double t0 = points_[i].time;
-    const double t1 = i + 1 < points_.size() ? points_[i + 1].time : end;
-    sum += points_[i].fraction * (t1 - t0);
-  }
-  return sum / end;
 }
 
 }  // namespace wavm3::workloads

@@ -3,8 +3,6 @@
 // consolidation opportunities appear and disappear.
 #pragma once
 
-#include <cstdint>
-#include <string>
 #include <vector>
 
 namespace wavm3::workloads {
@@ -33,16 +31,8 @@ class LoadProfile {
   static LoadProfile diurnal(double low, double high, double period = 86400.0,
                              double phase = 0.0, int steps_per_cycle = 24);
 
-  /// Loads a profile from a CSV file with header `time_s,fraction`
-  /// (times strictly increasing from 0). `period` as in steps().
-  /// Throws util::ContractError on malformed input or unreadable files.
-  static LoadProfile from_csv(const std::string& path, double period = 0.0);
-
   /// CPU fraction at absolute time t (>= 0).
   double fraction_at(double t) const;
-
-  /// Mean fraction over one period (or over the step list).
-  double mean_fraction() const;
 
   bool cyclic() const { return period_ > 0.0; }
   double period() const { return period_; }

@@ -7,14 +7,11 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 namespace wavm3::workloads {
 
 /// Broad workload classes from Table I.
 enum class WorkloadClass { kIdle, kCpuIntensive, kMemoryIntensive, kMixed };
-
-const char* to_string(WorkloadClass c);
 
 /// A running program inside a VM, seen through its resource usage.
 ///
@@ -66,22 +63,6 @@ class IdleWorkload final : public Workload {
   double dirty_page_rate(double) const override { return 0.0; }
   std::uint64_t working_set_pages() const override { return 0; }
   double memory_used_fraction() const override { return 0.05; }
-};
-
-/// Combines several workloads additively (a "mixed" workload).
-class CompositeWorkload final : public Workload {
- public:
-  explicit CompositeWorkload(std::vector<WorkloadPtr> parts);
-
-  std::string name() const override;
-  WorkloadClass workload_class() const override { return WorkloadClass::kMixed; }
-  double cpu_demand(double t) const override;
-  double dirty_page_rate(double t) const override;
-  std::uint64_t working_set_pages() const override;
-  double memory_used_fraction() const override;
-
- private:
-  std::vector<WorkloadPtr> parts_;
 };
 
 }  // namespace wavm3::workloads

@@ -131,9 +131,14 @@ TEST(Wavm3, PhaseEnergiesSumNearTotal) {
   const Wavm3Model& m = fitted_wavm3();
   const auto& obs = split_m().test.observations.front();
   const double total = m.predict_energy(obs);
-  const double parts = m.predict_phase_energy(obs, MigrationPhase::kInitiation) +
-                       m.predict_phase_energy(obs, MigrationPhase::kTransfer) +
-                       m.predict_phase_energy(obs, MigrationPhase::kActivation);
+  const models::FeatureBatch batch = models::FeatureBatch::of(obs);
+  double parts = 0.0;
+  for (const MigrationPhase phase : {MigrationPhase::kInitiation, MigrationPhase::kTransfer,
+                                     MigrationPhase::kActivation}) {
+    double phase_energy = 0.0;
+    m.predict_phase_batch(batch, phase, std::span<double>(&phase_energy, 1));
+    parts += phase_energy;
+  }
   // Boundary sample intervals are the only difference.
   EXPECT_NEAR(parts, total, 3.0 * 0.5 * 900.0);
   EXPECT_GT(parts, 0.0);
@@ -409,23 +414,39 @@ TEST(Planner, ForecastTargetsBitEqualsPerTargetForecast) {
       EXPECT_EQ(timings.bandwidth, transfer_bandwidth(sc));
       expect_bit_equal(timings, forecast_timings_at(sc, transfer_bandwidth(sc)));
 
-      // attach_energy is its source half plus its target half, and each
-      // half fills only its own role's fields.
-      MigrationForecast halves = timings;
-      attach_source_energy(model, sc, halves);
-      EXPECT_EQ(halves.target_energy, 0.0);
-      EXPECT_EQ(halves.target_phase_energy[1], 0.0);
-      attach_target_energy(model, sc, halves);
-      expect_bit_equal(halves, composed);
-      MigrationForecast target_only = timings;
-      attach_target_energy(model, sc, target_only);
-      EXPECT_EQ(target_only.source_energy, 0.0);
-      EXPECT_EQ(target_only.target_energy, composed.target_energy);
+      // attach_energy fills each role's energy as the sum of that
+      // role's phase energies.
+      EXPECT_EQ(composed.source_energy, composed.source_phase_energy[0] +
+                                            composed.source_phase_energy[1] +
+                                            composed.source_phase_energy[2]);
+      EXPECT_EQ(composed.target_energy, composed.target_phase_energy[0] +
+                                            composed.target_phase_energy[1] +
+                                            composed.target_phase_energy[2]);
     }
     // The two targets with key A differ in load and capacity, so only
     // the target half tells them apart.
     EXPECT_EQ(out[0].source_energy, out[2].source_energy);
     EXPECT_NE(out[0].target_energy, out[2].target_energy);
+    // attach_energy's source half reads no target host field: one key-A
+    // timing priced against both key-A hosts gives bit-equal source
+    // fields, and only the target fields differ.
+    {
+      const MigrationScenario on_above = with_target(base, above);
+      const MigrationScenario on_at = with_target(base, at);
+      MigrationForecast priced_above = forecast_timings(on_above);
+      MigrationForecast priced_at = priced_above;
+      attach_energy(model, on_above, priced_above);
+      attach_energy(model, on_at, priced_at);
+      for (int p = 0; p < 3; ++p) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(priced_above.source_phase_energy[p]),
+                  std::bit_cast<std::uint64_t>(priced_at.source_phase_energy[p]));
+      }
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(priced_above.source_energy),
+                std::bit_cast<std::uint64_t>(priced_at.source_energy));
+      EXPECT_NE(priced_above.target_energy, priced_at.target_energy);
+      expect_bit_equal(priced_above, out[0]);
+      expect_bit_equal(priced_at, out[2]);
+    }
 
     // Every target is still validated, hit or miss.
     const TargetSide no_capacity{0.0, 0.0, nic_1g};
@@ -500,8 +521,9 @@ TEST(Planner, ForecastTargetsTargetHalfBitEqualsAttachTargetEnergy) {
     for (std::size_t i = 0; i < targets.size(); ++i) {
       SCOPED_TRACE(i);
       const MigrationScenario sc = with_target(base, targets[i]);
+      // The target fields of attach_energy are its target half.
       MigrationForecast expect = forecast_timings(sc);
-      attach_target_energy(model, sc, expect);
+      attach_energy(model, sc, expect);
       for (int p = 0; p < 3; ++p) {
         EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i].target_phase_energy[p]),
                   std::bit_cast<std::uint64_t>(expect.target_phase_energy[p]))

@@ -94,7 +94,7 @@ TEST(Runner, SingleRunFollowsProtocol) {
   ScenarioConfig sc = cpuload_source_scenarios().front();  // 0vm non-live
   const RunResult run = runner.run(sc, 0);
 
-  EXPECT_TRUE(run.record.completed);
+  EXPECT_EQ(run.record.outcome, migration::MigrationOutcome::kCompleted);
   EXPECT_TRUE(run.record.times.well_formed());
   // Migration was not issued before the warm-up window.
   EXPECT_GE(run.record.times.ms, runner.options().min_warmup);
@@ -148,19 +148,24 @@ TEST(Runner, FeatureTraceCoversWholeRun) {
 
   // Phase labels agree with the record's timestamps.
   bool saw_normal = false;
-  bool saw_transfer = false;
+  int transfer_samples = 0;
+  double transfer_bandwidth = 0.0;
+  double transfer_cpu_source = 0.0;
   for (const auto& f : run.features.samples()) {
     EXPECT_EQ(f.phase, run.record.times.phase_at(f.time));
     saw_normal |= f.phase == MigrationPhase::kNormal;
-    saw_transfer |= f.phase == MigrationPhase::kTransfer;
+    if (f.phase == MigrationPhase::kTransfer) {
+      ++transfer_samples;
+      transfer_bandwidth += f.bandwidth;
+      transfer_cpu_source += f.cpu_source;
+    }
   }
   EXPECT_TRUE(saw_normal);
-  EXPECT_TRUE(saw_transfer);
+  ASSERT_GT(transfer_samples, 0);
 
   // Transfer-phase means carry the migration signal.
-  const auto transfer_mean = run.features.phase_mean(MigrationPhase::kTransfer);
-  EXPECT_GT(transfer_mean.bandwidth, 1e6);
-  EXPECT_GT(transfer_mean.cpu_source, 0.5);
+  EXPECT_GT(transfer_bandwidth / transfer_samples, 1e6);
+  EXPECT_GT(transfer_cpu_source / transfer_samples, 0.5);
 }
 
 TEST(Runner, DeterministicInSeedAndRunIndex) {
@@ -289,7 +294,7 @@ TEST(Tables, StaticTablesRender) {
 
 TEST(Tables, ModelTablesRender) {
   const CampaignResult& campaign = wavm3::testing::fast_campaign_m();
-  const auto [train, test] = campaign.dataset.split(0.2, 99);
+  const auto [train, test] = campaign.dataset.split_stratified(0.2, 99);
   core::Wavm3Model wavm3;
   wavm3.fit(train);
   models::HuangModel huang;

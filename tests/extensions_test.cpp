@@ -284,35 +284,6 @@ TEST(AdaptiveRate, RampsWithObservedDirtyRate) {
   EXPECT_TRUE(ramped);
 }
 
-TEST(Toolstacks, XmSlowerThanXl) {
-  // Table IIc: the paper ran both xm and xl. The presets reflect their
-  // operational difference: xm is slower around the transfer, xl
-  // rate-limits the pre-copy.
-  const migration::MigrationConfig xm = migration::xm_toolstack_config();
-  const migration::MigrationConfig xl = migration::xl_toolstack_config();
-  EXPECT_GT(xm.initiation_duration, xl.initiation_duration);
-  EXPECT_FALSE(xm.adaptive_rate_limit);
-  EXPECT_TRUE(xl.adaptive_rate_limit);
-
-  sim::Simulator sim_xm;
-  cloud::DataCenter dc_xm;
-  cloud::HostSpec h;
-  h.vcpus = 32;
-  h.ram_bytes = util::gib(32);
-  h.name = "src";
-  dc_xm.add_host(h);
-  h.name = "tgt";
-  dc_xm.add_host(h);
-  net::LinkSpec link;
-  link.wire_rate = util::gbit_per_s(1);
-  dc_xm.network().connect("src", "tgt", link);
-  dc_xm.host("src")->add_vm(cloud::make_migrating_cpu_vm("mv"));
-  migration::MigrationEngine engine(sim_xm, dc_xm, net::BandwidthModel{}, xm);
-  engine.migrate("mv", "src", "tgt", migration::MigrationType::kNonLive);
-  sim_xm.run_to_completion();
-  EXPECT_NEAR(engine.completed().back().times.initiation_duration(), 4.5, 1e-9);
-}
-
 TEST(Compression, HalvesWireTrafficAndTransferTime) {
   const auto run_with_ratio = [](double ratio) {
     sim::Simulator sim;

@@ -76,33 +76,6 @@ TEST(SpanMetrics, ForwardersAgreeWithSpanPrimaries) {
   EXPECT_EQ(mv.nrmse, ms.nrmse);
 }
 
-TEST(ColumnarLinreg, BitIdenticalToRowFit) {
-  util::RngStream rng(17);
-  constexpr std::size_t kRows = 40;
-  std::vector<std::vector<double>> rows(kRows, std::vector<double>(3));
-  std::vector<double> c0(kRows), c1(kRows), c2(kRows), y(kRows);
-  for (std::size_t i = 0; i < kRows; ++i) {
-    c0[i] = rows[i][0] = rng.uniform();
-    c1[i] = rows[i][1] = 10.0 * rng.uniform();
-    c2[i] = rows[i][2] = rng.uniform() - 0.5;
-    y[i] = 3.0 * rows[i][0] + 0.25 * rows[i][1] - 2.0 * rows[i][2] + 5.0 +
-           0.01 * rng.uniform();
-  }
-  for (const bool nonnegative : {false, true}) {
-    stats::LinregOptions options;
-    options.nonnegative = nonnegative;
-    const stats::LinearFit by_rows = stats::fit_linear(rows, y, options);
-    const std::span<const double> columns[] = {c0, c1, c2};
-    const stats::LinearFit by_cols = stats::fit_linear(columns, y, options);
-    ASSERT_EQ(by_rows.coefficients.size(), by_cols.coefficients.size());
-    for (std::size_t j = 0; j < by_rows.coefficients.size(); ++j) {
-      EXPECT_EQ(by_rows.coefficients[j], by_cols.coefficients[j]);
-    }
-    EXPECT_EQ(by_rows.r2, by_cols.r2);
-    EXPECT_EQ(by_rows.residual_rmse, by_cols.residual_rmse);
-  }
-}
-
 // ----------------------------------------------------- batch invariants
 
 TEST(FeatureBatch, ColumnsMatchScalarAccessors) {
@@ -255,8 +228,10 @@ TEST(PredictBatchGolden, PhaseBatchMatchesScalarPhaseEnergies) {
     std::vector<double> batched(batch.size());
     wavm3.predict_phase_batch(batch, phase, batched);
     for (std::size_t i = 0; i < test.observations.size(); ++i) {
-      EXPECT_EQ(batched[i], wavm3.predict_phase_energy(test.observations[i], phase))
-          << "phase " << static_cast<int>(phase) << " row " << i;
+      double scalar = 0.0;
+      wavm3.predict_phase_batch(FeatureBatch::of(test.observations[i]), phase,
+                                std::span<double>(&scalar, 1));
+      EXPECT_EQ(batched[i], scalar) << "phase " << static_cast<int>(phase) << " row " << i;
     }
   }
 }

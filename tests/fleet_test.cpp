@@ -1,8 +1,8 @@
 // Tests for the fleet layer (src/rpc/): loopback transport fault
 // injection, node epoch state machine, client routing + failover +
 // per-node breakers, the two-phase epoch publish (fleet-wide converge
-// or roll back everywhere, incl. under injected node loss), the calib
-// bridge, and a concurrent hammer written to run under TSan.
+// or roll back everywhere, incl. under injected node loss), and a
+// concurrent hammer written to run under TSan.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "faults/node_outage.hpp"
-#include "rpc/calib_bridge.hpp"
 #include "rpc/fleet.hpp"
 #include "rpc/node.hpp"
 #include "serve/errors.hpp"
@@ -393,37 +392,6 @@ TEST(Epoch, NonFiniteTablesRejectedAtPrepare) {
       decode_frame(fx.nodes[0]->handle(encode_epoch_prepare(bad))));
   EXPECT_FALSE(ack.accepted);
   EXPECT_EQ(fx.nodes[0]->staged_epoch(), 0U);
-}
-
-TEST(CalibBridge, LocalSwapPropagatesFleetWide) {
-  Fixture fx;
-  calib::RecalibratorConfig ccfg;
-  ccfg.window_capacity = 128;
-  ccfg.pass_interval_samples = 0;  // explicit passes only
-  ccfg.drift.min_samples = 24;
-  const auto recal = attach_fleet_recalibration(*fx.nodes[0], *fx.client, ccfg);
-  // Feed node 0 ground truth with a constant +30 W bias on both hosts
-  // — the C1->C2-style idle-power shift the calib suite recovers.
-  const core::Wavm3Model truth = make_model();
-  for (int i = 0; i < 120; ++i) {
-    const core::MigrationScenario sc = make_scenario(i);
-    const core::MigrationForecast fc = core::MigrationPlanner(truth).forecast(sc);
-    const double dur = fc.times.me - fc.times.ms;
-    serve::MigrationFeedback fb;
-    fb.source_energy_j = fc.source_energy + 30.0 * dur;
-    fb.target_energy_j = fc.target_energy + 30.0 * dur;
-    fb.duration_s = dur;
-    ASSERT_TRUE(recal->record(sc, fb));
-  }
-  const calib::PassReport report = recal->run_pass();
-  ASSERT_TRUE(report.swapped);
-  // The local swap triggered a fleet publish: every node converged on
-  // a fresh epoch and answers with corrected coefficients.
-  EXPECT_GE(fx.client->committed_epoch(), 1U);
-  EXPECT_EQ(fx.client->status().epoch_lag, 0U);
-  for (const auto& node : fx.nodes) {
-    EXPECT_EQ(node->committed_epoch(), fx.client->committed_epoch());
-  }
 }
 
 TEST(Fleet, ConcurrentPredictAndPublishHammer) {

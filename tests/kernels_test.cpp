@@ -15,9 +15,11 @@
 #include <random>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "kernels/kernels.hpp"
+#include "models/design_apply.hpp"
 #include "util/error.hpp"
 
 namespace wavm3::kernels {
@@ -446,9 +448,14 @@ TEST(Scratch, TakeBeyondCapacityRefuses) {
 }
 
 TEST(Scratch, TlsScratchIsStable) {
-  Scratch& first = tls_scratch();
-  Scratch& second = tls_scratch();
+  // The predict paths' per-thread arena: one per thread, the same one
+  // on every call from that thread.
+  Scratch& first = models::predict_scratch();
+  Scratch& second = models::predict_scratch();
   EXPECT_EQ(&first, &second);
+  const Scratch* other = nullptr;
+  std::thread([&] { other = &models::predict_scratch(); }).join();
+  EXPECT_NE(other, &first);
 }
 
 }  // namespace

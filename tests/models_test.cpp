@@ -80,17 +80,9 @@ TEST(Dataset, SplitPartitionsObservations) {
   Dataset d;
   for (int i = 0; i < 50; ++i)
     d.observations.push_back(constant_obs(500, 10, HostRole::kSource, MigrationType::kLive));
-  const auto [train, test] = d.split(0.2, 7);
+  const auto [train, test] = d.split_stratified(0.2, 7);
   EXPECT_EQ(train.size(), 10u);
   EXPECT_EQ(test.size(), 40u);
-}
-
-TEST(Dataset, IntegratePredictedPowerMatchesClosedForm) {
-  const MigrationObservation obs =
-      constant_obs(600.0, 30.0, HostRole::kSource, MigrationType::kLive);
-  const double e =
-      integrate_predicted_power(obs, [](const MigrationSample&) { return 250.0; });
-  EXPECT_NEAR(e, 250.0 * 30.0, 1e-6);
 }
 
 TEST(Huang, RecoversPlantedLinearModel) {

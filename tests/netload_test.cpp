@@ -128,7 +128,7 @@ TEST(NetLoad, RunnerExecutesNetScenario) {
   runner.set_idle_power_reference(433.0);
   const auto scenarios = exp::netload_vm_scenarios();
   const exp::RunResult run = runner.run(scenarios.back(), 0);  // live, 940 Mbit
-  EXPECT_TRUE(run.record.completed);
+  EXPECT_EQ(run.record.outcome, migration::MigrationOutcome::kCompleted);
   EXPECT_GT(run.source_obs.observed_energy(), 0.0);
 }
 

@@ -138,7 +138,7 @@ struct PlainShape {
   std::size_t bins = 0;
 };
 
-/// CycleDetector::analyze() written the plain way: stats::interp_at
+/// CycleDetector::analyze() written the plain way: kernels::interp_at
 /// per grid point, one lag at a time, modulo folding with counted
 /// bins, and every window summed afresh with a wrapping index.
 CycleEstimate plain_analyze(const std::vector<double>& t, const std::vector<double>& y,
@@ -158,7 +158,7 @@ CycleEstimate plain_analyze(const std::vector<double>& t, const std::vector<doub
   std::vector<double> x(n);
   double mean = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    x[i] = stats::interp_at(t, y, t.front() + static_cast<double>(i) * dt);
+    x[i] = kernels::interp_at(t, y, t.front() + static_cast<double>(i) * dt);
     mean += x[i];
   }
   mean /= static_cast<double>(n);

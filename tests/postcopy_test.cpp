@@ -43,7 +43,7 @@ struct World {
 TEST(PostCopy, BasicShape) {
   World w;
   const MigrationRecord& r = w.migrate_mem(0.95, MigrationType::kPostCopy);
-  EXPECT_TRUE(r.completed);
+  EXPECT_EQ(r.outcome, MigrationOutcome::kCompleted);
   EXPECT_TRUE(r.times.well_formed());
   ASSERT_EQ(r.rounds.size(), 2u);  // handoff + pull
   EXPECT_NEAR(r.rounds[0].bytes, 64.0 * 1024 * 1024, 1.0);

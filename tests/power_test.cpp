@@ -57,7 +57,6 @@ TEST(HostPowerModel, SaturatesAboveCapacity) {
   const double at_cap = m.true_power(a);
   a.cpu_used_vcpus = 40.0;
   EXPECT_DOUBLE_EQ(m.true_power(a), at_cap);
-  EXPECT_DOUBLE_EQ(m.full_load_power(), at_cap);
 }
 
 TEST(HostPowerModel, ActivityTermsAdd) {

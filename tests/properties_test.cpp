@@ -5,8 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
+#include <vector>
 
-#include "cloud/hypervisor.hpp"
+#include "cloud/host.hpp"
+#include "cloud/vm.hpp"
 #include "dcsim/simulation.hpp"
 #include "core/planner.hpp"
 #include "core/wavm3_model.hpp"
@@ -16,27 +20,64 @@
 #include "sim/simulator.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
+#include "util/units.hpp"
+#include "workloads/workload.hpp"
 
 namespace wavm3 {
 namespace {
 
 // ---------- Hypervisor arbitration ----------
 
+/// A guest demanding a fixed number of vCPUs.
+class ConstantCpu final : public workloads::Workload {
+ public:
+  explicit ConstantCpu(double vcpus) : vcpus_(vcpus) {}
+  std::string name() const override { return "constant-cpu"; }
+  workloads::WorkloadClass workload_class() const override {
+    return workloads::WorkloadClass::kCpuIntensive;
+  }
+  double cpu_demand(double) const override { return vcpus_; }
+  double dirty_page_rate(double) const override { return 0.0; }
+  std::uint64_t working_set_pages() const override { return 0; }
+  double memory_used_fraction() const override { return 0.05; }
+
+ private:
+  double vcpus_;
+};
+
 class ArbitrationSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(ArbitrationSweep, GrantsNeverExceedCapacityAndStayProportional) {
+  // Host::cpu_granted_to multiplexes the guests of a contended host
+  // with proportional shares of what the VMM leaves.
   const double scale = GetParam();
   util::RngStream rng(static_cast<std::uint64_t>(scale * 100));
   for (int trial = 0; trial < 50; ++trial) {
+    cloud::HostSpec spec;
+    spec.name = "h";
+    spec.vcpus = 32;
+    spec.ram_bytes = util::gib(64);
+    cloud::Host host(spec);
     std::vector<double> demands;
     const int n = static_cast<int>(rng.uniform_int(1, 12));
-    for (int i = 0; i < n; ++i) demands.push_back(rng.uniform(0.0, 4.0) * scale);
-    const double capacity = 32.0;
-    const auto grants = cloud::Hypervisor::arbitrate(demands, capacity);
+    for (int i = 0; i < n; ++i) {
+      demands.push_back(rng.uniform(0.0, 4.0) * scale);
+      cloud::VmSpec vm_spec;
+      vm_spec.vcpus = 32;
+      vm_spec.ram_bytes = util::gib(1);
+      auto vm = std::make_shared<cloud::Vm>("v" + std::to_string(i), vm_spec);
+      vm->set_workload(std::make_shared<ConstantCpu>(demands.back()));
+      vm->start();
+      host.add_vm(vm);
+    }
+    const double capacity = host.cpu_capacity();
+    const double vmm = host.vmm_demand(0.0);
 
-    double total_demand = 0.0;
+    double total_demand = vmm;  // the VMM competes for the same cores
     double total_grant = 0.0;
+    std::vector<double> grants;
     for (std::size_t i = 0; i < demands.size(); ++i) {
+      grants.push_back(host.cpu_granted_to("v" + std::to_string(i), 0.0));
       EXPECT_GE(grants[i], 0.0);
       EXPECT_LE(grants[i], demands[i] + 1e-12);
       total_demand += demands[i];
@@ -44,9 +85,10 @@ TEST_P(ArbitrationSweep, GrantsNeverExceedCapacityAndStayProportional) {
     }
     EXPECT_LE(total_grant, capacity + 1e-9);
     if (total_demand <= capacity) {
-      EXPECT_NEAR(total_grant, total_demand, 1e-9);
+      EXPECT_NEAR(total_grant, total_demand - vmm, 1e-9);
     } else {
-      EXPECT_NEAR(total_grant, capacity, 1e-9);
+      // The guests and the VMM's proportional share fill the host.
+      EXPECT_NEAR(total_grant + vmm * capacity / total_demand, capacity, 1e-9);
       // Proportionality: grant_i / demand_i constant.
       for (std::size_t i = 0; i < demands.size(); ++i) {
         if (demands[i] > 1e-12) {

@@ -392,8 +392,7 @@ TEST(CoefficientStore, RejectsUnfittedModels) {
   EXPECT_THROW(CoefficientStore store{core::Wavm3Model()}, util::ContractError);
   CoefficientStore store(make_model());
   EXPECT_THROW(store.swap(std::make_shared<const core::Wavm3Model>()), util::ContractError);
-  EXPECT_THROW(store.reload_csv("/nonexistent/coeffs.csv"), util::ContractError);
-  EXPECT_EQ(store.version(), 1u);  // failed reload left the store untouched
+  EXPECT_EQ(store.version(), 1u);  // the failed swap left the store untouched
 }
 
 // -------------------------------------------------------------- service
@@ -602,12 +601,17 @@ TEST(PredictionService, ReloadFromCsvSwapsCoefficients) {
   PredictionService service(model, ServiceConfig{.threads = 1});
   const core::MigrationScenario sc = make_scenario(7);
   const core::MigrationForecast before = service.predict(sc);
-  EXPECT_EQ(service.reload(path), 2u);
+  EXPECT_EQ(service.swap_model(std::make_shared<const core::Wavm3Model>(
+                core::load_coefficients_csv(path))),
+            2u);
   const core::MigrationForecast after = service.predict(sc);
   EXPECT_NE(before.source_energy, after.source_energy);
   expect_forecast_eq(after, core::MigrationPlanner(recalibrated).forecast(sc));
-  // A bad reload throws and keeps serving the current coefficients.
-  EXPECT_THROW(service.reload("/nonexistent/coeffs.csv"), util::ContractError);
+  // An unreadable file loads no coefficient table, so publishing it
+  // throws and the service keeps serving the current coefficients.
+  EXPECT_THROW(service.swap_model(std::make_shared<const core::Wavm3Model>(
+                   core::load_coefficients_csv("/nonexistent/coeffs.csv"))),
+               util::ContractError);
   EXPECT_EQ(service.model_version(), 2u);
   expect_forecast_eq(service.predict(sc), after);
 }
@@ -1349,7 +1353,7 @@ TEST(PredictionService, ClearFeedbackSinkStopsDelivery) {
   service.set_feedback_sink(
       [&](const core::MigrationScenario&, const MigrationFeedback&) { delivered.fetch_add(1); });
   EXPECT_TRUE(service.record_feedback(make_scenario(1), MigrationFeedback{1.0, 1.0, 1.0}));
-  service.clear_feedback_sink();
+  service.set_feedback_sink(FeedbackSink{});  // an empty sink clears delivery
   EXPECT_FALSE(service.record_feedback(make_scenario(2), MigrationFeedback{1.0, 1.0, 1.0}));
   service.shutdown(DrainMode::kDrain);
   EXPECT_EQ(delivered.load(), 1);

@@ -4,8 +4,8 @@
 // collapse, gaps interpolate up to a bound), online phase tracking,
 // live mid-migration prediction with confidence tightening, the
 // session registry (typed errors, LRU eviction, degeneration alerts),
-// the chaos abort-and-refund hook, the serve streaming endpoints, and
-// a many-thread registry hammer written to run under ThreadSanitizer.
+// the serve streaming endpoints, and a many-thread registry hammer
+// written to run under ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,12 +18,9 @@
 #include <thread>
 #include <vector>
 
-#include "chaos/executor.hpp"
 #include "core/planner.hpp"
 #include "core/wavm3_model.hpp"
 #include "models/feature_batch.hpp"
-#include "plan/fleet.hpp"
-#include "plan/strategy.hpp"
 #include "serve/service.hpp"
 #include "stats/integrate.hpp"
 #include "stream/errors.hpp"
@@ -262,14 +259,11 @@ TEST(IncrementalExtractor, TracksPhaseProgress) {
   EXPECT_EQ(ex.current_phase(), -1);
   ex.push(sample(0.0, MigrationPhase::kInitiation));
   EXPECT_EQ(ex.deepest_phase(), 0);
-  EXPECT_EQ(ex.phase_entered_at(0), 0.0);
-  EXPECT_TRUE(std::isnan(ex.phase_entered_at(1)));
+  EXPECT_EQ(ex.current_phase(), 0);
   ex.push(sample(1.0, MigrationPhase::kTransfer));
   ex.push(sample(2.0, MigrationPhase::kActivation));
   EXPECT_EQ(ex.deepest_phase(), 2);
   EXPECT_EQ(ex.current_phase(), 2);
-  EXPECT_EQ(ex.phase_entered_at(1), 1.0);
-  EXPECT_EQ(ex.phase_entered_at(2), 2.0);
   EXPECT_EQ(ex.first_time(), 0.0);
   EXPECT_EQ(ex.last_time(), 2.0);
 }
@@ -486,24 +480,14 @@ TEST(SessionRegistry, CloseSummarisesTheSession) {
   EXPECT_EQ(summary.observed_target_j, 150.0);
   EXPECT_EQ(reg.active(), 0u);
   EXPECT_THROW(reg.close(5), StreamError);
-  // The ring kept the raw tail for diagnostics.
-  EXPECT_EQ(closed->recent_samples().size(), 8u);
 }
 
 TEST(SessionRegistry, DegenerationAlertFiresOnceAndLatches) {
   const core::Wavm3Model model = make_model();
   SessionRegistry reg;
-  std::atomic<int> alerts{0};
-  DegenerationAlert last;
-  reg.set_degeneration_callback([&](const DegenerationAlert& a) {
-    last = a;
-    alerts.fetch_add(1, std::memory_order_relaxed);
-  });
-
   SessionOptions opt;
   opt.type = MigrationType::kLive;
   opt.baseline_total_j = 1.0;  // any observed energy blows past 1.5x this
-  opt.plan_vm = 7;
   reg.open(11, opt);
   reg.submit(11, HostRole::kSource, sample(0.0, MigrationPhase::kTransfer));
   reg.submit(11, HostRole::kSource, sample(2.0, MigrationPhase::kTransfer));
@@ -511,66 +495,18 @@ TEST(SessionRegistry, DegenerationAlertFiresOnceAndLatches) {
   const LiveForecast first = reg.predict(11, model);
   EXPECT_TRUE(first.degenerated);
   ASSERT_TRUE(first.alert.has_value());
-  EXPECT_EQ(alerts.load(), 1);
-  EXPECT_EQ(last.session, 11u);
-  EXPECT_EQ(last.plan_vm, 7);
-  EXPECT_GT(last.revised_j, last.baseline_j);
-  EXPECT_FALSE(last.reason.empty());
+  const DegenerationAlert& alert = *first.alert;
+  EXPECT_EQ(alert.session, 11u);
+  EXPECT_EQ(alert.baseline_j, 1.0);
+  EXPECT_EQ(alert.revised_j, first.total_j());
+  EXPECT_GT(alert.revised_j, alert.baseline_j);
+  EXPECT_FALSE(alert.reason.empty());
 
   // Latched: still degenerated, but the alert rode out exactly once.
   const LiveForecast second = reg.predict(11, model);
   EXPECT_TRUE(second.degenerated);
   EXPECT_FALSE(second.alert.has_value());
-  EXPECT_EQ(alerts.load(), 1);
-}
-
-// ------------------------------------------------- chaos integration
-
-TEST(ChaosIntegration, LiveAbortRefundsFlaggedMovesAtTheWaveBoundary) {
-  const core::Wavm3Model model = make_model();
-  const plan::BeamSearchStrategy beam;
-  plan::Fleet fleet = plan::Fleet::synthetic(16, 64, 23);
-  const double now = plan::SyntheticFleetOptions{}.history_s;
-
-  chaos::ChaosConfig cfg;
-  cfg.planner.wave_horizon_s = 2.0 * 7200.0;
-  cfg.faults_enabled = false;
-  cfg.relief_enabled = false;
-  cfg.replan.wave_deadline_s = 1e9;
-  chaos::WaveExecutor executor(model, cfg);
-
-  // Flag every VM: whatever the planner picks must be refunded.
-  for (int vm = 0; vm < 64; ++vm) executor.request_live_abort(vm);
-  EXPECT_EQ(executor.live_abort_requests(), 64u);
-
-  const chaos::WaveOutcome wave = executor.run_wave(fleet, beam, 0, now);
-  ASSERT_GT(wave.planned_moves, 0);
-  EXPECT_EQ(wave.live_aborted, wave.planned_moves);
-  EXPECT_EQ(wave.executed, 0);
-  EXPECT_EQ(wave.completed, 0);
-  EXPECT_GT(wave.ledger.refunded_j, 0.0);
-  EXPECT_TRUE(wave.violations.empty());
-
-  // Flags were consumed with the wave: the re-planned moves execute
-  // normally next time around.
-  const chaos::WaveOutcome next = executor.run_wave(fleet, beam, 1, now + cfg.wave_gap_s);
-  EXPECT_EQ(next.live_aborted, 0);
-  EXPECT_GT(next.executed, 0);
-  EXPECT_EQ(next.completed, next.executed);
-}
-
-TEST(ChaosIntegration, LiveAbortHookForwardsOnlyPlannerBornSessions) {
-  const core::Wavm3Model model = make_model();
-  chaos::WaveExecutor executor(model, chaos::ChaosConfig{});
-  const DegenerationCallback hook = chaos::make_live_abort_hook(executor);
-
-  DegenerationAlert alert;
-  alert.plan_vm = -1;  // serve-only session: nothing to abort
-  hook(alert);
-  EXPECT_EQ(executor.live_abort_requests(), 0u);
-  alert.plan_vm = 11;
-  hook(alert);
-  EXPECT_EQ(executor.live_abort_requests(), 1u);
+  EXPECT_TRUE(reg.find(11)->summary().degenerated);
 }
 
 // ------------------------------------------------- serve integration
@@ -621,7 +557,9 @@ TEST(ServeStreaming, EndToEndFeedbackAndMetrics) {
   const LiveForecast inline_fc = service.predict_live(7);
   EXPECT_EQ(inline_fc.revision, 1u);
   EXPECT_GT(inline_fc.total_j(), 0.0);
-  const LiveForecast pooled_fc = service.submit_predict_live(7).get();
+  // Revisions run from any thread against the same session.
+  LiveForecast pooled_fc;
+  std::thread([&] { pooled_fc = service.predict_live(7); }).join();
   EXPECT_EQ(pooled_fc.revision, 2u);
   EXPECT_GT(pooled_fc.total_j(), 0.0);
 
@@ -666,12 +604,9 @@ TEST(SessionRegistry, ManyThreadHammerStaysConsistent) {
   RegistryConfig cfg;
   cfg.max_sessions = 8;
   cfg.evict_on_full = true;
-  cfg.ring_capacity = 64;
   SessionRegistry reg(cfg);
 
   std::atomic<int> alerts{0};
-  reg.set_degeneration_callback(
-      [&](const DegenerationAlert&) { alerts.fetch_add(1, std::memory_order_relaxed); });
 
   constexpr int kThreads = 10;  // >= 8 per the TSan gate
   constexpr int kIters = 150;
@@ -701,7 +636,9 @@ TEST(SessionRegistry, ManyThreadHammerStaysConsistent) {
           // session; the reject path is part of what we hammer.
         }
         try {
-          (void)reg.predict(id, model);
+          if (reg.predict(id, model).alert.has_value()) {
+            alerts.fetch_add(1, std::memory_order_relaxed);
+          }
         } catch (const StreamError&) {
         } catch (const util::ContractError&) {
         }
@@ -720,10 +657,10 @@ TEST(SessionRegistry, ManyThreadHammerStaysConsistent) {
   EXPECT_GT(reg.opened(), 0u);
   // Every accepted sample was counted exactly once.
   EXPECT_EQ(reg.samples_total(), accepted.load());
-  // The callback installed under the race still works afterwards: a
-  // session that blows its baseline must deliver exactly one alert
-  // (whether the racing sessions also alerted is timing-dependent).
-  const int racing_alerts = alerts.load();
+  // Every alert came from a session tripping its policy, at most once
+  // per open; and the registry still alerts after the race: a session
+  // that blows its baseline raises exactly one alert.
+  EXPECT_LE(static_cast<std::uint64_t>(alerts.load()), reg.opened());
   SessionOptions opt;
   opt.type = MigrationType::kLive;
   opt.baseline_total_j = 1.0;
@@ -732,7 +669,8 @@ TEST(SessionRegistry, ManyThreadHammerStaysConsistent) {
   reg.submit(1000, HostRole::kSource, sample(2.0, MigrationPhase::kTransfer));
   const LiveForecast fc = reg.predict(1000, model);
   EXPECT_TRUE(fc.degenerated);
-  EXPECT_EQ(alerts.load(), racing_alerts + 1);
+  EXPECT_TRUE(fc.alert.has_value());
+  EXPECT_FALSE(reg.predict(1000, model).alert.has_value());
 }
 
 }  // namespace

@@ -1,9 +1,6 @@
 // Unit tests for the workload models plus the real runnable kernels.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-
 #include "util/error.hpp"
 #include "util/units.hpp"
 #include "workloads/load_profile.hpp"
@@ -87,29 +84,10 @@ TEST(PageDirtier, RealDirtierTouchesAllRequestedWrites) {
   EXPECT_EQ(writes, 128u * 3u);
 }
 
-TEST(Composite, SumsDemands) {
-  auto cpu = std::make_shared<MatrixMultWorkload>();
-  auto mem = std::make_shared<PageDirtierWorkload>();
-  const CompositeWorkload w({cpu, mem});
-  EXPECT_DOUBLE_EQ(w.cpu_demand(0.0), cpu->cpu_demand(0.0) + mem->cpu_demand(0.0));
-  EXPECT_DOUBLE_EQ(w.dirty_page_rate(0.0),
-                   cpu->dirty_page_rate(0.0) + mem->dirty_page_rate(0.0));
-  EXPECT_EQ(w.working_set_pages(), cpu->working_set_pages() + mem->working_set_pages());
-  EXPECT_EQ(w.workload_class(), WorkloadClass::kMixed);
-  EXPECT_NE(w.name().find("matrixmult"), std::string::npos);
-  EXPECT_NE(w.name().find("pagedirtier"), std::string::npos);
-}
-
-TEST(Composite, RejectsEmptyAndNull) {
-  EXPECT_THROW(CompositeWorkload{std::vector<WorkloadPtr>{}}, util::ContractError);
-  EXPECT_THROW(CompositeWorkload{std::vector<WorkloadPtr>{nullptr}}, util::ContractError);
-}
-
 TEST(LoadProfile, ConstantHoldsForever) {
   const LoadProfile p = LoadProfile::constant(0.4);
   EXPECT_DOUBLE_EQ(p.fraction_at(0.0), 0.4);
   EXPECT_DOUBLE_EQ(p.fraction_at(1e6), 0.4);
-  EXPECT_DOUBLE_EQ(p.mean_fraction(), 0.4);
   EXPECT_FALSE(p.cyclic());
 }
 
@@ -119,7 +97,6 @@ TEST(LoadProfile, StepsAndCyclicWrap) {
   EXPECT_DOUBLE_EQ(p.fraction_at(15.0), 0.8);
   EXPECT_DOUBLE_EQ(p.fraction_at(25.0), 0.1);  // wrapped
   EXPECT_DOUBLE_EQ(p.fraction_at(39.9), 0.8);
-  EXPECT_NEAR(p.mean_fraction(), 0.45, 1e-12);
   EXPECT_TRUE(p.cyclic());
 }
 
@@ -143,21 +120,6 @@ TEST(LoadProfile, DiurnalOscillatesBetweenBounds) {
   EXPECT_GT(hi, 0.85);
   // One full period later the pattern repeats.
   EXPECT_DOUBLE_EQ(p.fraction_at(3600.0), p.fraction_at(3600.0 + 86400.0));
-}
-
-TEST(LoadProfile, CsvRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/wavm3_profile.csv";
-  {
-    std::ofstream out(path);
-    out << "time_s,fraction\n0,0.2\n600,0.8\n1200,0.4\n";
-  }
-  const LoadProfile p = LoadProfile::from_csv(path, 1800.0);
-  std::remove(path.c_str());
-  EXPECT_DOUBLE_EQ(p.fraction_at(100.0), 0.2);
-  EXPECT_DOUBLE_EQ(p.fraction_at(700.0), 0.8);
-  EXPECT_DOUBLE_EQ(p.fraction_at(1300.0), 0.4);
-  EXPECT_DOUBLE_EQ(p.fraction_at(1900.0), 0.2);  // wrapped
-  EXPECT_THROW(LoadProfile::from_csv("/nonexistent.csv"), util::ContractError);
 }
 
 TEST(LoadProfile, Validation) {

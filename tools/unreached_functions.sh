@@ -11,12 +11,19 @@
 #
 #   tools/unreached_functions.sh [BUILD_DIR]    (default: build-unreached)
 #
-# It is a report: it exits 0 whatever the count, and non-zero only when
-# the build itself fails.
+# It is a gate over tools/unreached_allowlist.txt, which names the
+# functions allowed to stay unreached (test support, test oracles, and
+# functions a named ROADMAP item will adopt), one per line as
+#   <demangled name>  # <reason>
+# It exits 1 when a function is unreached but not on the allowlist, when
+# an allowlist entry is no longer unreached (a stale entry), or when an
+# entry has no reason; and non-zero when the build itself fails.
 set -euo pipefail
+export LC_ALL=C
 
 root=$(cd "$(dirname "$0")/.." && pwd)
 out=$(realpath -m "${1:-$root/build-unreached}")
+allowlist=$root/tools/unreached_allowlist.txt
 jobs=$(nproc)
 flags=(-DCMAKE_BUILD_TYPE=None
        "-DCMAKE_CXX_FLAGS=-O0 -fno-inline -ffunction-sections"
@@ -51,7 +58,8 @@ mapfile -t bins < <({
 defined=$(mktemp)
 kept=$(mktemp)
 unreached=$(mktemp)
-trap 'rm -f "$defined" "$kept" "$unreached"' EXIT
+allowed=$(mktemp)
+trap 'rm -f "$defined" "$kept" "$unreached" "$allowed"' EXIT
 functions "${libs[@]}" >"$defined"
 functions "${bins[@]}" >"$kept"
 
@@ -59,3 +67,24 @@ comm -23 "$defined" "$kept" >"$unreached"
 cat "$unreached"
 echo "unreached: $(wc -l <"$unreached") distinct wavm3:: functions" \
   "($(wc -l <"$defined") defined in src/, ${#bins[@]} production binaries)"
+
+# The gate. Blank lines and lines starting with '#' are comments.
+status=0
+entries=$(grep -v -e '^#' -e '^[[:space:]]*$' "$allowlist" || true)
+if [[ -n $entries ]] && unexplained=$(grep -v -e '  # [^[:space:]]' <<<"$entries"); then
+  echo "allowlist entries without a '  # reason':" >&2
+  printf '  %s\n' "$unexplained" >&2
+  status=1
+fi
+sed 's/  # .*$//' <<<"$entries" | sort -u >"$allowed"
+if missing=$(comm -23 "$unreached" "$allowed" | grep .); then
+  echo "unreached but not on $allowlist (adopt or delete them):" >&2
+  printf '  %s\n' "$missing" >&2
+  status=1
+fi
+if stale=$(comm -13 "$unreached" "$allowed" | grep .); then
+  echo "on $allowlist but no longer unreached (drop the entries):" >&2
+  printf '  %s\n' "$stale" >&2
+  status=1
+fi
+exit "$status"
